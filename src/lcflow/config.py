@@ -15,6 +15,7 @@ import hashlib
 from dataclasses import dataclass, field, fields
 
 from .errors import ConfigError
+from .grid import M_MAX, make_grid
 
 # Ladder used when a config has no [sweep] section: 2^-4 .. 2^-10.
 DEFAULT_EPS_LADDER = tuple(2.0 ** (-k) for k in range(4, 11))
@@ -85,13 +86,7 @@ class SimConfig:
     def validate(self):
         if not (0.0 <= self.eps <= 1.0):
             raise ConfigError(f"eps must be in [0,1], got {self.eps}")
-        for name in ("nx", "ny", "nz"):
-            n = getattr(self, name)
-            if n < 4:
-                raise ConfigError(f"{name} must be >= 4, got {n}")
-        for name in ("lx", "ly", "lz"):
-            if getattr(self, name) <= 0:
-                raise ConfigError(f"{name} must be positive")
+        make_grid(self)
         if self.dt <= 0:
             raise ConfigError(f"dt must be positive, got {self.dt}")
         if self.t_final < 0:
@@ -100,8 +95,8 @@ class SimConfig:
             raise ConfigError(f"unknown initial condition '{self.ic_name}'")
         if self.time_derivs not in (0, 1):
             raise ConfigError("time_derivs must be 0 or 1")
-        if not (1 <= self.conormal_m <= 4):
-            raise ConfigError("conormal_m must be in 1..4")
+        if not (1 <= self.conormal_m <= M_MAX):
+            raise ConfigError(f"conormal_m must be in 1..{M_MAX}")
         if self.diag_every < 1:
             raise ConfigError("diag_every must be >= 1")
         return self

@@ -25,11 +25,12 @@ from .errors import ConfigError
 from .fields import (FaceField, State, discrete_divergence, discrete_gradient,
                      face_to_center, unit_deviation)
 from .grid import M_MAX, ChannelGrid, conormal_derivative
-from .operators import (SlipMatrixB, advect_center, advect_face, curl_center,
-                        director_gradient, elastic_stress, grad_sq_director,
-                        laplacian_center, laplacian_face,
-                        velocity_gradient_center)
-from .pressure import pressure_split, stress_to_faces
+from .operators import (SlipMatrixB, _u_on_v_points, _v_on_u_points,
+                        advect_center, center_gradient, curl_center,
+                        director_gradient, fill_ghosts_navier_slip,
+                        grad_sq_director, laplacian_center, laplacian_face,
+                        momentum_forcing, velocity_gradient_center)
+from .pressure import pressure_split
 
 
 # ---------------------------------------------------------------------------
@@ -145,7 +146,6 @@ def boundary_work(u: FaceField, eps: float, B: SlipMatrixB,
     """
     if eps == 0.0 or B.is_zero:
         return 0.0
-    from .operators import fill_ghosts_navier_slip, _v_on_u_points, _u_on_v_points
     x_ext, y_ext = fill_ghosts_navier_slip(u, B, grid)
     da = grid.hx * grid.hy
     total = 0.0
@@ -249,13 +249,12 @@ def _time_derivatives(state: State, eps: float, B: SlipMatrixB,
                       grid: ChannelGrid):
     """(du/dt at centers, dd/dt at centers) read off the evolution
     equations, with the stored pressure."""
-    sig = stress_to_faces(elastic_stress(state.d, grid), grid)
+    F = momentum_forcing(state.u, state.d, grid)
     gp = discrete_gradient(state.p, grid)
-    adv = advect_face(state.u, state.u, grid)
     lap = laplacian_face(state.u, B, grid)
-    ut = FaceField(-adv.x - gp.x + eps * lap.x - sig.x,
-                   -adv.y - gp.y + eps * lap.y - sig.y,
-                   -adv.z - gp.z + eps * lap.z - sig.z)
+    ut = FaceField(-F.x - gp.x + eps * lap.x,
+                   -F.y - gp.y + eps * lap.y,
+                   -F.z - gp.z + eps * lap.z)
     dt_d = (-advect_center(state.u, state.d, grid)
             + laplacian_center(state.d, grid)
             + grad_sq_director(state.d, grid) * state.d)
@@ -295,12 +294,7 @@ def conormal_energy(state: State, eps: float, B: SlipMatrixB,
         total += conormal_norm_sq(gdt, m - 1, grid)
         ldt = laplacian_center(dt_d, grid)
         if m >= 2:
-            from .grid import _dz_centered
-            from .operators import _ddx, _ddy
-            gten = np.stack([
-                _ddx(ut_c, grid.hx), _ddy(ut_c, grid.hy),
-                _dz_centered(ut_c, grid.hz),
-            ])
+            gten = center_gradient(ut_c, grid)
             total += conormal_norm_sq(gten, m - 2, grid)
             total += conormal_norm_sq(ldt, m - 2, grid)
             total += linf_conormal(gten, 0, grid) ** 2

@@ -84,7 +84,7 @@ def make_grid(config) -> ChannelGrid:
         if not isinstance(n, (int, np.integer)):
             raise ConfigError(f"{name} must be an integer, got {n!r}")
         if n < 4:
-            raise ConfigError(f"{name} too small: need at least 4 cells, got {n}")
+            raise ConfigError(f"{name} too small: {name} must be >= 4, got {n}")
     for name in ("lx", "ly", "lz"):
         if getattr(config, name) <= 0:
             raise ConfigError(f"{name} must be positive")
@@ -105,6 +105,16 @@ def conormal_weight(z, grid: ChannelGrid):
     zeta = np.minimum(z, grid.lz - z)
     out = zeta / (1.0 + zeta)
     return float(out) if out.ndim == 0 else out
+
+
+def _ddx(f, h):
+    """Periodic central d/dx on the third-from-last axis."""
+    return (np.roll(f, -1, axis=-3) - np.roll(f, 1, axis=-3)) / (2.0 * h)
+
+
+def _ddy(f, h):
+    """Periodic central d/dy on the second-from-last axis."""
+    return (np.roll(f, -1, axis=-2) - np.roll(f, 1, axis=-2)) / (2.0 * h)
 
 
 def _dz_centered(f, hz):
@@ -134,9 +144,9 @@ def conormal_derivative(f: np.ndarray, axis: int, grid: ChannelGrid) -> np.ndarr
     if f.shape[-3:] != grid.shape:
         raise ConfigError(f"field shape {f.shape} does not end in {grid.shape}")
     if axis == 0:
-        return (np.roll(f, -1, axis=-3) - np.roll(f, 1, axis=-3)) / (2.0 * grid.hx)
+        return _ddx(f, grid.hx)
     if axis == 1:
-        return (np.roll(f, -1, axis=-2) - np.roll(f, 1, axis=-2)) / (2.0 * grid.hy)
+        return _ddy(f, grid.hy)
     if axis == 2:
         w = conormal_weight(grid.z_centers(), grid)
         return w * _dz_centered(f, grid.hz)

@@ -3,11 +3,13 @@
 Per step, with the state at time t:
 
   (a) director update: advection and the unit-length reaction term are
-      explicit, diffusion is implicit (one zero-flux Helmholtz solve per
-      component), then the field is renormalized to unit length;
-  (b) velocity predictor: explicit advection and elastic forcing from the
-      *new* director, viscosity either explicit or as an implicit
-      Helmholtz solve with the slip closure;
+      explicit, diffusion is implicit (one zero-flux Helmholtz solve,
+      batched over the three components), then the field is renormalized to unit length;
+  (b) velocity predictor: the momentum forcing u.grad u + sigma(d)
+      (operators.momentum_forcing, the same definition the pressure split
+      and the time-derivative diagnostics use) with the *new* director,
+      viscosity either explicit or as an implicit Helmholtz solve whose
+      wall rows come from the shared slip closure;
   (c) projection onto discretely divergence-free fields, which also
       furnishes the pressure for this step;
   (d) boundary closures are never stored -- ghost values are rebuilt from
@@ -30,10 +32,9 @@ from .errors import SimulationError
 from .fields import (FaceField, State, init_state, max_face_speed,
                      renormalize_director)
 from .grid import ChannelGrid, make_grid
-from .operators import (SlipMatrixB, advect_center, advect_face,
-                        elastic_stress, grad_sq_director, laplacian_face)
-from .pressure import (project, solve_helmholtz_neumann,
-                       solve_viscous_helmholtz, stress_to_faces)
+from .operators import (SlipMatrixB, advect_center, grad_sq_director,
+                        laplacian_face, momentum_forcing)
+from .pressure import project, solve_helmholtz_neumann, solve_viscous_helmholtz
 
 DT_FLOOR_FACTOR = 64.0
 
@@ -62,11 +63,10 @@ def step(state: State, cfg: SimConfig, grid: ChannelGrid, B: SlipMatrixB,
                                  cfg.renorm_floor)
 
     # -- (b) velocity predictor -------------------------------------------
-    adv = advect_face(u, u, grid)
-    sig = stress_to_faces(elastic_stress(d_new, grid), grid)
-    fx = -adv.x - sig.x
-    fy = -adv.y - sig.y
-    fz = -adv.z - sig.z
+    F = momentum_forcing(u, d_new, grid)
+    fx = -F.x
+    fy = -F.y
+    fz = -F.z
     if cfg.forcing_u is not None:
         g = cfg.forcing_u(grid, t)
         fx = fx + g.x

@@ -23,9 +23,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import SimulationError
-from .fields import FaceField, discrete_divergence
-from .grid import ChannelGrid, _dz_centered
+from .fields import FaceField, discrete_divergence, face_to_center
+from .grid import ChannelGrid, _ddx, _ddy, _dz_centered
 
 
 @dataclass(frozen=True)
@@ -50,12 +49,6 @@ def pad_neumann(f: np.ndarray) -> np.ndarray:
     return np.concatenate([f[..., :1], f, f[..., -1:]], axis=-1)
 
 
-def fill_ghosts_neumann(f: np.ndarray, grid: ChannelGrid) -> np.ndarray:
-    if f.shape[-1] != grid.nz:
-        raise SimulationError(f"expected {grid.nz} z-layers, got {f.shape[-1]}")
-    return pad_neumann(f)
-
-
 def _wall_tangential(f4, which):
     """Second-order extrapolation of a centered field onto a wall plane."""
     if which == "bottom":
@@ -74,21 +67,27 @@ def _u_on_v_points(u):
     return 0.25 * (t + np.roll(t, 1, axis=1))
 
 
-def fill_ghosts_navier_slip(u: FaceField, B: SlipMatrixB, grid: ChannelGrid):
-    """Ghost-extended tangential velocities (each (nx, ny, nz+2)).
+def slip_closure(u: FaceField, B: SlipMatrixB, grid: ChannelGrid):
+    """Coefficients of the discrete Robin ghost row on both walls.
 
-    The Robin relation is discretized at the wall face with the wall value
-    taken as the ghost/interior average, e.g. at the bottom for u:
+    The relation is discretized at the wall face with the wall value taken
+    as the ghost/interior average, e.g. at the bottom for u:
 
         (u0 - ug)/hz = b11*(u0 + ug)/2 + b12 * v_wall
 
-    The cross coupling uses the other component extrapolated to the wall at
-    the matching staggered position, so b12 != 0 stays second order.
+    so that ug = a11*u0 - cu*v_wall (and vg = a22*v0 - cv*u_wall).  The
+    cross coupling uses the other component of u extrapolated to the wall
+    at the matching staggered position, so b12 != 0 stays second order.
+
+    Returns (a11, a22, cu, cv, vw_b, vw_t, uw_b, uw_t): the wall values of
+    v on u points and of u on v points at the bottom/top, all 0.0 when
+    b12 == 0.
     """
     hz = grid.hz
     a11 = (1.0 - 0.5 * hz * B.b11) / (1.0 + 0.5 * hz * B.b11)
     a22 = (1.0 - 0.5 * hz * B.b22) / (1.0 + 0.5 * hz * B.b22)
-
+    cu = hz * B.b12 / (1.0 + 0.5 * hz * B.b11)
+    cv = hz * B.b12 / (1.0 + 0.5 * hz * B.b22)
     if B.b12 != 0.0:
         v4 = _v_on_u_points(u.y)
         u4 = _u_on_v_points(u.x)
@@ -98,10 +97,13 @@ def fill_ghosts_navier_slip(u: FaceField, B: SlipMatrixB, grid: ChannelGrid):
         uw_t = _wall_tangential(u4, "top")
     else:
         vw_b = vw_t = uw_b = uw_t = 0.0
+    return a11, a22, cu, cv, vw_b, vw_t, uw_b, uw_t
 
-    cu = hz * B.b12 / (1.0 + 0.5 * hz * B.b11)
-    cv = hz * B.b12 / (1.0 + 0.5 * hz * B.b22)
 
+def fill_ghosts_navier_slip(u: FaceField, B: SlipMatrixB, grid: ChannelGrid):
+    """Ghost-extended tangential velocities (each (nx, ny, nz+2)), with the
+    ghost rows of slip_closure."""
+    a11, a22, cu, cv, vw_b, vw_t, uw_b, uw_t = slip_closure(u, B, grid)
     ug_b = a11 * u.x[:, :, 0] - cu * vw_b
     ug_t = a11 * u.x[:, :, -1] - cu * vw_t
     vg_b = a22 * u.y[:, :, 0] - cv * uw_b
@@ -115,14 +117,6 @@ def fill_ghosts_navier_slip(u: FaceField, B: SlipMatrixB, grid: ChannelGrid):
 # ---------------------------------------------------------------------------
 # differential operators
 # ---------------------------------------------------------------------------
-
-def _ddx(f, h):
-    return (np.roll(f, -1, axis=-3) - np.roll(f, 1, axis=-3)) / (2.0 * h)
-
-
-def _ddy(f, h):
-    return (np.roll(f, -1, axis=-2) - np.roll(f, 1, axis=-2)) / (2.0 * h)
-
 
 def _dz_ghost(f_ext, hz):
     return (f_ext[..., 2:] - f_ext[..., :-2]) / (2.0 * hz)
@@ -307,38 +301,50 @@ def elastic_stress(d: np.ndarray, grid: ChannelGrid) -> np.ndarray:
     return np.einsum("icxyz,cxyz->ixyz", grad, lap)
 
 
-def director_source(d: np.ndarray, grid: ChannelGrid, unit_tol: float = 1e-8) -> np.ndarray:
-    """|grad d|^2 d; requires a (near-)unit director, since the identity it
-    feeds (lap d . d = -|grad d|^2) only holds on the unit sphere."""
-    dev = np.max(np.abs(np.sum(d * d, axis=0) - 1.0))
-    if dev > unit_tol:
-        raise SimulationError(
-            f"director_source needs a unit director (|d|^2 - 1 up to {dev:.3e}); "
-            "renormalize first")
-    grad = director_gradient(d, grid)
-    return np.sum(grad * grad, axis=(0, 1)) * d
-
-
 def grad_sq_director(d: np.ndarray, grid: ChannelGrid) -> np.ndarray:
     """|grad d|^2 at centers."""
     grad = director_gradient(d, grid)
     return np.sum(grad * grad, axis=(0, 1))
 
 
+def stress_to_faces(sigma: np.ndarray, grid: ChannelGrid) -> FaceField:
+    """Average a centered vector (3, nx, ny, nz) onto faces; wall-normal
+    entries on the walls are zero (consistent with zero boundary data in
+    the pressure problems)."""
+    fx = 0.5 * (sigma[0] + np.roll(sigma[0], 1, axis=0))
+    fy = 0.5 * (sigma[1] + np.roll(sigma[1], 1, axis=1))
+    fz = np.zeros((grid.nx, grid.ny, grid.nz + 1))
+    fz[:, :, 1:-1] = 0.5 * (sigma[2][:, :, :-1] + sigma[2][:, :, 1:])
+    return FaceField(fx, fy, fz)
+
+
+def momentum_forcing(u: FaceField, d: np.ndarray, grid: ChannelGrid) -> FaceField:
+    """u . grad u + sigma(d) on faces: the explicit part of the momentum
+    equation shared by the predictor, the pressure problems and the
+    time-derivative diagnostics."""
+    adv = advect_face(u, u, grid)
+    sig = stress_to_faces(elastic_stress(d, grid), grid)
+    return FaceField(adv.x + sig.x, adv.y + sig.y, adv.z + sig.z)
+
+
 # ---------------------------------------------------------------------------
-# velocity gradient at centers (no boundary-condition assumption)
+# gradients at centers (no boundary-condition assumption)
 # ---------------------------------------------------------------------------
+
+def center_gradient(f: np.ndarray, grid: ChannelGrid) -> np.ndarray:
+    """grad of centered data (scalar or stacked components), out[i] = d_i f.
+
+    Periodic central differences in x/y and the one-sided z closure of
+    _dz_centered, so it does not bake in any wall condition.
+    """
+    return np.stack([
+        _ddx(f, grid.hx),
+        _ddy(f, grid.hy),
+        _dz_centered(f, grid.hz),
+    ])
+
 
 def velocity_gradient_center(u: FaceField, grid: ChannelGrid) -> np.ndarray:
-    """grad u at cell centers, (3, 3, nx, ny, nz), out[i, j] = d_i u_j.
-
-    Built from the centered components with one-sided z stencils so it does
-    not bake in any wall condition; used by diagnostics and remainders.
-    """
-    from .fields import face_to_center
-    uc = face_to_center(u)
-    return np.stack([
-        _ddx(uc, grid.hx),
-        _ddy(uc, grid.hy),
-        _dz_centered(uc, grid.hz),
-    ])
+    """grad u at cell centers, (3, 3, nx, ny, nz), out[i, j] = d_i u_j;
+    used by diagnostics and remainders."""
+    return center_gradient(face_to_center(u), grid)

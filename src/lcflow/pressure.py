@@ -4,7 +4,15 @@ All solvers invert the exact 7-point stencils from the operators module by
 diagonalizing in the periodic directions (FFT) and the wall-normal
 direction (cosine transform for the zero-flux closure, tridiagonal solves
 when a Robin row breaks the symmetry).  Residuals are therefore round-off
-level and are asserted, not hoped for.
+level and are asserted, not hoped for.  The transforms act on the trailing
+(x, y, z) axes, so a stack of fields (the three director components) is
+solved in one batched call.
+
+Nothing physical is assembled here: the right-hand side of the pressure
+problems is the divergence of operators.momentum_forcing, and the implicit
+viscous solve takes its Robin wall rows from operators.slip_closure, the
+same closure the explicit face Laplacian uses.  stress_to_faces lives in
+operators and stays importable from this module.
 
 Sign conventions: Neumann data is the *outward* normal derivative on each
 wall, so at the bottom wall dp/dz = -g_bottom and at the top dp/dz =
@@ -19,9 +27,9 @@ import scipy.fft as sfft
 from .errors import SimulationError
 from .fields import FaceField, State, discrete_divergence, discrete_gradient
 from .grid import ChannelGrid
-from .operators import (SlipMatrixB, _v_on_u_points, _u_on_v_points,
-                        _wall_tangential, advect_face, elastic_stress,
-                        laplacian_center)
+from .operators import (SlipMatrixB, laplacian_center, momentum_forcing,
+                        slip_closure)
+from .operators import stress_to_faces  # noqa: F401  (kept importable here)
 
 # Defects up to this relative size are treated as discretization noise and
 # projected out; anything larger means the problem was assembled wrong.
@@ -46,18 +54,23 @@ def _eig_reflect(n, h):
 
 
 def _transform(f):
-    return sfft.rfft2(sfft.dct(f, type=2, axis=2), axes=(0, 1))
+    """Forward transform over the trailing (x, y, z) axes; leading axes
+    are a batch."""
+    return sfft.rfft2(sfft.dct(f, type=2, axis=-1), axes=(-3, -2))
 
 
 def _inverse(fh, nx, ny):
-    return sfft.idct(sfft.irfft2(fh, s=(nx, ny), axes=(0, 1)), type=2, axis=2)
+    return sfft.idct(sfft.irfft2(fh, s=(nx, ny), axes=(-3, -2)), type=2, axis=-1)
+
+
+def _mode_plane(grid: ChannelGrid):
+    """Eigenvalues of the periodic x/y stencil on the rfft2 mode plane."""
+    return (_eig_periodic(grid.nx, grid.hx)[:, None]
+            + _eig_periodic(grid.ny, grid.hy)[None, : grid.ny // 2 + 1])
 
 
 def _eig_sum(grid: ChannelGrid):
-    lx = _eig_periodic(grid.nx, grid.hx)[:, None, None]
-    ly = _eig_periodic(grid.ny, grid.hy)[None, : grid.ny // 2 + 1, None]
-    lz = _eig_reflect(grid.nz, grid.hz)[None, None, :]
-    return lx + ly + lz
+    return _mode_plane(grid)[:, :, None] + _eig_reflect(grid.nz, grid.hz)[None, None, :]
 
 
 def solve_helmholtz_neumann(b: np.ndarray, coef: float, grid: ChannelGrid) -> np.ndarray:
@@ -67,12 +80,7 @@ def solve_helmholtz_neumann(b: np.ndarray, coef: float, grid: ChannelGrid) -> np
     director diffusion step.  Works on (..., nx, ny, nz) stacks.
     """
     denom = 1.0 - coef * _eig_sum(grid)
-    if b.ndim == 3:
-        return _inverse(_transform(b) / denom, grid.nx, grid.ny)
-    out = np.empty_like(b)
-    for c in range(b.shape[0]):
-        out[c] = _inverse(_transform(b[c]) / denom, grid.nx, grid.ny)
-    return out
+    return _inverse(_transform(b) / denom, grid.nx, grid.ny)
 
 
 def solve_poisson_neumann(rhs: np.ndarray, g_bottom, g_top, grid: ChannelGrid,
@@ -137,17 +145,6 @@ def project(u_star: FaceField, dt: float, grid: ChannelGrid,
     return u, dp
 
 
-def stress_to_faces(sigma: np.ndarray, grid: ChannelGrid) -> FaceField:
-    """Average a centered vector (3, nx, ny, nz) onto faces; wall-normal
-    entries on the walls are zero (consistent with zero boundary data in
-    the pressure problems)."""
-    fx = 0.5 * (sigma[0] + np.roll(sigma[0], 1, axis=0))
-    fy = 0.5 * (sigma[1] + np.roll(sigma[1], 1, axis=1))
-    fz = np.zeros((grid.nx, grid.ny, grid.nz + 1))
-    fz[:, :, 1:-1] = 0.5 * (sigma[2][:, :, :-1] + sigma[2][:, :, 1:])
-    return FaceField(fx, fy, fz)
-
-
 def _wall_dzz_w(u: FaceField, grid: ChannelGrid):
     """One-sided second z-derivative of the normal velocity on each wall
     (the only surviving part of lap(u).n there, since w vanishes on the
@@ -166,10 +163,7 @@ def pressure_split(state: State, eps: float, B: SlipMatrixB, grid: ChannelGrid,
     vanishes identically on flat walls) and the viscous part p2 (harmonic,
     driven by eps * lap(u).n on the walls).  p2 is exactly linear in eps.
     """
-    conv = advect_face(state.u, state.u, grid)
-    sig = stress_to_faces(elastic_stress(state.d, grid), grid)
-    F = FaceField(conv.x + sig.x, conv.y + sig.y, conv.z + sig.z)
-    rhs1 = -discrete_divergence(F, grid)
+    rhs1 = -discrete_divergence(momentum_forcing(state.u, state.d, grid), grid)
     p1 = solve_poisson_neumann(rhs1, 0.0, 0.0, grid, tol)
 
     if eps == 0.0:
@@ -184,10 +178,7 @@ def full_pressure(state: State, eps: float, B: SlipMatrixB, grid: ChannelGrid,
                   tol: float = SOLVER_TOL) -> np.ndarray:
     """Single-solve pressure with the combined right-hand side and boundary
     data of both split problems (used to check superposition)."""
-    conv = advect_face(state.u, state.u, grid)
-    sig = stress_to_faces(elastic_stress(state.d, grid), grid)
-    F = FaceField(conv.x + sig.x, conv.y + sig.y, conv.z + sig.z)
-    rhs = -discrete_divergence(F, grid)
+    rhs = -discrete_divergence(momentum_forcing(state.u, state.d, grid), grid)
     bot, top = _wall_dzz_w(state.u, grid)
     return solve_poisson_neumann(rhs, -eps * bot, eps * top, grid, tol)
 
@@ -221,11 +212,6 @@ def _thomas_batched(main0, main_in, main1, off, rhs):
     return x
 
 
-def _mode_plane(grid: ChannelGrid):
-    return (_eig_periodic(grid.nx, grid.hx)[:, None]
-            + _eig_periodic(grid.ny, grid.hy)[None, : grid.ny // 2 + 1])
-
-
 def solve_viscous_helmholtz(b: FaceField, coef: float, B: SlipMatrixB,
                             grid: ChannelGrid) -> FaceField:
     """(I - coef * lap) u = b with slip closure for the tangential
@@ -238,8 +224,7 @@ def solve_viscous_helmholtz(b: FaceField, coef: float, B: SlipMatrixB,
     hz2 = grid.hz**2
     lam = _mode_plane(grid)
     off = -coef / hz2
-    a11 = (1.0 - 0.5 * grid.hz * B.b11) / (1.0 + 0.5 * grid.hz * B.b11)
-    a22 = (1.0 - 0.5 * grid.hz * B.b22) / (1.0 + 0.5 * grid.hz * B.b22)
+    a11, a22, cu, cv, vw_b, vw_t, uw_b, uw_t = slip_closure(b, B, grid)
 
     def _tan(comp, alpha, cross_b, cross_t, c12):
         rhs = comp.copy()
@@ -251,16 +236,6 @@ def solve_viscous_helmholtz(b: FaceField, coef: float, B: SlipMatrixB,
         main_edge = 1.0 + coef * ((2.0 - alpha) / hz2) - coef * lam
         xh = _thomas_batched(main_edge, main_in, main_edge, off, bh)
         return sfft.irfft2(xh, s=(grid.nx, grid.ny), axes=(0, 1))
-
-    if B.b12 != 0.0:
-        v4 = _v_on_u_points(b.y)
-        u4 = _u_on_v_points(b.x)
-        vw_b, vw_t = _wall_tangential(v4, "bottom"), _wall_tangential(v4, "top")
-        uw_b, uw_t = _wall_tangential(u4, "bottom"), _wall_tangential(u4, "top")
-    else:
-        vw_b = vw_t = uw_b = uw_t = 0.0
-    cu = grid.hz * B.b12 / (1.0 + 0.5 * grid.hz * B.b11)
-    cv = grid.hz * B.b12 / (1.0 + 0.5 * grid.hz * B.b22)
 
     x = _tan(b.x, a11, vw_b, vw_t, cu)
     y = _tan(b.y, a22, uw_b, uw_t, cv)

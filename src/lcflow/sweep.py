@@ -19,6 +19,7 @@ import math
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
+from functools import partial
 
 import multiprocessing as mp
 
@@ -143,7 +144,6 @@ class SweepResult:
     included: tuple              # members actually run (guard applied)
     excluded: tuple              # members refused by the resolution guard
     eps_min: float               # the guard threshold (4 hz)^2
-    errors_final: dict           # eps -> 4-tuple at t_final
     errors_max: dict             # eps -> 4-tuple, max over recorded times
     errors_by_time: dict         # eps -> list of (t, 4-tuple)
     nm_max: dict                 # eps -> max-over-time nm_value (0.0 = ref)
@@ -218,12 +218,6 @@ def _member_job(eps):
     return eps, per_time, nm_max, linf_max, seconds
 
 
-def _aggregate(per_time):
-    final = per_time[-1][1]
-    best = tuple(max(row[1][k] for row in per_time) for k in range(4))
-    return final, best
-
-
 def run_sweep(cfg: SimConfig, eps_ladder=None, jobs: int = 1,
               force: bool = False) -> SweepResult:
     """Run the ladder experiment.  See SweepResult for what comes back.
@@ -279,35 +273,28 @@ def run_sweep(cfg: SimConfig, eps_ladder=None, jobs: int = 1,
     linf_max = {0.0: max(r.linf_grad_u for r in ref_records)}
     results = {}
     failed = []
+    pool = None
     try:
-        if jobs == 1 or len(included) <= 1:
-            outcomes = []
-            for e in included:
-                try:
-                    outcomes.append(_member_job(e))
-                except SimulationError as exc:
-                    failed.append((e, str(exc)))
-                    break
+        if jobs > 1 and len(included) > 1:
+            pool = ProcessPoolExecutor(max_workers=min(jobs, len(included)),
+                                       mp_context=mp.get_context("fork"))
+            calls = [(e, pool.submit(_member_job, e).result) for e in included]
         else:
-            outcomes = []
-            ctx = mp.get_context("fork")
-            with ProcessPoolExecutor(max_workers=min(jobs, len(included)),
-                                     mp_context=ctx) as pool:
-                futures = [(e, pool.submit(_member_job, e)) for e in included]
-                for e, fut in futures:
-                    if failed:
-                        fut.cancel()
-                        continue
-                    try:
-                        outcomes.append(fut.result())
-                    except SimulationError as exc:
-                        failed.append((e, str(exc)))
-        for e, per_time, nm, lg, secs in outcomes:
+            calls = [(e, partial(_member_job, e)) for e in included]
+        # the first failure ends the sweep: no later member starts
+        for e, call in calls:
+            try:
+                _, per_time, nm, lg, secs = call()
+            except SimulationError as exc:
+                failed.append((e, str(exc)))
+                break
             results[e] = per_time
             nm_max[e] = nm
             linf_max[e] = lg
             wall_times[e] = secs
     finally:
+        if pool is not None:
+            pool.shutdown(cancel_futures=True)
         _REF_SNAPSHOTS = None
         _REF_CFG = None
 
@@ -316,10 +303,8 @@ def run_sweep(cfg: SimConfig, eps_ladder=None, jobs: int = 1,
             flags.append(f"aborted: member eps={e:g} failed: {msg}")
 
     completed = tuple(e for e in included if e in results)
-    errors_final = {}
-    errors_max = {}
-    for e in completed:
-        errors_final[e], errors_max[e] = _aggregate(results[e])
+    errors_max = {e: tuple(max(row[1][k] for row in results[e]) for k in range(4))
+                  for e in completed}
 
     # fits over the max-over-time errors (the sup-in-time bound is the
     # quantity with a guaranteed rate)
@@ -360,7 +345,6 @@ def run_sweep(cfg: SimConfig, eps_ladder=None, jobs: int = 1,
         included=included,
         excluded=excluded,
         eps_min=eps_min,
-        errors_final=errors_final,
         errors_max=errors_max,
         errors_by_time={e: results[e] for e in completed},
         nm_max=nm_max,

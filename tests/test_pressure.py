@@ -16,8 +16,9 @@ from lcflow import (
     project,
     solve_poisson_neumann,
 )
-from lcflow.fields import State, max_face_speed, zero_face_field
-from lcflow.operators import laplacian_center, laplacian_face
+from lcflow.fields import FaceField, State, max_face_speed, zero_face_field
+from lcflow.operators import (fill_ghosts_navier_slip, laplacian_center,
+                              laplacian_face)
 from lcflow.pressure import solve_helmholtz_neumann, solve_viscous_helmholtz
 
 
@@ -255,6 +256,39 @@ def test_viscous_helmholtz_inverts_face_laplacian():
         res = got - coef * lp - rhs
         assert np.max(np.abs(res)) <= 1e-11 * max(1.0, np.max(np.abs(rhs)))
     assert np.all(x.z[:, :, 0] == 0.0) and np.all(x.z[:, :, -1] == 0.0)
+
+
+def test_viscous_helmholtz_cross_coupling_is_the_lagged_ghost():
+    # with b12 != 0 the solve takes the cross term of the Robin ghost from b
+    # while laplacian_face takes it from x; interior rows still invert the
+    # stencil, and the wall-row residual is exactly the ghost difference
+    # that lag produces
+    grid = _grid(nx=10, ny=8, nz=12)
+    B = SlipMatrixB(1.2, 0.4, 0.7)
+    B_diag = SlipMatrixB(B.b11, 0.0, B.b22)
+    rng = np.random.default_rng(13)
+    b = zero_face_field(grid)
+    b.x[:] = rng.standard_normal(b.x.shape)
+    b.y[:] = rng.standard_normal(b.y.shape)
+    b.z[:, :, 1:-1] = rng.standard_normal(b.z[:, :, 1:-1].shape)
+    coef = 4e-3
+    x = solve_viscous_helmholtz(b, coef, B, grid)
+    lap = laplacian_face(x, B, grid)
+    diff = FaceField(x.x - b.x, x.y - b.y, x.z - b.z)
+    gx, gy = fill_ghosts_navier_slip(x, B, grid)
+    hx, hy = fill_ghosts_navier_slip(b, B, grid)
+    dx, dy = fill_ghosts_navier_slip(diff, B_diag, grid)
+    tol = 1e-11 * max(1.0, np.max(np.abs(b.x)), np.max(np.abs(b.y)))
+    for got, rhs, lp, g, h, dg in ((x.x, b.x, lap.x, gx, hx, dx),
+                                   (x.y, b.y, lap.y, gy, hy, dy)):
+        res = got - coef * lp - rhs
+        assert np.max(np.abs(res[:, :, 1:-1])) <= tol
+        lagged = -coef / grid.hz**2 * (g - h - dg)
+        for wall, ghost in ((0, 0), (-1, -1)):
+            assert np.max(np.abs(lagged[:, :, ghost])) > 1e3 * tol
+            assert np.max(np.abs(res[:, :, wall] - lagged[:, :, ghost])) <= tol
+    res_z = x.z - coef * lap.z - b.z
+    assert np.max(np.abs(res_z[:, :, 1:-1])) <= tol
 
 
 def test_viscous_helmholtz_zero_rhs():

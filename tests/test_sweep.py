@@ -189,7 +189,6 @@ def test_sweep_basic_result_shape():
     res = run_sweep(cfg, eps_ladder=ladder)
     assert res.included == ladder
     assert set(res.errors_max) == set(ladder)
-    assert set(res.errors_final) == set(ladder)
     for e in ladder:
         rows = res.errors_by_time[e]
         assert len(rows) >= 2
@@ -197,7 +196,7 @@ def test_sweep_basic_result_shape():
             assert len(tup) == 4 and all(v >= 0.0 for v in tup)
         # max-over-time dominates the final-time row
         for k in range(4):
-            assert res.errors_max[e][k] >= res.errors_final[e][k] - 1e-18
+            assert res.errors_max[e][k] >= rows[-1][1][k] - 1e-18
     # smaller eps -> smaller error against the inviscid reference
     l2 = [res.errors_max[e][0] + res.errors_max[e][1] for e in ladder]
     assert l2[0] > l2[1] > l2[2] > 0.0
@@ -221,9 +220,14 @@ def test_sweep_member_failure_aborts_with_partials():
     # the shared fixed dt violates, so the first member must fail loudly
     cfg = _sweep_cfg(visc_implicit=False, dt=6e-3, t_final=0.024)
     res = run_sweep(cfg, eps_ladder=(0.25, 0.125))
-    assert res.failed and res.failed[0][0] == 0.25
+    assert len(res.failed) == 1 and res.failed[0][0] == 0.25
     assert "stability limit" in res.failed[0][1]
     assert any("aborted" in f for f in res.flags)
+    # the pooled path applies the same rule: nothing after the first failure
+    pooled = run_sweep(cfg, eps_ladder=(0.25, 0.125), jobs=2)
+    assert pooled.failed == res.failed
+    assert pooled.errors_by_time == res.errors_by_time == {}
+    assert pooled.flags == res.flags
 
 
 def test_error_injection_recovers_rate():
