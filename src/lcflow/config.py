@@ -12,6 +12,7 @@ from __future__ import annotations
 import configparser
 import difflib
 import hashlib
+import math
 from dataclasses import dataclass, field, fields
 
 from .errors import ConfigError
@@ -86,11 +87,21 @@ class SimConfig:
     def validate(self):
         if not (0.0 <= self.eps <= 1.0):
             raise ConfigError(f"eps must be in [0,1], got {self.eps}")
+        b11, b12, b22 = self.b11, self.b12, self.b22
+        # the slip wall dissipates only for a positive semidefinite B; the
+        # negated comparisons also reject nan
+        if not (math.isfinite(b11) and math.isfinite(b12) and math.isfinite(b22)
+                and b11 >= 0 and b22 >= 0 and b11 * b22 >= b12**2):
+            raise ConfigError(
+                "slip matrix must be finite and positive semidefinite "
+                "(b11 >= 0, b22 >= 0, b11*b22 >= b12**2), got "
+                f"b11 = {b11}, b12 = {b12}, b22 = {b22}")
         make_grid(self)
-        if self.dt <= 0:
-            raise ConfigError(f"dt must be positive, got {self.dt}")
-        if self.t_final < 0:
-            raise ConfigError(f"t_final must be >= 0, got {self.t_final}")
+        if not (math.isfinite(self.dt) and self.dt > 0):
+            raise ConfigError(f"dt must be positive and finite, got {self.dt}")
+        if not (math.isfinite(self.t_final) and self.t_final >= 0):
+            raise ConfigError(
+                f"t_final must be >= 0 and finite, got {self.t_final}")
         if self.ic_name not in ("rest", "shear+twist", "slipflow", "random-solenoidal"):
             raise ConfigError(f"unknown initial condition '{self.ic_name}'")
         if self.time_derivs not in (0, 1):

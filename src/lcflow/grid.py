@@ -124,7 +124,8 @@ def _dz_centered(f, hz):
     and last interior layers (no ghost values are assumed).
     """
     out = np.empty_like(f)
-    out[..., 1:-1] = (f[..., 2:] - f[..., :-2]) / (2.0 * hz)
+    np.subtract(f[..., 2:], f[..., :-2], out=out[..., 1:-1])
+    out[..., 1:-1] /= 2.0 * hz
     out[..., 0] = (-3.0 * f[..., 0] + 4.0 * f[..., 1] - f[..., 2]) / (2.0 * hz)
     out[..., -1] = (3.0 * f[..., -1] - 4.0 * f[..., -2] + f[..., -3]) / (2.0 * hz)
     return out
@@ -148,6 +149,7 @@ def conormal_derivative(f: np.ndarray, axis: int, grid: ChannelGrid) -> np.ndarr
     if axis == 1:
         return _ddy(f, grid.hy)
     if axis == 2:
-        w = conormal_weight(grid.z_centers(), grid)
-        return w * _dz_centered(f, grid.hz)
+        out = _dz_centered(f, grid.hz)
+        out *= conormal_weight(grid.z_centers(), grid)
+        return out
     raise ConfigError(f"axis must be 0, 1 or 2, got {axis}")

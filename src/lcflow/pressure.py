@@ -156,7 +156,7 @@ def _wall_dzz_w(u: FaceField, grid: ChannelGrid):
     return bot, top
 
 
-def pressure_split(state: State, eps: float, B: SlipMatrixB, grid: ChannelGrid,
+def pressure_split(state: State, eps: float, grid: ChannelGrid,
                    tol: float = SOLVER_TOL):
     """Two zero-mean pressures: the convective/elastic part p1 (data
     -div(u.grad u + grad d . lap d), boundary data -(u.grad u).n which
@@ -174,7 +174,7 @@ def pressure_split(state: State, eps: float, B: SlipMatrixB, grid: ChannelGrid,
     return p1, p2
 
 
-def full_pressure(state: State, eps: float, B: SlipMatrixB, grid: ChannelGrid,
+def full_pressure(state: State, eps: float, grid: ChannelGrid,
                   tol: float = SOLVER_TOL) -> np.ndarray:
     """Single-solve pressure with the combined right-hand side and boundary
     data of both split problems (used to check superposition)."""

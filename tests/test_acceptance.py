@@ -21,7 +21,6 @@ from lcflow.cli import cli
 from lcflow.fields import InitialConditionSpec, init_state
 from lcflow.grid import ChannelGrid
 from lcflow.io import write_sweep_csv
-from lcflow.operators import SlipMatrixB
 from lcflow.pressure import full_pressure, pressure_split
 from lcflow.sweep import remainder_norms, run_sweep
 
@@ -127,14 +126,13 @@ def test_criterion_04_slip_trace_convergence():
 
 def test_criterion_05_pressure_split_superposition():
     grid = ChannelGrid(8, 8, 16, 1.0, 1.0, 1.0)
-    B = SlipMatrixB(1.0, 0.2, 1.5)
     tol = 1e-11
     worst_sup = 0.0
     for seed in range(20):
         st = init_state(grid, InitialConditionSpec("random-solenoidal",
                                                    amplitude=0.2, seed=seed))
-        p1, p2 = pressure_split(st, 0.3, B, grid)
-        pf = full_pressure(st, 0.3, B, grid)
+        p1, p2 = pressure_split(st, 0.3, grid)
+        pf = full_pressure(st, 0.3, grid)
         scale = max(1.0, np.max(np.abs(pf)))
         worst_sup = max(worst_sup, np.max(np.abs(p1 + p2 - pf)) / scale)
 
@@ -142,10 +140,10 @@ def test_criterion_05_pressure_split_superposition():
     for seed in range(5):
         st = init_state(grid, InitialConditionSpec("random-solenoidal",
                                                    amplitude=0.2, seed=seed))
-        _, p2_unit = pressure_split(st, 1.0, B, grid)
+        _, p2_unit = pressure_split(st, 1.0, grid)
         scale = max(np.max(np.abs(p2_unit)), 1e-30)
         for eps in (0.5, 2.0**-4, 2.0**-8):
-            _, p2 = pressure_split(st, eps, B, grid)
+            _, p2 = pressure_split(st, eps, grid)
             dev = np.max(np.abs(p2 - eps * p2_unit)) / (eps * scale + 1e-15)
             worst_lin = max(worst_lin, dev)
 

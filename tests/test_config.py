@@ -6,6 +6,7 @@ import re
 import pytest
 
 from lcflow import ConfigError, SimConfig, load_config
+from lcflow.cli import cli
 from lcflow.config import DEFAULT_EPS_LADDER, config_hash, parse_config
 
 MINIMAL = """\
@@ -94,6 +95,54 @@ def test_validation_ranges():
         _parse(MINIMAL.replace("dt = 1e-3", "dt = 0"))
     with pytest.raises(ConfigError, match="t_final must be >= 0"):
         _parse(MINIMAL.replace("t_final = 0.1", "t_final = -0.5"))
+
+
+@pytest.mark.parametrize("key, value", [
+    ("dt", "inf"), ("dt", "nan"), ("dt", "-inf"),
+    ("t_final", "inf"), ("t_final", "nan"),
+])
+def test_non_finite_times_are_rejected(tmp_path, capsys, key, value):
+    # dt = inf would spin in the step-halving loop, t_final = inf would run
+    # zero steps and exit 0, dt = nan would fail later as a non-finite state
+    line = {"dt": "dt = 1e-3", "t_final": "t_final = 0.1"}[key]
+    text = MINIMAL.replace(line, f"{key} = {value}")
+    with pytest.raises(ConfigError, match=f"{key} must be"):
+        _parse(text)
+    direct = dict(nx=8, ny=8, nz=8, eps=0.5, dt=1e-3, t_final=0.1)
+    direct[key] = float(value)
+    with pytest.raises(ConfigError, match=f"{key} must be"):
+        SimConfig(**direct).validate()
+    # only reached once validation is known to reject the value
+    path = tmp_path / "run.cfg"
+    path.write_text(text)
+    assert cli(["simulate", "--config", str(path)]) == 1
+    assert f"{key} must be" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("b11, b12, b22", [
+    (-50.0, 0.0, 1.0), (1.0, 0.0, -0.5), (1.0, 2.0, 1.0), (0.0, 0.1, 0.0),
+    (float("nan"), 0.0, 1.0), (float("inf"), 0.0, float("inf")),
+])
+def test_slip_matrix_must_be_positive_semidefinite(tmp_path, capsys,
+                                                   b11, b12, b22):
+    text = MINIMAL.replace("eps = 0.01",
+                           f"eps = 0.01\nb11 = {b11}\nb12 = {b12}\nb22 = {b22}")
+    with pytest.raises(ConfigError, match="positive semidefinite") as err:
+        _parse(text)
+    for name in ("b11", "b12", "b22"):
+        assert name in str(err.value)
+    path = tmp_path / "run.cfg"
+    path.write_text(text)
+    assert cli(["simulate", "--config", str(path)]) == 1
+    assert "positive semidefinite" in capsys.readouterr().err
+
+
+def test_slip_matrix_boundary_cases_accepted():
+    for b11, b12, b22 in ((0.0, 0.0, 0.0), (1.0, 1.0, 1.0), (4.0, -2.0, 1.0),
+                          (1.0, 0.4, 2.0)):
+        cfg = SimConfig(nx=8, ny=8, nz=8, eps=0.5, dt=1e-3, t_final=0.1,
+                        b11=b11, b12=b12, b22=b22)
+        assert cfg.validate() is cfg
 
 
 def test_unknown_initial_condition():

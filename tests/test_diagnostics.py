@@ -5,18 +5,22 @@ import math
 import numpy as np
 import pytest
 
+from hypothesis import given, settings
+from hypothesis import strategies as hst
+
 from lcflow import SimConfig, run
-from lcflow.diagnostics import (conormal_energy, conormal_norm,
-                                conormal_norm_sq, elastic_energy,
+from lcflow.diagnostics import (_conormal_sums, _linf, conormal_energy,
+                                conormal_norm, conormal_norm_sq,
+                                director_dissipation, elastic_energy,
                                 grad_u_linf, kinetic_energy, linf_conormal,
-                                make_record, slip_mismatch_field,
-                                slip_mismatch_trace, viscous_dissipation,
-                                wall_cutoff)
+                                make_record, quartic_production,
+                                slip_mismatch_field, slip_mismatch_trace,
+                                viscous_dissipation, wall_cutoff)
 from lcflow.errors import ConfigError
 from lcflow.fields import (InitialConditionSpec, State, face_to_center,
                            init_state, zero_face_field)
-from lcflow.grid import make_grid
-from lcflow.operators import SlipMatrixB
+from lcflow.grid import ChannelGrid, conormal_derivative, make_grid
+from lcflow.operators import SlipMatrixB, director_gradient
 
 
 def _grid(nx=8, ny=8, nz=16, **kw):
@@ -124,6 +128,54 @@ def test_sup_norm_of_sine_converges_to_closed_form():
         deficit[nx] = target - v
     assert deficit[32] <= 0.015 * target
     assert 3.4 <= deficit[16] / deficit[32] <= 4.6
+
+
+# -- the single walk ---------------------------------------------------------
+
+_grids = hst.builds(
+    ChannelGrid,
+    hst.integers(4, 9), hst.integers(4, 9), hst.integers(4, 9),
+    hst.sampled_from([1.0, 0.7, 2.5]), hst.sampled_from([1.0, 1.3]),
+    hst.sampled_from([1.0, 0.4, 3.0]))
+
+
+def _multi_index_oracle(f, m, grid):
+    """Per-multi-index enumeration of the order-m sums: every alpha with
+    |alpha| <= m once, each Z^alpha f built by applying its x, y and z
+    factors directly (no parent sharing).  Returns (l2 sum, squared sups)."""
+    vol = grid.cell_volume
+    l2, sup = 0.0, 0.0
+    for a in range(m + 1):
+        for b in range(m + 1 - a):
+            for c in range(m + 1 - a - b):
+                g = f
+                for ax, times in ((0, a), (1, b), (2, c)):
+                    for _ in range(times):
+                        g = conormal_derivative(g, ax, grid)
+                l2 += float(np.sum(g * g)) * vol
+                mag = np.sqrt(np.sum(g * g, axis=tuple(range(g.ndim - 3))))
+                sup += float(np.max(mag)) ** 2
+    return l2, sup
+
+
+@settings(max_examples=40, deadline=None)
+@given(grid=_grids, lead=hst.sampled_from([(), (2,), (3,), (3, 3)]),
+       m=hst.integers(0, 4), seed=hst.integers(0, 2**32 - 1))
+def test_walk_sums_are_the_public_norms(grid, lead, m, seed):
+    f = np.random.default_rng(seed).standard_normal(lead + grid.shape)
+    sup = min(m, 2)
+    l2, linf = _conormal_sums(f, m, grid, sup=sup)
+    assert len(l2) == m + 1 and len(linf) == sup + 1
+    for k in range(m + 1):
+        assert l2[k] == conormal_norm_sq(f, k, grid)
+    for k in range(sup + 1):
+        assert _linf(linf, k) == linf_conormal(f, k, grid)
+    # cumulative in k, and equal to the plain enumeration of multi-indices
+    assert all(a <= b for a, b in zip(l2, l2[1:]))
+    want_l2, want_sup = _multi_index_oracle(f, m, grid)
+    assert l2[m] == pytest.approx(want_l2, rel=1e-12)
+    if m <= 2:
+        assert linf[m] == pytest.approx(want_sup, rel=1e-12)
 
 
 # -- energy pieces ---------------------------------------------------------
@@ -288,3 +340,31 @@ def test_record_conormal_entries_match_norm_function():
     uc = face_to_center(st.u)
     assert rec.conormal[("u", 2)] == np.sqrt(conormal_norm_sq(uc, 2, grid))
     assert rec.conormal[("d", 1)] == np.sqrt(conormal_norm_sq(st.d, 1, grid))
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+@pytest.mark.parametrize("time_derivs", [0, 1])
+def test_record_fields_are_their_public_functions(m, time_derivs):
+    # the record builds its derived fields once and shares them; every
+    # field must still be, bit for bit, the value of its public function
+    cfg = SimConfig(nx=8, ny=6, nz=12, eps=0.05, b11=1.0, b12=0.4, b22=2.0,
+                    dt=1e-3, t_final=1e-3, ic_name="random-solenoidal",
+                    amplitude=0.2, seed=4, conormal_m=m,
+                    time_derivs=time_derivs).validate()
+    grid = make_grid(cfg)
+    st = init_state(grid, cfg.ic)
+    B = SlipMatrixB(cfg.b11, cfg.b12, cfg.b22)
+    rec = make_record(st, cfg, grid, B)
+    assert rec.nm_value == conormal_energy(st, cfg.eps, B, grid, m,
+                                           time_derivs)
+    assert rec.linf_grad_u == grad_u_linf(st.u, grid)
+    assert rec.visc_diss == viscous_dissipation(st.u, cfg.eps, B, grid)
+    assert rec.dir_diss == director_dissipation(st.d, grid)
+    assert rec.quartic == quartic_production(st.d, grid)
+    assert rec.eta_trace == slip_mismatch_trace(st.u, B, grid)
+    fields = {"u": face_to_center(st.u), "d": st.d,
+              "grad_d": director_gradient(st.d, grid)}
+    assert list(rec.conormal) == [(n, k) for n in fields
+                                  for k in range(1, m + 1)]
+    for (name, k), value in rec.conormal.items():
+        assert value == conormal_norm(fields[name], k, grid)

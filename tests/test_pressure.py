@@ -178,7 +178,7 @@ def test_split_trivial_state_is_zero():
     d = np.zeros((3,) + grid.shape)
     d[2] = 1.0
     st = State(zero_face_field(grid), np.zeros(grid.shape), d, 0.0)
-    p1, p2 = pressure_split(st, 0.3, SlipMatrixB(1.0, 0.0, 1.0), grid)
+    p1, p2 = pressure_split(st, 0.3, grid)
     assert np.max(np.abs(p1)) == 0.0
     assert np.max(np.abs(p2)) == 0.0
 
@@ -186,19 +186,18 @@ def test_split_trivial_state_is_zero():
 def test_split_inviscid_kills_boundary_part():
     grid = _grid()
     st = _random_state(grid, seed=5)
-    _, p2 = pressure_split(st, 0.0, SlipMatrixB(1.0, 0.0, 1.0), grid)
+    _, p2 = pressure_split(st, 0.0, grid)
     assert np.max(np.abs(p2)) == 0.0
 
 
 def test_split_superposes_to_full_pressure():
     grid = _grid(nx=12, ny=10, nz=14)
-    B = SlipMatrixB(1.0, 0.2, 1.5)
     tol = 1e-11
     worst = 0.0
     for seed in range(5):
         st = _random_state(grid, seed=seed)
-        p1, p2 = pressure_split(st, 0.3, B, grid)
-        pf = full_pressure(st, 0.3, B, grid)
+        p1, p2 = pressure_split(st, 0.3, grid)
+        pf = full_pressure(st, 0.3, grid)
         scale = max(1.0, np.max(np.abs(pf)))
         worst = max(worst, np.max(np.abs(p1 + p2 - pf)) / scale)
     assert worst <= 10 * tol
@@ -206,11 +205,10 @@ def test_split_superposes_to_full_pressure():
 
 def test_split_boundary_part_scales_linearly_in_eps():
     grid = _grid()
-    B = SlipMatrixB(1.0, 0.0, 1.0)
     st = _random_state(grid, seed=6)
-    _, p2_unit = pressure_split(st, 1.0, B, grid)
+    _, p2_unit = pressure_split(st, 1.0, grid)
     for eps in (0.5, 0.125, 1e-3):
-        _, p2 = pressure_split(st, eps, B, grid)
+        _, p2 = pressure_split(st, eps, grid)
         scale = max(np.max(np.abs(p2_unit)), 1e-30)
         assert np.max(np.abs(p2 - eps * p2_unit)) <= 1e-11 * eps * scale + 1e-15
 
