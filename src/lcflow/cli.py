@@ -89,6 +89,8 @@ def _cmd_sweep(args):
         write_sweep_csv(result, os.path.join(args.out, "sweep.csv"))
         text = write_rate_report(result, os.path.join(args.out,
                                                       "rate_report.txt"))
+    except ConfigError:
+        raise   # a validation error, exit 1 (ConfigError is a ValueError)
     except (SimulationError, OSError, ValueError) as exc:
         print(f"lcflow sweep: {exc}", file=sys.stderr)
         return 2

@@ -110,6 +110,14 @@ class SimConfig:
             raise ConfigError(f"conormal_m must be in 1..{M_MAX}")
         if self.diag_every < 1:
             raise ConfigError("diag_every must be >= 1")
+        ladder = self.eps_ladder
+        if len(ladder) == 0:
+            raise ConfigError("eps ladder is empty")
+        for e in ladder:
+            if not (0.0 < e <= 1.0):
+                raise ConfigError(f"ladder entries must be in (0, 1], got {e}")
+        if any(b >= a for a, b in zip(ladder, ladder[1:])):
+            raise ConfigError(f"eps ladder must be strictly decreasing: {ladder}")
         return self
 
 

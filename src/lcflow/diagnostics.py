@@ -36,10 +36,11 @@ from .fields import (FaceField, State, discrete_divergence, discrete_gradient,
                      face_to_center, unit_deviation)
 from .grid import M_MAX, ChannelGrid, conormal_derivative
 from .operators import (SlipMatrixB, _u_on_v_points, _v_on_u_points,
-                        advect_center, center_gradient, curl_center,
-                        director_gradient, fill_ghosts_navier_slip,
-                        grad_sq_director, laplacian_center, laplacian_face,
-                        momentum_forcing, velocity_gradient_center)
+                        _wall_tangential, advect_center, center_gradient,
+                        curl_center, director_gradient,
+                        fill_ghosts_navier_slip, grad_sq_director,
+                        laplacian_center, laplacian_face, momentum_forcing,
+                        velocity_gradient_center)
 from .pressure import pressure_split
 
 
@@ -261,9 +262,9 @@ def _slip_mismatch_trace(w: np.ndarray, uc: np.ndarray, B: SlipMatrixB,
     the two cell layers next to each wall enter the extrapolation."""
     da = grid.hx * grid.hy
     total = 0.0
-    for n, layers in ((-1.0, [0, 1]), (+1.0, [-1, -2])):
+    for n, layers, which in ((-1.0, [0, 1], "bottom"), (+1.0, [-2, -1], "top")):
         for q in _mismatch(w[..., layers], uc[..., layers], B, n):
-            wall = 1.5 * q[:, :, 0] - 0.5 * q[:, :, 1]
+            wall = _wall_tangential(q, which)
             total += float(np.sum(wall * wall)) * da
     return float(np.sqrt(total))
 

@@ -39,33 +39,55 @@ def _fmt(x: float) -> str:
 # CSV
 # ---------------------------------------------------------------------------
 
+def _write_csv(path, what, columns, rows):
+    """Header `columns`, then one line per row of already formatted fields."""
+    try:
+        with open(path, "w", newline="") as f:
+            w = csv.writer(f, lineterminator="\n")
+            w.writerow(columns)
+            w.writerows(rows)
+    except OSError as exc:
+        raise OSError(f"cannot write {what} CSV {path}: {exc}") from exc
+
+
+def _read_csv(path, what, columns):
+    """Rows back as dicts of floats, in file order.  A wrong header, a row
+    with the wrong number of fields or an unparsable value is a
+    ConfigError naming the file (and line)."""
+    try:
+        with open(path, newline="") as f:
+            rd = csv.reader(f)
+            header = next(rd, None)
+            if header is None or tuple(header) != columns:
+                raise ConfigError(
+                    f"{path}: expected {what} header {','.join(columns)}")
+            rows = []
+            for row in rd:
+                where = f"{path}, line {rd.line_num}"
+                if len(row) != len(columns):
+                    raise ConfigError(f"{where}: expected {len(columns)} "
+                                      f"fields, got {len(row)}")
+                try:
+                    rows.append(dict(zip(columns, map(float, row))))
+                except ValueError as exc:
+                    raise ConfigError(f"{where}: {exc}") from exc
+            return rows
+    except OSError as exc:
+        raise OSError(f"cannot read {what} CSV {path}: {exc}") from exc
+
+
 def write_diag_csv(records, path):
     """One row per DiagnosticsRecord, columns exactly DIAG_COLUMNS."""
     records = list(records)
     if not records:
         raise ValueError(f"nothing to write: no records for {path}")
-    try:
-        with open(path, "w", newline="") as f:
-            w = csv.writer(f, lineterminator="\n")
-            w.writerow(DIAG_COLUMNS)
-            for r in records:
-                w.writerow([_fmt(getattr(r, c)) for c in DIAG_COLUMNS])
-    except OSError as exc:
-        raise OSError(f"cannot write diagnostics CSV {path}: {exc}") from exc
+    _write_csv(path, "diagnostics", DIAG_COLUMNS,
+               ([_fmt(getattr(r, c)) for c in DIAG_COLUMNS] for r in records))
 
 
 def read_diag_csv(path):
     """Rows back as dicts of floats, in file order."""
-    try:
-        with open(path, newline="") as f:
-            rd = csv.reader(f)
-            header = next(rd, None)
-            if header is None or tuple(header) != DIAG_COLUMNS:
-                raise ConfigError(
-                    f"{path}: expected diagnostics header {','.join(DIAG_COLUMNS)}")
-            return [dict(zip(DIAG_COLUMNS, map(float, row))) for row in rd]
-    except OSError as exc:
-        raise OSError(f"cannot read diagnostics CSV {path}: {exc}") from exc
+    return _read_csv(path, "diagnostics", DIAG_COLUMNS)
 
 
 def write_sweep_csv(result, path):
@@ -79,28 +101,13 @@ def write_sweep_csv(result, path):
     rows = [e for e in result.included if e in result.errors_max]
     if not rows:
         raise ValueError(f"nothing to write: no completed members for {path}")
-    try:
-        with open(path, "w", newline="") as f:
-            w = csv.writer(f, lineterminator="\n")
-            w.writerow(SWEEP_COLUMNS)
-            for e in rows:
-                w.writerow([_fmt(e)] + [_fmt(v) for v in result.errors_max[e]]
-                           + [_fmt(0.0)])
-    except OSError as exc:
-        raise OSError(f"cannot write sweep CSV {path}: {exc}") from exc
+    _write_csv(path, "sweep", SWEEP_COLUMNS,
+               ([_fmt(e)] + [_fmt(v) for v in result.errors_max[e]] + [_fmt(0.0)]
+                for e in rows))
 
 
 def read_sweep_csv(path):
-    try:
-        with open(path, newline="") as f:
-            rd = csv.reader(f)
-            header = next(rd, None)
-            if header is None or tuple(header) != SWEEP_COLUMNS:
-                raise ConfigError(
-                    f"{path}: expected sweep header {','.join(SWEEP_COLUMNS)}")
-            return [dict(zip(SWEEP_COLUMNS, map(float, row))) for row in rd]
-    except OSError as exc:
-        raise OSError(f"cannot read sweep CSV {path}: {exc}") from exc
+    return _read_csv(path, "sweep", SWEEP_COLUMNS)
 
 
 # ---------------------------------------------------------------------------

@@ -126,6 +126,14 @@ def _dzz_ghost(f_ext, hz):
     return (f_ext[..., 2:] - 2.0 * f_ext[..., 1:-1] + f_ext[..., :-2]) / hz**2
 
 
+def _lap_xy(f, grid: ChannelGrid):
+    """Periodic x/y part of the 7-point Laplacian on the (x, y) axes
+    (third- and second-from-last)."""
+    out = (np.roll(f, -1, axis=-3) - 2.0 * f + np.roll(f, 1, axis=-3)) / grid.hx**2
+    out += (np.roll(f, -1, axis=-2) - 2.0 * f + np.roll(f, 1, axis=-2)) / grid.hy**2
+    return out
+
+
 def laplacian_center(f: np.ndarray, grid: ChannelGrid) -> np.ndarray:
     """7-point Laplacian on centered data, zero-flux closure in z.
 
@@ -133,8 +141,7 @@ def laplacian_center(f: np.ndarray, grid: ChannelGrid) -> np.ndarray:
     single definition here is what makes the projection residual land at
     round-off.
     """
-    out = (np.roll(f, -1, axis=-3) - 2.0 * f + np.roll(f, 1, axis=-3)) / grid.hx**2
-    out += (np.roll(f, -1, axis=-2) - 2.0 * f + np.roll(f, 1, axis=-2)) / grid.hy**2
+    out = _lap_xy(f, grid)
     out += _dzz_ghost(pad_neumann(f), grid.hz)
     return out
 
@@ -147,43 +154,28 @@ def laplacian_face(u: FaceField, B: SlipMatrixB, grid: ChannelGrid) -> FaceField
     faces are constrained, not evolved).
     """
     x_ext, y_ext = fill_ghosts_navier_slip(u, B, grid)
-
-    def _lap_tan(comp, ext):
-        out = (np.roll(comp, -1, axis=0) - 2.0 * comp + np.roll(comp, 1, axis=0)) / grid.hx**2
-        out += (np.roll(comp, -1, axis=1) - 2.0 * comp + np.roll(comp, 1, axis=1)) / grid.hy**2
-        out += _dzz_ghost(ext, grid.hz)
-        return out
-
+    lu = _lap_xy(u.x, grid)
+    lu += _dzz_ghost(x_ext, grid.hz)
+    lv = _lap_xy(u.y, grid)
+    lv += _dzz_ghost(y_ext, grid.hz)
     lw = np.zeros_like(u.z)
-    wi = u.z
-    lw[:, :, 1:-1] = (
-        (np.roll(wi, -1, axis=0) - 2.0 * wi + np.roll(wi, 1, axis=0))[:, :, 1:-1] / grid.hx**2
-        + (np.roll(wi, -1, axis=1) - 2.0 * wi + np.roll(wi, 1, axis=1))[:, :, 1:-1] / grid.hy**2
-        + (wi[:, :, 2:] - 2.0 * wi[:, :, 1:-1] + wi[:, :, :-2]) / grid.hz**2
-    )
-    return FaceField(_lap_tan(u.x, x_ext), _lap_tan(u.y, y_ext), lw)
+    lw[:, :, 1:-1] = _lap_xy(u.z, grid)[:, :, 1:-1] + _dzz_ghost(u.z, grid.hz)
+    return FaceField(lu, lv, lw)
 
 
 def curl_center(u: FaceField, B: SlipMatrixB, grid: ChannelGrid) -> np.ndarray:
-    """Vorticity at cell centers, (3, nx, ny, nz), second order."""
+    """Vorticity at cell centers, (3, nx, ny, nz), second order.
+
+    Each derivative is taken on the component's own faces and averaged to
+    the centers: the first stack holds (du/dz, dv/dx, dw/dy), the second
+    (du/dy, dv/dz, dw/dx), and the curl is their crosswise difference.
+    """
     x_ext, y_ext = fill_ghosts_navier_slip(u, B, grid)
-
-    def _zavg(f):       # z-face data -> centers
-        return 0.5 * (f[..., :-1] + f[..., 1:])
-
-    def _xavg(f):       # x-face data -> centers
-        return 0.5 * (f + np.roll(f, -1, axis=0))
-
-    def _yavg(f):       # y-face data -> centers
-        return 0.5 * (f + np.roll(f, -1, axis=1))
-
-    dw_dy = _zavg((np.roll(u.z, -1, axis=1) - np.roll(u.z, 1, axis=1)) / (2.0 * grid.hy))
-    dv_dz = _yavg(_dz_ghost(y_ext, grid.hz))
-    du_dz = _xavg(_dz_ghost(x_ext, grid.hz))
-    dw_dx = _zavg((np.roll(u.z, -1, axis=0) - np.roll(u.z, 1, axis=0)) / (2.0 * grid.hx))
-    dv_dx = _yavg((np.roll(u.y, -1, axis=0) - np.roll(u.y, 1, axis=0)) / (2.0 * grid.hx))
-    du_dy = _xavg((np.roll(u.x, -1, axis=1) - np.roll(u.x, 1, axis=1)) / (2.0 * grid.hy))
-    return np.stack([dw_dy - dv_dz, du_dz - dw_dx, dv_dx - du_dy])
+    p = face_to_center(FaceField(_dz_ghost(x_ext, grid.hz), _ddx(u.y, grid.hx),
+                                 _ddy(u.z, grid.hy)))
+    q = face_to_center(FaceField(_ddy(u.x, grid.hy), _dz_ghost(y_ext, grid.hz),
+                                 _ddx(u.z, grid.hx)))
+    return np.stack([p[2] - q[1], p[0] - q[2], p[1] - q[0]])
 
 
 # ---------------------------------------------------------------------------
@@ -214,48 +206,40 @@ def advect_center(u: FaceField, f: np.ndarray, grid: ChannelGrid) -> np.ndarray:
     return term - 0.5 * f * discrete_divergence(u, grid)
 
 
+def _advect_tangential(u_own, u_other, w, f, a, grid: ChannelGrid):
+    """Split-form u . grad f on the control volumes of the x (a = 0) or
+    y (a = 1) faces: u_own is the velocity normal to those faces, u_other
+    the other tangential one, w the normal velocity.  Fluxes are summed
+    own axis, other periodic axis, z; the divergence (own + other) + z,
+    which is (x + y) + z bit for bit: a sum of two floats commutes."""
+    b = 1 - a
+    h = (grid.hx, grid.hy)
+    Uc = 0.5 * (u_own + np.roll(u_own, -1, axis=a))      # at centers
+    Von = 0.5 * (u_other + np.roll(u_other, 1, axis=a))  # at (xf, yf, zc)
+    Won = 0.5 * (w + np.roll(w, 1, axis=a))              # at (own face, zf)
+    fc = 0.5 * (f + np.roll(f, -1, axis=a))
+    fo = 0.5 * (f + np.roll(f, 1, axis=b))
+    fz = 0.5 * (f[:, :, :-1] + f[:, :, 1:])
+    flux = Uc * fc
+    out = (flux - np.roll(flux, 1, axis=a)) / h[a]
+    flux = Von * fo
+    out += (np.roll(flux, -1, axis=b) - flux) / h[b]
+    flux = Won[:, :, 1:-1] * fz
+    out[:, :, :-1] += flux / grid.hz
+    out[:, :, 1:] -= flux / grid.hz
+    div = ((Uc - np.roll(Uc, 1, axis=a)) / h[a]
+           + (np.roll(Von, -1, axis=b) - Von) / h[b]
+           + (Won[:, :, 1:] - Won[:, :, :-1]) / grid.hz)
+    out -= 0.5 * f * div
+    return out
+
+
 def advect_face(u: FaceField, f: FaceField, grid: ChannelGrid) -> FaceField:
     """u . grad f for a staggered vector f (velocity self-advection when
     f is u).  Same split form per component on its own control volume."""
     hx, hy, hz = grid.hx, grid.hy, grid.hz
-
-    # --- x component -----------------------------------------------------
-    Ux = 0.5 * (u.x + np.roll(u.x, -1, axis=0))          # at centers
-    Von = 0.5 * (u.y + np.roll(u.y, 1, axis=0))          # at (xf, yf, zc)
-    Won = 0.5 * (u.z + np.roll(u.z, 1, axis=0))          # at (xf, yc, zf)
-    fxc = 0.5 * (f.x + np.roll(f.x, -1, axis=0))
-    fxy = 0.5 * (f.x + np.roll(f.x, 1, axis=1))
-    fxz = 0.5 * (f.x[:, :, :-1] + f.x[:, :, 1:])
-    flux = Ux * fxc
-    ax = (flux - np.roll(flux, 1, axis=0)) / hx
-    flux = Von * fxy
-    ax += (np.roll(flux, -1, axis=1) - flux) / hy
-    fz = Won[:, :, 1:-1] * fxz
-    ax[:, :, :-1] += fz / hz
-    ax[:, :, 1:] -= fz / hz
-    divu = (Ux - np.roll(Ux, 1, axis=0)) / hx \
-        + (np.roll(Von, -1, axis=1) - Von) / hy \
-        + (Won[:, :, 1:] - Won[:, :, :-1]) / hz
-    ax -= 0.5 * f.x * divu
-
-    # --- y component -----------------------------------------------------
-    Vc = 0.5 * (u.y + np.roll(u.y, -1, axis=1))
-    Uon = 0.5 * (u.x + np.roll(u.x, 1, axis=1))          # at (xf, yf, zc)
-    Won = 0.5 * (u.z + np.roll(u.z, 1, axis=1))          # at (xc, yf, zf)
-    fyc = 0.5 * (f.y + np.roll(f.y, -1, axis=1))
-    fyx = 0.5 * (f.y + np.roll(f.y, 1, axis=0))
-    fyz = 0.5 * (f.y[:, :, :-1] + f.y[:, :, 1:])
-    flux = Vc * fyc
-    ay = (flux - np.roll(flux, 1, axis=1)) / hy
-    flux = Uon * fyx
-    ay += (np.roll(flux, -1, axis=0) - flux) / hx
-    fz = Won[:, :, 1:-1] * fyz
-    ay[:, :, :-1] += fz / hz
-    ay[:, :, 1:] -= fz / hz
-    divv = (np.roll(Uon, -1, axis=0) - Uon) / hx \
-        + (Vc - np.roll(Vc, 1, axis=1)) / hy \
-        + (Won[:, :, 1:] - Won[:, :, :-1]) / hz
-    ay -= 0.5 * f.y * divv
+    ax = _advect_tangential(u.x, u.y, u.z, f.x, 0, grid)
+    ay = _advect_tangential(u.y, u.x, u.z, f.y, 1, grid)
 
     # --- z component (interior faces only) --------------------------------
     az = np.zeros_like(f.z)

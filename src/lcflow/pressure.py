@@ -187,21 +187,23 @@ def full_pressure(state: State, eps: float, grid: ChannelGrid,
 # implicit viscosity (optional stiff-run path)
 # ---------------------------------------------------------------------------
 
-def _thomas_batched(main0, main_in, main1, off, rhs):
+def _thomas_batched(main_edge, main_in, off, rhs):
     """Tridiagonal solve along the last axis, vectorized over leading axes.
 
     Constant sub/super diagonal `off` (scalar); main diagonal `main_in`
-    except rows 0 and n-1 (`main0`, `main1`), each broadcastable against
-    rhs[..., 0].  Diagonally dominant by construction here, so no pivoting.
+    except the first and last rows, which share the one edge diagonal
+    `main_edge` (the Robin rows of both walls are alike, and a Dirichlet
+    column passes `main_in` there).  Both diagonals broadcast against
+    rhs[..., 0].  Diagonally dominant by construction here, so no
+    pivoting; the columns have at least two rows (make_grid).
     """
     n = rhs.shape[-1]
     cp = np.empty(rhs.shape, dtype=float)
     dp = np.empty_like(rhs)
-    beta = main0 if n > 1 else main_in
-    cp[..., 0] = off / beta
-    dp[..., 0] = rhs[..., 0] / beta
+    cp[..., 0] = off / main_edge
+    dp[..., 0] = rhs[..., 0] / main_edge
     for k in range(1, n):
-        mk = main1 if k == n - 1 else main_in
+        mk = main_edge if k == n - 1 else main_in
         beta = mk - off * cp[..., k - 1]
         cp[..., k] = off / beta
         dp[..., k] = (rhs[..., k] - off * dp[..., k - 1]) / beta
@@ -220,31 +222,29 @@ def solve_viscous_helmholtz(b: FaceField, coef: float, B: SlipMatrixB,
     The diagonal of B is implicit through the Robin ghost row; the b12
     cross coupling is evaluated from b (lagged), which keeps first-order
     time accuracy and unconditional stability for diagonal-dominant B.
+    Every component is one column solve: rfft2 in x/y, a tridiagonal
+    solve per mode along z, irfft2 back.
     """
     hz2 = grid.hz**2
     lam = _mode_plane(grid)
     off = -coef / hz2
+    main_in = 1.0 + coef * (2.0 / hz2) - coef * lam
     a11, a22, cu, cv, vw_b, vw_t, uw_b, uw_t = slip_closure(b, B, grid)
+
+    def _column_solve(rhs, main_edge):
+        xh = _thomas_batched(main_edge, main_in, off,
+                             sfft.rfft2(rhs, axes=(0, 1)))
+        return sfft.irfft2(xh, s=(grid.nx, grid.ny), axes=(0, 1))
 
     def _tan(comp, alpha, cross_b, cross_t, c12):
         rhs = comp.copy()
-        if c12 != 0.0:
-            rhs[:, :, 0] -= coef * c12 * cross_b / hz2
-            rhs[:, :, -1] -= coef * c12 * cross_t / hz2
-        bh = sfft.rfft2(rhs, axes=(0, 1))
-        main_in = 1.0 + coef * (2.0 / hz2) - coef * lam
-        main_edge = 1.0 + coef * ((2.0 - alpha) / hz2) - coef * lam
-        xh = _thomas_batched(main_edge, main_in, main_edge, off, bh)
-        return sfft.irfft2(xh, s=(grid.nx, grid.ny), axes=(0, 1))
+        rhs[:, :, 0] -= coef * c12 * cross_b / hz2
+        rhs[:, :, -1] -= coef * c12 * cross_t / hz2
+        return _column_solve(rhs, 1.0 + coef * ((2.0 - alpha) / hz2) - coef * lam)
 
     x = _tan(b.x, a11, vw_b, vw_t, cu)
     y = _tan(b.y, a22, uw_b, uw_t, cv)
-
-    # normal component: Dirichlet zeros on the walls, interior tridiagonal
+    # normal component: Dirichlet zeros on the walls, interior columns
     z = np.zeros_like(b.z)
-    if grid.nz > 1:
-        bh = sfft.rfft2(b.z[:, :, 1:-1], axes=(0, 1))
-        main = 1.0 + coef * (2.0 / hz2) - coef * lam
-        xh = _thomas_batched(main, main, main, off, bh)
-        z[:, :, 1:-1] = sfft.irfft2(xh, s=(grid.nx, grid.ny), axes=(0, 1))
+    z[:, :, 1:-1] = _column_solve(b.z[:, :, 1:-1], main_in)
     return FaceField(x, y, z)

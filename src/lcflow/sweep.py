@@ -26,6 +26,7 @@ import multiprocessing as mp
 import numpy as np
 
 from .config import SimConfig, config_hash
+from .diagnostics import kinetic_energy
 from .errors import ConfigError, SimulationError
 from .fields import FaceField, State, face_to_center
 from .grid import ChannelGrid, make_grid
@@ -44,12 +45,9 @@ def error_norms(u_a: FaceField, d_a: np.ndarray, u_b: FaceField,
                 d_b: np.ndarray, grid: ChannelGrid):
     """(err_u_l2sq, err_d_h1sq, err_u_linf, err_d_w1inf) of (a - b)."""
     vol = grid.cell_volume
-    dx = u_a.x - u_b.x
-    dy = u_a.y - u_b.y
-    dz = u_a.z - u_b.z
-    e_u_l2sq = vol * float(np.sum(dx * dx) + np.sum(dy * dy)
-                           + np.sum(dz[:, :, 1:-1] ** 2))
-    dc = face_to_center(FaceField(dx, dy, dz))
+    du = FaceField(u_a.x - u_b.x, u_a.y - u_b.y, u_a.z - u_b.z)
+    e_u_l2sq = 2.0 * kinetic_energy(du, grid)
+    dc = face_to_center(du)
     e_u_linf = float(np.max(np.sqrt(np.sum(dc * dc, axis=0))))
 
     dd = d_a - d_b
@@ -111,15 +109,18 @@ def remainder_norms(state_eps: State, state_0: State, eps: float,
 def fit_rate(points):
     """Ordinary least squares of log(err) on log(eps).
 
-    points: iterable of (eps, err) pairs, all positive, at least two.
+    points: iterable of (eps, err) pairs, all positive and finite, at
+    least two.
     Returns (slope, intercept, r_squared).
     """
     pts = [(float(e), float(r)) for e, r in points]
     if len(pts) < 2:
         raise ValueError(f"rate fit needs at least 2 points, got {len(pts)}")
     for e, r in pts:
-        if e <= 0.0 or r <= 0.0:
-            raise ValueError(f"rate fit needs positive data, got ({e}, {r})")
+        # the negated comparisons also reject nan
+        if not (0.0 < e < math.inf and 0.0 < r < math.inf):
+            raise ValueError(
+                f"rate fit needs finite positive data, got ({e}, {r})")
     x = np.log([e for e, _ in pts])
     y = np.log([r for _, r in pts])
     xm, ym = x.mean(), y.mean()
@@ -170,12 +171,11 @@ _REF_CFG = None
 
 def _collecting_run(cfg):
     """Run cfg and return (snapshots, records) where snapshots is a list of
-    (t, ux, uy, uz, d) copies at the record times."""
+    (t, u, d) copies at the record times."""
     snaps = []
 
     def keep(state, rec):
-        snaps.append((state.t, state.u.x.copy(), state.u.y.copy(),
-                      state.u.z.copy(), state.d.copy()))
+        snaps.append((state.t, state.u.copy(), state.d.copy()))
 
     _, records, _ = run(cfg, on_record=keep)
     return snaps, records
@@ -197,13 +197,12 @@ def _member_job(eps):
         if i >= len(ref):
             raise SimulationError(
                 f"member eps={eps:g} produced more records than the reference")
-        t_ref, rx, ry, rz, rd = ref[i]
+        t_ref, ru, rd = ref[i]
         if abs(state.t - t_ref) > RECORD_TIME_TOL:
             raise SimulationError(
                 f"record times diverged: member eps={eps:g} at t={state.t!r}, "
                 f"reference at t={t_ref!r}")
-        per_time.append((state.t, error_norms(
-            state.u, state.d, FaceField(rx, ry, rz), rd, grid)))
+        per_time.append((state.t, error_norms(state.u, state.d, ru, rd, grid)))
         idx[0] += 1
 
     t0 = time.perf_counter()
@@ -228,16 +227,9 @@ def run_sweep(cfg: SimConfig, eps_ladder=None, jobs: int = 1,
     violates its stability bound fails loudly and the sweep aborts with the
     completed members flagged.
     """
-    cfg.validate()
     ladder = tuple(float(e) for e in (eps_ladder if eps_ladder is not None
                                       else cfg.eps_ladder))
-    if len(ladder) == 0:
-        raise ConfigError("eps ladder is empty")
-    for e in ladder:
-        if not (0.0 < e <= 1.0):
-            raise ConfigError(f"ladder entries must be in (0, 1], got {e}")
-    if any(b >= a for a, b in zip(ladder, ladder[1:])):
-        raise ConfigError(f"eps ladder must be strictly decreasing: {ladder}")
+    replace(cfg, eps_ladder=ladder).validate()
     if jobs < 1:
         raise ConfigError(f"jobs must be >= 1, got {jobs}")
 

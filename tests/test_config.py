@@ -178,6 +178,27 @@ def test_ladder_rejects_garbage():
         _parse(MINIMAL + "\n[sweep]\neps_ladder =\n")
 
 
+@pytest.mark.parametrize("ladder, cause", [
+    ("0.1 0.2", "strictly decreasing"),
+    ("0.25 0.25", "strictly decreasing"),
+    ("2.0", r"in \(0, 1\], got 2.0"),
+    ("0.5 0.0", r"in \(0, 1\], got 0.0"),
+    ("0.5 nan", r"in \(0, 1\], got nan"),
+])
+def test_ladder_rule_is_checked_at_load(ladder, cause):
+    with pytest.raises(ConfigError, match=cause):
+        _parse(MINIMAL + f"\n[sweep]\neps_ladder = {ladder}\n")
+    # a directly built config goes through the same check
+    with pytest.raises(ConfigError, match=cause):
+        dataclasses.replace(_parse(MINIMAL),
+                            eps_ladder=tuple(map(float, ladder.split()))).validate()
+
+
+def test_empty_ladder_is_rejected_by_validate():
+    with pytest.raises(ConfigError, match="ladder is empty"):
+        dataclasses.replace(_parse(MINIMAL), eps_ladder=()).validate()
+
+
 def test_load_config_roundtrip(tmp_path):
     path = tmp_path / "run.cfg"
     path.write_text(MINIMAL)

@@ -309,3 +309,50 @@ def test_cli_rate_fit_insufficient_rows(tmp_path, capsys):
     rc = cli(["rate-fit", "--csv", str(path)])
     assert rc == 1
     assert "at least 2 points" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("ladder", ["0.1 0.2", "2.0"])
+def test_cli_sweep_bad_ladder_is_a_config_error(tmp_path, capsys, ladder):
+    # rejected while the config loads: exit 1, and no output directory
+    cfg_path = tmp_path / "run.cfg"
+    cfg_path.write_text(CFG_TEXT + f"\n[sweep]\neps_ladder = {ladder}\n")
+    out = tmp_path / "out"
+    rc = cli(["sweep", "--config", str(cfg_path), "--out", str(out)])
+    assert rc == 1
+    assert not out.exists()
+    assert "lcflow: " in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("row, cause", [
+    ("0.125,1e-3,abc,1e-2,1e-2,0", "could not convert"),
+    ("0.125,1e-3,1e-4", "expected 6 fields, got 3"),
+])
+def test_cli_rate_fit_malformed_csv(tmp_path, capsys, row, cause):
+    path = tmp_path / "sweep.csv"
+    path.write_text(",".join(SWEEP_COLUMNS) + "\n"
+                    + "0.25,1e-3,1e-4,1e-2,1e-2,0\n" + row + "\n")
+    with pytest.raises(ConfigError, match=f"line 3: {cause}"):
+        read_sweep_csv(path)
+    rc = cli(["rate-fit", "--csv", str(path)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("lcflow: ") and str(path) in err and cause in err
+
+
+def test_diag_csv_malformed_row(tmp_path):
+    path = tmp_path / "diag.csv"
+    path.write_text(",".join(DIAG_COLUMNS) + "\n0.0,1.0\n")
+    with pytest.raises(ConfigError, match="line 2: expected 15 fields, got 2"):
+        read_diag_csv(path)
+
+
+def test_cli_rate_fit_rejects_nan(tmp_path, capsys):
+    path = tmp_path / "sweep.csv"
+    res = types.SimpleNamespace(
+        included=(0.25, 0.125),
+        errors_max={0.25: (1e-3, 1e-4, 1e-2, 1e-2),
+                    0.125: (float("nan"), 1e-4, 1e-2, 1e-2)})
+    write_sweep_csv(res, path)
+    rc = cli(["rate-fit", "--csv", str(path)])
+    assert rc == 1
+    assert "finite positive data" in capsys.readouterr().err

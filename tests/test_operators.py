@@ -8,10 +8,12 @@ path.
 
 import numpy as np
 import sympy as sp
+from hypothesis import given, settings
+from hypothesis import strategies as hst
 
 from lcflow import ChannelGrid, InitialConditionSpec, SimConfig, SlipMatrixB, init_state
 from lcflow.diagnostics import kinetic_energy, viscous_dissipation
-from lcflow.fields import State, zero_face_field
+from lcflow.fields import FaceField, State, zero_face_field
 from lcflow.integrator import step
 from lcflow.operators import (
     advect_center,
@@ -22,6 +24,7 @@ from lcflow.operators import (
     fill_ghosts_navier_slip,
     grad_sq_director,
     laplacian_center,
+    laplacian_face,
     pad_neumann,
     velocity_gradient_center,
 )
@@ -262,6 +265,83 @@ def test_advect_face_skew_symmetry():
     norm = (np.sum(g.x ** 2) + np.sum(g.y ** 2)
             + np.sum(g.z[:, :, 1:-1] ** 2)) * grid.cell_volume
     assert abs(ip) <= 1e-10 * norm
+
+
+# ------------------------------------- properties on generated grids/fields
+
+_grids = hst.builds(
+    ChannelGrid,
+    hst.integers(4, 9), hst.integers(4, 9), hst.integers(4, 9),
+    hst.sampled_from([1.0, 0.7, 2.5]), hst.sampled_from([1.0, 1.3]),
+    hst.sampled_from([1.0, 0.4, 3.0]))
+_seeds = hst.integers(0, 2**32 - 1)
+
+
+def _face_field(rng, grid):
+    """Random staggered field, not solenoidal, with exact wall zeros in w."""
+    z = rng.standard_normal((grid.nx, grid.ny, grid.nz + 1))
+    z[:, :, 0] = z[:, :, -1] = 0.0
+    return FaceField(rng.standard_normal(grid.shape),
+                     rng.standard_normal(grid.shape), z)
+
+
+def _swap_xy(f):
+    """The same field with the x and y axes (and components) exchanged."""
+    if isinstance(f, FaceField):
+        return FaceField(_swap_xy(f.y), _swap_xy(f.x), _swap_xy(f.z))
+    return np.swapaxes(f, -3, -2)
+
+
+def _swapped_grid(g):
+    return ChannelGrid(g.ny, g.nx, g.nz, g.ly, g.lx, g.lz)
+
+
+@settings(max_examples=40, deadline=None)
+@given(grid=_grids, seed=_seeds)
+def test_advect_face_skew_symmetric_per_component(grid, seed):
+    # each component's split form telescopes on its own control volumes,
+    # whatever the divergence of u, once the wall normal values vanish
+    rng = np.random.default_rng(seed)
+    u, g = _face_field(rng, grid), _face_field(rng, grid)
+    a = advect_face(u, g, grid)
+    for gc, ac in zip(g.components(), a.components()):
+        assert abs(np.sum(gc * ac)) <= 1e-13 * np.sum(np.abs(gc * ac))
+
+
+@settings(max_examples=40, deadline=None)
+@given(grid=_grids, seed=_seeds)
+def test_advect_face_transposes_under_xy_swap(grid, seed):
+    rng = np.random.default_rng(seed)
+    u, f = _face_field(rng, grid), _face_field(rng, grid)
+    want = _swap_xy(advect_face(u, f, grid))
+    got = advect_face(_swap_xy(u), _swap_xy(f), _swapped_grid(grid))
+    for g_c, w_c in zip(got.components(), want.components()):
+        assert np.array_equal(g_c, w_c)
+
+
+@settings(max_examples=40, deadline=None)
+@given(grid=_grids, seed=_seeds, b11=hst.sampled_from([0.0, 0.5, 2.0]),
+       b12=hst.sampled_from([0.0, 0.4, -1.0]),
+       b22=hst.sampled_from([0.0, 0.5, 2.0]))
+def test_laplacian_and_curl_transpose_under_xy_swap(grid, seed, b11, b12, b22):
+    # round-off, not exact: the b12 four-point wall averages add their
+    # terms in a different order once x and y trade places
+    rng = np.random.default_rng(seed)
+    u = _face_field(rng, grid)
+    B, B_sw = SlipMatrixB(b11, b12, b22), SlipMatrixB(b22, b12, b11)
+    grid_sw = _swapped_grid(grid)
+
+    lap = laplacian_face(u, B, grid)
+    got = laplacian_face(_swap_xy(u), B_sw, grid_sw)
+    scale = max(np.max(np.abs(c)) for c in lap.components())
+    for g_c, w_c in zip(got.components(), _swap_xy(lap).components()):
+        assert np.max(np.abs(g_c - w_c)) <= 1e-13 * scale
+
+    # the swap reverses orientation, so the curl changes sign
+    w = curl_center(u, B, grid)
+    got = curl_center(_swap_xy(u), B_sw, grid_sw)
+    want = -_swap_xy(w[[1, 0, 2]])
+    assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(w))
 
 
 # ----------------------------------------------------------- director terms

@@ -62,6 +62,14 @@ def test_fit_rate_rejects_nonpositive():
         fit_rate([(-0.1, 0.5), (0.01, 1.0)])
 
 
+def test_fit_rate_rejects_non_finite():
+    for bad in (float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="finite positive data"):
+            fit_rate([(0.1, bad), (0.01, 1.0)])
+        with pytest.raises(ValueError, match="finite positive data"):
+            fit_rate([(bad, 0.5), (0.01, 1.0)])
+
+
 def test_fit_rate_rejects_degenerate_abscissa():
     with pytest.raises(ValueError, match="distinct eps"):
         fit_rate([(0.1, 0.5), (0.1, 0.6)])
