@@ -16,8 +16,7 @@ from .io import (read_checkpoint, read_diag_csv, read_sweep_csv,
                  write_checkpoint, write_diag_csv, write_rate_report,
                  write_sweep_csv)
 from .operators import SlipMatrixB
-from .pressure import (full_pressure, pressure_split, project,
-                       solve_poisson_neumann)
+from .pressure import pressure_split, project, solve_poisson_neumann
 from .sweep import (SweepResult, error_norms, fit_rate, remainder_norms,
                     run_sweep)
 
@@ -29,7 +28,7 @@ __all__ = [
     "SlipMatrixB", "State", "SweepResult", "config_hash", "conormal_derivative",
     "conormal_energy", "conormal_norm", "conormal_weight",
     "discrete_divergence", "discrete_gradient", "energy_balance_residual",
-    "error_norms", "face_to_center", "fit_rate", "full_pressure", "init_state",
+    "error_norms", "face_to_center", "fit_rate", "init_state",
     "linf_conormal", "load_config", "make_grid", "make_record", "parse_config",
     "pressure_split", "project", "read_checkpoint", "read_diag_csv",
     "read_sweep_csv", "remainder_norms", "renormalize_director", "run",

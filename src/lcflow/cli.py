@@ -15,7 +15,7 @@ import argparse
 import os
 import sys
 
-from .config import load_config
+from .config import config_hash, load_config
 from .diagnostics import make_record
 from .errors import ConfigError, SimulationError
 from .grid import make_grid
@@ -105,7 +105,10 @@ def _cmd_sweep(args):
 def _cmd_diagnose(args):
     cfg = load_config(args.config)
     grid = make_grid(cfg)
-    state, _, _ = read_checkpoint(args.checkpoint, grid)
+    state, sha, _ = read_checkpoint(args.checkpoint, grid)
+    if sha != config_hash(cfg):
+        raise ConfigError(f"{args.checkpoint}: checkpoint config hash does "
+                          f"not match {args.config}")
     try:
         B = SlipMatrixB(cfg.b11, cfg.b12, cfg.b22)
         # offline recomputation has no previous step, so energy_residual

@@ -69,8 +69,6 @@ class SimConfig:
     diag_every: int = 10
     conormal_m: int = 2
     time_derivs: int = 0
-    div_tol: float = 1e-10
-    unit_tol: float = 1e-12
     renorm_floor: float = 1e-8
     solver_tol: float = 1e-11
     # [sweep]
@@ -97,8 +95,12 @@ class SimConfig:
                 "(b11 >= 0, b22 >= 0, b11*b22 >= b12**2), got "
                 f"b11 = {b11}, b12 = {b12}, b22 = {b22}")
         make_grid(self)
-        if not (math.isfinite(self.dt) and self.dt > 0):
-            raise ConfigError(f"dt must be positive and finite, got {self.dt}")
+        # the negated comparison also rejects nan, which would otherwise
+        # switch off the CFL limit or the solver residual check
+        for name in ("dt", "cfl_safety", "renorm_floor", "solver_tol"):
+            v = getattr(self, name)
+            if not (math.isfinite(v) and v > 0):
+                raise ConfigError(f"{name} must be positive and finite, got {v}")
         if not (math.isfinite(self.t_final) and self.t_final >= 0):
             raise ConfigError(
                 f"t_final must be >= 0 and finite, got {self.t_final}")
@@ -160,7 +162,6 @@ _SCHEMA = {
     "diag": {
         "diag_every": ("diag_every", int), "conormal_m": ("conormal_m", int),
         "time_derivs": ("time_derivs", int),
-        "div_tol": ("div_tol", float), "unit_tol": ("unit_tol", float),
         "renorm_floor": ("renorm_floor", float), "solver_tol": ("solver_tol", float),
     },
     "sweep": {

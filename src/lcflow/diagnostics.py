@@ -12,9 +12,11 @@ previous level.  _conormal_sums reduces one walk to the cumulative sums of
 every order 0..m (and the sup-type sums up to a requested order), summed in
 the walk's order, so a walk to order m gives conormal_norm_sq(f, k) for
 every k <= m bit for bit.  conormal_norm_sq, linf_conormal and
-conormal_energy are thin wrappers over it; make_record builds the derived
-fields (centered u, grad d, grad u, lap d, vorticity) once and walks each
-field once, feeding the same private forms the public functions use.
+conormal_energy are thin wrappers over it; make_record derives each field
+of the state once (centered u, grad d, |grad d|^2, grad u, lap d,
+vorticity, momentum forcing F), walks each once, and feeds them to the
+private forms the public functions use.  F serves both the pressure split
+and the time derivatives of the functional.
 
 The energy budget pairs the quantities the scheme actually conserves:
 kinetic energy on faces (the quadrature in which advection is exactly
@@ -165,14 +167,13 @@ def director_dissipation(d: np.ndarray, grid: ChannelGrid) -> float:
     return _director_dissipation(laplacian_center(d, grid), grid)
 
 
-def _quartic_production(grad: np.ndarray, grid: ChannelGrid) -> float:
-    """| |grad d|^2 |^2 from the director gradient tensor."""
-    q = np.sum(grad * grad, axis=(0, 1))
-    return grid.cell_volume * float(np.sum(q * q))
+def _quartic_production(grad_sq: np.ndarray, grid: ChannelGrid) -> float:
+    """| |grad d|^2 |^2 from the pointwise |grad d|^2."""
+    return grid.cell_volume * float(np.sum(grad_sq * grad_sq))
 
 
 def quartic_production(d: np.ndarray, grid: ChannelGrid) -> float:
-    return _quartic_production(director_gradient(d, grid), grid)
+    return _quartic_production(grad_sq_director(d, grid), grid)
 
 
 def boundary_work(u: FaceField, eps: float, B: SlipMatrixB,
@@ -285,19 +286,18 @@ def grad_u_linf(u: FaceField, grid: ChannelGrid) -> float:
 # combined regularity functional
 # ---------------------------------------------------------------------------
 
-def _time_derivatives(state: State, eps: float, B: SlipMatrixB,
+def _time_derivatives(state: State, F: FaceField, ld: np.ndarray,
+                      grad_sq: np.ndarray, eps: float, B: SlipMatrixB,
                       grid: ChannelGrid):
     """(du/dt at centers, dd/dt at centers) read off the evolution
-    equations, with the stored pressure."""
-    F = momentum_forcing(state.u, state.d, grid)
+    equations, with the stored pressure, from the state's momentum forcing
+    F, lap d (ld) and |grad d|^2 (grad_sq)."""
     gp = discrete_gradient(state.p, grid)
     lap = laplacian_face(state.u, B, grid)
     ut = FaceField(-F.x - gp.x + eps * lap.x,
                    -F.y - gp.y + eps * lap.y,
                    -F.z - gp.z + eps * lap.z)
-    dt_d = (-advect_center(state.u, state.d, grid)
-            + laplacian_center(state.d, grid)
-            + grad_sq_director(state.d, grid) * state.d)
+    dt_d = -advect_center(state.u, state.d, grid) + ld + grad_sq * state.d
     return face_to_center(ut), dt_d
 
 
@@ -308,9 +308,10 @@ def _grad_u_sums(gu: np.ndarray, m: int, grid: ChannelGrid):
 
 def _functional(state: State, eps: float, B: SlipMatrixB, grid: ChannelGrid,
                 m: int, time_derivs: int, u_sq: float, gd_sq: float, gu_sums,
-                ld: np.ndarray) -> float:
+                ld: np.ndarray, grad_sq: np.ndarray, F: FaceField) -> float:
     """conormal_energy from |u|_m^2 and |grad d|_m^2, the walk of grad u
-    (_grad_u_sums) and the centered Laplacian ld of d."""
+    (_grad_u_sums), the centered Laplacian ld of d, and (for the time
+    derivatives) |grad d|^2 and the momentum forcing F."""
     gu_l2, gu_linf = gu_sums
     total = u_sq
     total += float(np.sum(state.d**2)) * grid.cell_volume
@@ -320,7 +321,7 @@ def _functional(state: State, eps: float, B: SlipMatrixB, grid: ChannelGrid,
     total += _linf(gu_linf, 1) ** 2
 
     if time_derivs:
-        ut_c, dt_d = _time_derivatives(state, eps, B, grid)
+        ut_c, dt_d = _time_derivatives(state, F, ld, grad_sq, eps, B, grid)
         total += conormal_norm_sq(ut_c, m - 1, grid)
         total += conormal_norm_sq(director_gradient(dt_d, grid), m - 1, grid)
         if m >= 2:
@@ -346,11 +347,14 @@ def conormal_energy(state: State, eps: float, B: SlipMatrixB,
     if not (1 <= m <= M_MAX):
         raise ConfigError(f"order m must be in 1..{M_MAX}, got {m}")
     uc = face_to_center(state.u)
+    gd = director_gradient(state.d, grid)
     return _functional(state, eps, B, grid, m, time_derivs,
                        conormal_norm_sq(uc, m, grid),
-                       conormal_norm_sq(director_gradient(state.d, grid), m, grid),
+                       conormal_norm_sq(gd, m, grid),
                        _grad_u_sums(center_gradient(uc, grid), m, grid),
-                       laplacian_center(state.d, grid))
+                       laplacian_center(state.d, grid),
+                       np.sum(gd * gd, axis=(0, 1)),
+                       momentum_forcing(state.u, state.d, grid))
 
 
 # ---------------------------------------------------------------------------
@@ -389,7 +393,8 @@ def make_record(state: State, cfg: SimConfig, grid: ChannelGrid,
     """
     eps, m = cfg.eps, cfg.conormal_m
     vol = grid.cell_volume
-    p1, p2 = pressure_split(state, eps, grid, cfg.solver_tol)
+    F = momentum_forcing(state.u, state.d, grid)
+    p1, p2 = pressure_split(state.u, F, eps, grid, cfg.solver_tol)
     er = 0.0
     if prev is not None and dt is not None:
         er = energy_balance_residual(prev, state, dt, eps, B, grid)
@@ -397,6 +402,7 @@ def make_record(state: State, cfg: SimConfig, grid: ChannelGrid,
     uc = face_to_center(state.u)
     gd = director_gradient(state.d, grid)
     ld = laplacian_center(state.d, grid)
+    grad_sq = np.sum(gd * gd, axis=(0, 1))
     w = curl_center(state.u, B, grid)
     l2 = {name: _conormal_sums(f, m, grid)[0]
           for name, f in (("u", uc), ("d", state.d), ("grad_d", gd))}
@@ -411,13 +417,14 @@ def make_record(state: State, cfg: SimConfig, grid: ChannelGrid,
         # 0.0 at eps == 0, as viscous_dissipation returns without a curl
         visc_diss=_viscous_dissipation(w, eps, grid),
         dir_diss=_director_dissipation(ld, grid),
-        quartic=_quartic_production(gd, grid),
+        quartic=_quartic_production(grad_sq, grid),
         boundary_work=boundary_work(state.u, eps, B, grid),
         energy_residual=er,
         unit_dev=unit_deviation(state.d),
         div_res=float(np.max(np.abs(discrete_divergence(state.u, grid)))),
         nm_value=_functional(state, eps, B, grid, m, cfg.time_derivs,
-                             l2["u"][m], l2["grad_d"][m], gu_sums, ld),
+                             l2["u"][m], l2["grad_d"][m], gu_sums, ld, grad_sq,
+                             F),
         eta_trace=_slip_mismatch_trace(w, uc, B, grid),
         linf_grad_u=_linf(gu_sums[1], 1),
         p1_norm=float(np.sqrt(np.sum(p1 * p1) * vol)),

@@ -86,8 +86,9 @@ def make_grid(config) -> ChannelGrid:
         if n < 4:
             raise ConfigError(f"{name} too small: {name} must be >= 4, got {n}")
     for name in ("lx", "ly", "lz"):
-        if getattr(config, name) <= 0:
-            raise ConfigError(f"{name} must be positive")
+        v = getattr(config, name)
+        if not (np.isfinite(v) and v > 0):
+            raise ConfigError(f"{name} must be positive and finite, got {v}")
     return ChannelGrid(config.nx, config.ny, config.nz,
                        float(config.lx), float(config.ly), float(config.lz))
 

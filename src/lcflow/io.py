@@ -145,8 +145,9 @@ def read_checkpoint(path, grid: ChannelGrid):
         raise ConfigError(
             f"{path}: checkpoint dims {(nx, ny, nz)} do not match the "
             f"target grid {(grid.nx, grid.ny, grid.nz)}")
+    # u, v, w, p, then the three director blocks read as one
     shapes = [(nx, ny, nz), (nx, ny, nz), (nx, ny, nz + 1), (nx, ny, nz),
-              (nx, ny, nz), (nx, ny, nz), (nx, ny, nz)]
+              (nx, ny, nz, 3)]
     need = _HEADER.size + 8 * sum(int(np.prod(s)) for s in shapes)
     if len(raw) != need:
         raise ConfigError(
@@ -155,15 +156,14 @@ def read_checkpoint(path, grid: ChannelGrid):
     blocks = []
     for s in shapes:
         n = int(np.prod(s))
-        # C-contiguous copy so downstream reductions see the same memory
-        # order as the arrays the run itself held
-        blocks.append(np.ascontiguousarray(
-            np.frombuffer(raw, dtype="<f8", count=n, offset=off)
-            .astype(float).reshape(s, order="F")))
+        blocks.append(np.frombuffer(raw, dtype="<f8", count=n, offset=off)
+                      .reshape(s, order="F"))
         off += 8 * n
-    u = FaceField(blocks[0], blocks[1], blocks[2])
-    d = np.stack(blocks[4:7])
-    return State(u=u, p=blocks[3], d=d, t=float(t)), sha, int(steps)
+    blocks[4] = np.moveaxis(blocks[4], -1, 0)
+    # one C-contiguous copy per block, so downstream reductions see the
+    # same memory order as the arrays the run itself held
+    u, v, w, p, d = (b.astype(float, order="C") for b in blocks)
+    return State(u=FaceField(u, v, w), p=p, d=d, t=float(t)), sha, int(steps)
 
 
 # ---------------------------------------------------------------------------

@@ -8,11 +8,10 @@ level and are asserted, not hoped for.  The transforms act on the trailing
 (x, y, z) axes, so a stack of fields (the three director components) is
 solved in one batched call.
 
-Nothing physical is assembled here: the right-hand side of the pressure
-problems is the divergence of operators.momentum_forcing, and the implicit
-viscous solve takes its Robin wall rows from operators.slip_closure, the
-same closure the explicit face Laplacian uses.  stress_to_faces lives in
-operators and stays importable from this module.
+Nothing physical is assembled here: pressure_split solves for the
+momentum forcing its caller built in the operators module, and the
+implicit viscous solve takes its Robin wall rows from
+operators.slip_closure, the same closure the explicit face Laplacian uses.
 
 Sign conventions: Neumann data is the *outward* normal derivative on each
 wall, so at the bottom wall dp/dz = -g_bottom and at the top dp/dz =
@@ -25,11 +24,9 @@ import numpy as np
 import scipy.fft as sfft
 
 from .errors import SimulationError
-from .fields import FaceField, State, discrete_divergence, discrete_gradient
+from .fields import FaceField, discrete_divergence, discrete_gradient
 from .grid import ChannelGrid
-from .operators import (SlipMatrixB, laplacian_center, momentum_forcing,
-                        slip_closure)
-from .operators import stress_to_faces  # noqa: F401  (kept importable here)
+from .operators import SlipMatrixB, laplacian_center, slip_closure
 
 # Defects up to this relative size are treated as discretization noise and
 # projected out; anything larger means the problem was assembled wrong.
@@ -156,31 +153,22 @@ def _wall_dzz_w(u: FaceField, grid: ChannelGrid):
     return bot, top
 
 
-def pressure_split(state: State, eps: float, grid: ChannelGrid,
+def pressure_split(u: FaceField, F: FaceField, eps: float, grid: ChannelGrid,
                    tol: float = SOLVER_TOL):
-    """Two zero-mean pressures: the convective/elastic part p1 (data
-    -div(u.grad u + grad d . lap d), boundary data -(u.grad u).n which
-    vanishes identically on flat walls) and the viscous part p2 (harmonic,
-    driven by eps * lap(u).n on the walls).  p2 is exactly linear in eps.
+    """Two zero-mean pressures for the velocity u and its momentum forcing
+    F = u.grad u + grad d . lap d on faces: the convective/elastic part p1
+    (data -div F, boundary data -(u.grad u).n which vanishes identically on
+    flat walls) and the viscous part p2 (harmonic, driven by eps * lap(u).n
+    on the walls).  p2 is exactly linear in eps.
     """
-    rhs1 = -discrete_divergence(momentum_forcing(state.u, state.d, grid), grid)
-    p1 = solve_poisson_neumann(rhs1, 0.0, 0.0, grid, tol)
+    p1 = solve_poisson_neumann(-discrete_divergence(F, grid), 0.0, 0.0, grid, tol)
 
     if eps == 0.0:
         return p1, np.zeros_like(p1)
-    bot, top = _wall_dzz_w(state.u, grid)
+    bot, top = _wall_dzz_w(u, grid)
     # outward normal derivative: at the bottom n = -ez so g = -eps*lap w
     p2 = solve_poisson_neumann(np.zeros_like(p1), -eps * bot, eps * top, grid, tol)
     return p1, p2
-
-
-def full_pressure(state: State, eps: float, grid: ChannelGrid,
-                  tol: float = SOLVER_TOL) -> np.ndarray:
-    """Single-solve pressure with the combined right-hand side and boundary
-    data of both split problems (used to check superposition)."""
-    rhs = -discrete_divergence(momentum_forcing(state.u, state.d, grid), grid)
-    bot, top = _wall_dzz_w(state.u, grid)
-    return solve_poisson_neumann(rhs, -eps * bot, eps * top, grid, tol)
 
 
 # ---------------------------------------------------------------------------

@@ -217,8 +217,7 @@ def _member_job(eps):
     return eps, per_time, nm_max, linf_max, seconds
 
 
-def run_sweep(cfg: SimConfig, eps_ladder=None, jobs: int = 1,
-              force: bool = False) -> SweepResult:
+def run_sweep(cfg: SimConfig, jobs: int = 1, force: bool = False) -> SweepResult:
     """Run the ladder experiment.  See SweepResult for what comes back.
 
     The reference (eps = 0) runs first in this process; members run either
@@ -227,9 +226,7 @@ def run_sweep(cfg: SimConfig, eps_ladder=None, jobs: int = 1,
     violates its stability bound fails loudly and the sweep aborts with the
     completed members flagged.
     """
-    ladder = tuple(float(e) for e in (eps_ladder if eps_ladder is not None
-                                      else cfg.eps_ladder))
-    replace(cfg, eps_ladder=ladder).validate()
+    ladder = tuple(cfg.validate().eps_ladder)
     if jobs < 1:
         raise ConfigError(f"jobs must be >= 1, got {jobs}")
 

@@ -1,14 +1,28 @@
-"""Independent slow-path references shared by a few test modules.
+"""Independent references shared by a few test modules.
 
-Everything here is written with explicit Python loops and scalar stencil
-arithmetic on purpose: it re-derives the center-sampled remainder fields
-from their definitions without touching the package's vectorized kernels,
-so agreement is evidence and not tautology.  Only use on small grids.
+loop_remainder_norms is written with explicit Python loops and scalar
+stencil arithmetic on purpose: it re-derives the center-sampled remainder
+fields from their definitions without touching the package's vectorized
+kernels, so agreement is evidence and not tautology.  Only use on small
+grids.  full_pressure is the superposition oracle of the pressure split:
+one solve with the combined data of both split problems.
 """
 
 import math
 
 import numpy as np
+
+from lcflow.fields import discrete_divergence
+from lcflow.operators import momentum_forcing
+from lcflow.pressure import _wall_dzz_w, solve_poisson_neumann
+
+
+def full_pressure(state, eps, grid):
+    """Single-solve pressure with the combined right-hand side and boundary
+    data of both problems of pressure_split."""
+    rhs = -discrete_divergence(momentum_forcing(state.u, state.d, grid), grid)
+    bot, top = _wall_dzz_w(state.u, grid)
+    return solve_poisson_neumann(rhs, -eps * bot, eps * top, grid)
 
 
 def _centered_velocity(u, grid):

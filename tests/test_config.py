@@ -95,17 +95,32 @@ def test_validation_ranges():
         _parse(MINIMAL.replace("dt = 1e-3", "dt = 0"))
     with pytest.raises(ConfigError, match="t_final must be >= 0"):
         _parse(MINIMAL.replace("t_final = 0.1", "t_final = -0.5"))
+    # a negative CFL factor would surface as a misleading step underflow
+    with pytest.raises(ConfigError, match="cfl_safety must be positive"):
+        _parse(MINIMAL.replace("t_final = 0.1", "t_final = 0.1\ncfl_safety = -1"))
+    with pytest.raises(ConfigError, match="solver_tol must be positive"):
+        _parse(MINIMAL + "\n[diag]\nsolver_tol = 0\n")
 
 
 @pytest.mark.parametrize("key, value", [
     ("dt", "inf"), ("dt", "nan"), ("dt", "-inf"),
     ("t_final", "inf"), ("t_final", "nan"),
+    ("cfl_safety", "nan"), ("solver_tol", "nan"), ("renorm_floor", "nan"),
+    ("lx", "nan"), ("lx", "inf"),
 ])
 def test_non_finite_times_are_rejected(tmp_path, capsys, key, value):
     # dt = inf would spin in the step-halving loop, t_final = inf would run
-    # zero steps and exit 0, dt = nan would fail later as a non-finite state
-    line = {"dt": "dt = 1e-3", "t_final": "t_final = 0.1"}[key]
-    text = MINIMAL.replace(line, f"{key} = {value}")
+    # zero steps and exit 0, dt = nan would fail later as a non-finite state;
+    # cfl_safety = nan switches the CFL check off, solver_tol = nan the
+    # Poisson residual check
+    if key in ("dt", "t_final"):
+        line = {"dt": "dt = 1e-3", "t_final": "t_final = 0.1"}[key]
+        text = MINIMAL.replace(line, f"{key} = {value}")
+    elif key in ("lx", "cfl_safety"):
+        line = {"lx": "nz = 32", "cfl_safety": "t_final = 0.1"}[key]
+        text = MINIMAL.replace(line, f"{line}\n{key} = {value}")
+    else:
+        text = MINIMAL + f"\n[diag]\n{key} = {value}\n"
     with pytest.raises(ConfigError, match=f"{key} must be"):
         _parse(text)
     direct = dict(nx=8, ny=8, nz=8, eps=0.5, dt=1e-3, t_final=0.1)

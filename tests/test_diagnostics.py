@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as hst
 
-from lcflow import SimConfig, run
+from lcflow import SimConfig, diagnostics, operators, pressure, run
 from lcflow.diagnostics import (_conormal_sums, _linf, conormal_energy,
                                 conormal_norm, conormal_norm_sq,
                                 director_dissipation, elastic_energy,
@@ -340,6 +340,27 @@ def test_record_conormal_entries_match_norm_function():
     uc = face_to_center(st.u)
     assert rec.conormal[("u", 2)] == np.sqrt(conormal_norm_sq(uc, 2, grid))
     assert rec.conormal[("d", 1)] == np.sqrt(conormal_norm_sq(st.d, 1, grid))
+
+
+@pytest.mark.parametrize("time_derivs", [0, 1])
+def test_record_builds_momentum_forcing_once(monkeypatch, time_derivs):
+    # the pressure split and the time derivatives share one forcing; count
+    # the calls at every module that could reach the operator
+    calls = []
+
+    def counting(*args):
+        calls.append(1)
+        return operators.momentum_forcing(*args)
+
+    for mod in (diagnostics, pressure):
+        if hasattr(mod, "momentum_forcing"):
+            monkeypatch.setattr(mod, "momentum_forcing", counting)
+    cfg = SimConfig(nx=8, ny=6, nz=12, eps=0.05, b11=1.0, b22=1.0, dt=1e-3,
+                    t_final=1e-3, ic_name="random-solenoidal", amplitude=0.2,
+                    seed=3, time_derivs=time_derivs).validate()
+    grid = make_grid(cfg)
+    make_record(init_state(grid, cfg.ic), cfg, grid, SlipMatrixB(1.0, 0.0, 1.0))
+    assert len(calls) == 1
 
 
 @pytest.mark.parametrize("m", [1, 2, 3])

@@ -102,8 +102,7 @@ def test_diag_csv_missing_file(tmp_path):
 
 
 def test_sweep_csv_roundtrip(tmp_path):
-    cfg = _tiny_cfg(eps=0.0)
-    res = run_sweep(cfg, eps_ladder=(0.25, 0.125))
+    res = run_sweep(_tiny_cfg(eps=0.0, eps_ladder=(0.25, 0.125)))
     path = tmp_path / "sweep.csv"
     write_sweep_csv(res, path)
     rows = read_sweep_csv(path)
@@ -158,6 +157,8 @@ def test_checkpoint_roundtrip_bit_exact(tmp_path):
     assert np.array_equal(back.u.z, state.u.z)
     assert np.array_equal(back.p, state.p)
     assert np.array_equal(back.d, state.d)
+    for arr in (back.u.x, back.u.y, back.u.z, back.p, back.d):
+        assert arr.flags.c_contiguous and arr.flags.writeable
     # reductions must agree bitwise with the in-memory originals
     assert np.sum(back.u.x) == np.sum(state.u.x)
     assert float(np.sum(back.d * back.d)) == float(np.sum(state.d * state.d))
@@ -207,8 +208,7 @@ def test_checkpoint_magic_is_versioned():
 
 
 def test_rate_report_contents(tmp_path):
-    cfg = _tiny_cfg(eps=0.0)
-    res = run_sweep(cfg, eps_ladder=(0.25, 0.125, 0.0625))
+    res = run_sweep(_tiny_cfg(eps=0.0, eps_ladder=(0.25, 0.125, 0.0625)))
     path = tmp_path / "report.txt"
     text = write_rate_report(res, path)
     assert path.read_text() == text
@@ -245,6 +245,23 @@ def test_cli_simulate_and_diagnose_roundtrip(tmp_path):
     for col in ("t", "kinetic", "elastic", "unit_dev", "div_res", "nm_value",
                 "eta_trace", "linf_grad_u", "p1_norm", "p2_norm"):
         assert row[col] == last[col], col
+
+
+def test_cli_diagnose_rejects_checkpoint_of_another_config(tmp_path, capsys):
+    cfg_path = tmp_path / "run.cfg"
+    cfg_path.write_text(CFG_TEXT.replace("eps = 0.05", "eps = 0.1"))
+    ckpt = tmp_path / "state.ckpt"
+    assert cli(["simulate", "--config", str(cfg_path),
+                "--checkpoint-out", str(ckpt)]) == 0
+    other = tmp_path / "other.cfg"
+    other.write_text(CFG_TEXT.replace("eps = 0.05", "eps = 0.9"))
+    capsys.readouterr()
+    out = tmp_path / "diag.csv"
+    rc = cli(["diagnose", "--checkpoint", str(ckpt), "--config", str(other),
+              "--out", str(out)])
+    assert rc == 1
+    assert "config hash" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_cli_sweep_and_rate_fit(tmp_path, capsys):

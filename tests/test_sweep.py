@@ -161,21 +161,19 @@ def test_remainders_match_loop_reference():
 
 
 def test_sweep_ladder_validation():
-    cfg = _sweep_cfg()
     with pytest.raises(ConfigError, match="ladder is empty"):
-        run_sweep(cfg, eps_ladder=())
+        run_sweep(_sweep_cfg(eps_ladder=()))
     with pytest.raises(ConfigError, match=r"in \(0, 1\]"):
-        run_sweep(cfg, eps_ladder=(0.5, 0.0))
+        run_sweep(_sweep_cfg(eps_ladder=(0.5, 0.0)))
     with pytest.raises(ConfigError, match="strictly decreasing"):
-        run_sweep(cfg, eps_ladder=(0.25, 0.25))
+        run_sweep(_sweep_cfg(eps_ladder=(0.25, 0.25)))
     with pytest.raises(ConfigError, match="jobs must be >= 1"):
-        run_sweep(cfg, eps_ladder=(0.25, 0.125), jobs=0)
+        run_sweep(_sweep_cfg(eps_ladder=(0.25, 0.125)), jobs=0)
 
 
 def test_sweep_resolution_guard():
     # hz = 1/16 so eps_min = 1/16: members below it are excluded and flagged
-    cfg = _sweep_cfg()
-    res = run_sweep(cfg, eps_ladder=(0.25, 0.03125))
+    res = run_sweep(_sweep_cfg(eps_ladder=(0.25, 0.03125)))
     assert res.eps_min == pytest.approx((4.0 / 16.0) ** 2)
     assert res.included == (0.25,)
     assert res.excluded == (0.03125,)
@@ -185,16 +183,14 @@ def test_sweep_resolution_guard():
 
 
 def test_sweep_force_overrides_guard():
-    cfg = _sweep_cfg()
-    res = run_sweep(cfg, eps_ladder=(0.25, 0.03125), force=True)
+    res = run_sweep(_sweep_cfg(eps_ladder=(0.25, 0.03125)), force=True)
     assert res.included == (0.25, 0.03125)
     assert any("under-resolution" in f for f in res.flags)
 
 
 def test_sweep_basic_result_shape():
-    cfg = _sweep_cfg()
     ladder = (0.25, 0.125, 0.0625)
-    res = run_sweep(cfg, eps_ladder=ladder)
+    res = run_sweep(_sweep_cfg(eps_ladder=ladder))
     assert res.included == ladder
     assert set(res.errors_max) == set(ladder)
     for e in ladder:
@@ -214,10 +210,9 @@ def test_sweep_basic_result_shape():
 
 
 def test_sweep_is_deterministic_rerun():
-    cfg = _sweep_cfg()
-    ladder = (0.25, 0.125)
-    a = run_sweep(cfg, eps_ladder=ladder)
-    b = run_sweep(cfg, eps_ladder=ladder)
+    cfg = _sweep_cfg(eps_ladder=(0.25, 0.125))
+    a = run_sweep(cfg)
+    b = run_sweep(cfg)
     assert a.errors_max == b.errors_max
     assert a.errors_by_time == b.errors_by_time
     assert a.fitted_slope_l2 == b.fitted_slope_l2
@@ -226,13 +221,14 @@ def test_sweep_is_deterministic_rerun():
 def test_sweep_member_failure_aborts_with_partials():
     # explicit viscosity gives the member a diffusive stability bound that
     # the shared fixed dt violates, so the first member must fail loudly
-    cfg = _sweep_cfg(visc_implicit=False, dt=6e-3, t_final=0.024)
-    res = run_sweep(cfg, eps_ladder=(0.25, 0.125))
+    cfg = _sweep_cfg(visc_implicit=False, dt=6e-3, t_final=0.024,
+                     eps_ladder=(0.25, 0.125))
+    res = run_sweep(cfg)
     assert len(res.failed) == 1 and res.failed[0][0] == 0.25
     assert "stability limit" in res.failed[0][1]
     assert any("aborted" in f for f in res.flags)
     # the pooled path applies the same rule: nothing after the first failure
-    pooled = run_sweep(cfg, eps_ladder=(0.25, 0.125), jobs=2)
+    pooled = run_sweep(cfg, jobs=2)
     assert pooled.failed == res.failed
     assert pooled.errors_by_time == res.errors_by_time == {}
     assert pooled.flags == res.flags
