@@ -106,6 +106,10 @@ class SimConfig:
                 f"t_final must be >= 0 and finite, got {self.t_final}")
         if self.ic_name not in ("rest", "shear+twist", "slipflow", "random-solenoidal"):
             raise ConfigError(f"unknown initial condition '{self.ic_name}'")
+        for name in ("amplitude", "twist"):
+            v = getattr(self, name)
+            if not math.isfinite(v):
+                raise ConfigError(f"{name} must be finite, got {v}")
         if self.time_derivs not in (0, 1):
             raise ConfigError("time_derivs must be 0 or 1")
         if not (1 <= self.conormal_m <= M_MAX):

@@ -36,7 +36,7 @@ from .config import SimConfig
 from .errors import ConfigError
 from .fields import (FaceField, State, discrete_divergence, discrete_gradient,
                      face_to_center, unit_deviation)
-from .grid import M_MAX, ChannelGrid, conormal_derivative
+from .grid import M_MAX, ChannelGrid, _shift_diff, conormal_derivative
 from .operators import (SlipMatrixB, _u_on_v_points, _v_on_u_points,
                         _wall_tangential, advect_center, center_gradient,
                         curl_center, director_gradient,
@@ -139,8 +139,8 @@ def kinetic_energy(u: FaceField, grid: ChannelGrid) -> float:
 
 def elastic_energy(d: np.ndarray, grid: ChannelGrid) -> float:
     """(1/2) |grad d|^2 via face differences (zero flux through walls)."""
-    gx = (np.roll(d, -1, axis=-3) - d) / grid.hx
-    gy = (np.roll(d, -1, axis=-2) - d) / grid.hy
+    gx = _shift_diff(d, -1, 0, -3, grid.hx)
+    gy = _shift_diff(d, -1, 0, -2, grid.hy)
     gz = (d[..., 1:] - d[..., :-1]) / grid.hz
     vol = grid.cell_volume
     return 0.5 * vol * float(np.sum(gx * gx) + np.sum(gy * gy) + np.sum(gz * gz))
@@ -348,13 +348,13 @@ def conormal_energy(state: State, eps: float, B: SlipMatrixB,
         raise ConfigError(f"order m must be in 1..{M_MAX}, got {m}")
     uc = face_to_center(state.u)
     gd = director_gradient(state.d, grid)
+    ld = laplacian_center(state.d, grid)
     return _functional(state, eps, B, grid, m, time_derivs,
                        conormal_norm_sq(uc, m, grid),
                        conormal_norm_sq(gd, m, grid),
                        _grad_u_sums(center_gradient(uc, grid), m, grid),
-                       laplacian_center(state.d, grid),
-                       np.sum(gd * gd, axis=(0, 1)),
-                       momentum_forcing(state.u, state.d, grid))
+                       ld, np.sum(gd * gd, axis=(0, 1)),
+                       momentum_forcing(state.u, gd, ld, grid))
 
 
 # ---------------------------------------------------------------------------
@@ -393,15 +393,15 @@ def make_record(state: State, cfg: SimConfig, grid: ChannelGrid,
     """
     eps, m = cfg.eps, cfg.conormal_m
     vol = grid.cell_volume
-    F = momentum_forcing(state.u, state.d, grid)
+    gd = director_gradient(state.d, grid)
+    ld = laplacian_center(state.d, grid)
+    F = momentum_forcing(state.u, gd, ld, grid)
     p1, p2 = pressure_split(state.u, F, eps, grid, cfg.solver_tol)
     er = 0.0
     if prev is not None and dt is not None:
         er = energy_balance_residual(prev, state, dt, eps, B, grid)
 
     uc = face_to_center(state.u)
-    gd = director_gradient(state.d, grid)
-    ld = laplacian_center(state.d, grid)
     grad_sq = np.sum(gd * gd, axis=(0, 1))
     w = curl_center(state.u, B, grid)
     l2 = {name: _conormal_sums(f, m, grid)[0]

@@ -14,7 +14,7 @@ import numpy as np
 
 from .config import InitialConditionSpec
 from .errors import ConfigError, SimulationError
-from .grid import ChannelGrid
+from .grid import ChannelGrid, _shift_diff, _shift_op
 
 
 @dataclass
@@ -71,10 +71,10 @@ def unit_deviation(d: np.ndarray) -> float:
 
 def discrete_divergence(u: FaceField, grid: ChannelGrid) -> np.ndarray:
     """Face-flux divergence at cell centers (periodic x/y wrap)."""
-    dudx = (np.roll(u.x, -1, axis=0) - u.x) / grid.hx
-    dvdy = (np.roll(u.y, -1, axis=1) - u.y) / grid.hy
-    dwdz = (u.z[:, :, 1:] - u.z[:, :, :-1]) / grid.hz
-    return dudx + dvdy + dwdz
+    out = _shift_diff(u.x, -1, 0, 0, grid.hx)
+    out += _shift_diff(u.y, -1, 0, 1, grid.hy)
+    out += (u.z[:, :, 1:] - u.z[:, :, :-1]) / grid.hz
+    return out
 
 
 def discrete_gradient(p: np.ndarray, grid: ChannelGrid) -> FaceField:
@@ -83,8 +83,8 @@ def discrete_gradient(p: np.ndarray, grid: ChannelGrid) -> FaceField:
     Adjoint (up to sign) of discrete_divergence; div(grad(p)) is the 7-point
     Laplacian with reflective closure in z.
     """
-    gx = (p - np.roll(p, 1, axis=0)) / grid.hx
-    gy = (p - np.roll(p, 1, axis=1)) / grid.hy
+    gx = _shift_diff(p, 0, 1, 0, grid.hx)
+    gy = _shift_diff(p, 0, 1, 1, grid.hy)
     gz = np.zeros((grid.nx, grid.ny, grid.nz + 1))
     gz[:, :, 1:-1] = (p[:, :, 1:] - p[:, :, :-1]) / grid.hz
     return FaceField(gx, gy, gz)
@@ -92,10 +92,12 @@ def discrete_gradient(p: np.ndarray, grid: ChannelGrid) -> FaceField:
 
 def face_to_center(u: FaceField) -> np.ndarray:
     """Second-order average of a face field to cell centers, (3, nx, ny, nz)."""
-    uc = 0.5 * (u.x + np.roll(u.x, -1, axis=0))
-    vc = 0.5 * (u.y + np.roll(u.y, -1, axis=1))
-    wc = 0.5 * (u.z[:, :, :-1] + u.z[:, :, 1:])
-    return np.stack([uc, vc, wc])
+    out = np.empty((3,) + u.x.shape)
+    _shift_op(np.add, u.x, 0, u.x, -1, 0, out[0])
+    _shift_op(np.add, u.y, 0, u.y, -1, 1, out[1])
+    np.add(u.z[:, :, :-1], u.z[:, :, 1:], out=out[2])
+    out *= 0.5
+    return out
 
 
 def max_face_speed(u: FaceField) -> float:
@@ -188,12 +190,12 @@ def init_state(grid: ChannelGrid, ic: InitialConditionSpec) -> State:
         a1 = band(xc, yf)[:, :, None] * s_f[None, None, :]   # x-edges (xc, yf, zf)
         a2 = band(xf, yc)[:, :, None] * s_f[None, None, :]   # y-edges (xf, yc, zf)
         a3 = band(xf, yf)[:, :, None] * s_c[None, None, :]   # z-edges (xf, yf, zc)
-        u.x[:] = a * ((np.roll(a3, -1, axis=1) - a3) / grid.hy
+        u.x[:] = a * (_shift_diff(a3, -1, 0, 1, grid.hy)
                       - (a2[:, :, 1:] - a2[:, :, :-1]) / grid.hz)
         u.y[:] = a * ((a1[:, :, 1:] - a1[:, :, :-1]) / grid.hz
-                      - (np.roll(a3, -1, axis=0) - a3) / grid.hx)
-        u.z[:] = a * ((np.roll(a2, -1, axis=0) - a2) / grid.hx
-                      - (np.roll(a1, -1, axis=1) - a1) / grid.hy)
+                      - _shift_diff(a3, -1, 0, 0, grid.hx))
+        u.z[:] = a * (_shift_diff(a2, -1, 0, 0, grid.hx)
+                      - _shift_diff(a1, -1, 0, 1, grid.hy))
 
         pert = np.zeros((3,) + grid.shape)
         for c in range(3):

@@ -17,6 +17,9 @@ normal derivative phi(zeta) * d/dz where zeta = min(z, lz - z) is the
 distance to the nearest wall and phi(s) = s/(1+s).  phi vanishes linearly at
 both walls, so the weighted derivative stays bounded for fields that are
 merely bounded in the normal direction near the boundary.
+
+Periodic differences and averages in x and y are slab slices (_shift_op):
+no stencil makes a rolled copy of its operand.
 """
 
 from __future__ import annotations
@@ -108,23 +111,69 @@ def conormal_weight(z, grid: ChannelGrid):
     return float(out) if out.ndim == 0 else out
 
 
-def _ddx(f, h):
-    """Periodic central d/dx on the third-from-last axis."""
-    return (np.roll(f, -1, axis=-3) - np.roll(f, 1, axis=-3)) / (2.0 * h)
+def _shift_op(op, a, sa, b, sb, axis, out=None):
+    """op(np.roll(a, sa, axis), np.roll(b, sb, axis)) with no rolled copy.
+
+    Every periodic stencil of the package goes through here.  Along `axis`
+    the output is three slabs, its first index, its interior and its last
+    index; each slab is one call of op on slices of a and b at the shifted
+    offsets, and only the two one-index slabs wrap.  Every element is op of
+    the same two floats as with np.roll, so results are bit-identical.
+
+    op is np.add or np.subtract, sa and sb are -1, 0 or 1, and a and b have
+    the same shape.  out may be a or b only where that operand's shift is
+    0: a slab written first would otherwise be read later as a shifted
+    neighbour.
+    """
+    if out is None:
+        out = np.empty(a.shape, dtype=np.result_type(a, b))
+    n = a.shape[axis]
+    lead = (slice(None),) * (axis % a.ndim)
+    for lo, hi in ((0, 1), (1, n - 1), (n - 1, n)):
+        ia, ib = (lo - sa) % n, (lo - sb) % n
+        op(a[lead + (slice(ia, ia + hi - lo),)],
+           b[lead + (slice(ib, ib + hi - lo),)],
+           out=out[lead + (slice(lo, hi),)])
+    return out
 
 
-def _ddy(f, h):
-    """Periodic central d/dy on the second-from-last axis."""
-    return (np.roll(f, -1, axis=-2) - np.roll(f, 1, axis=-2)) / (2.0 * h)
+def _shift_diff(f, s0, s1, axis, h, out=None):
+    """(np.roll(f, s0, axis) - np.roll(f, s1, axis)) / h by _shift_op; out
+    must not be f unless both shifts are 0."""
+    out = _shift_op(np.subtract, f, s0, f, s1, axis, out)
+    out /= h
+    return out
 
 
-def _dz_centered(f, hz):
+def _shift_mean(f, s, axis):
+    """0.5 * (f + np.roll(f, s, axis)) by _shift_op: the periodic
+    two-point average."""
+    out = _shift_op(np.add, f, 0, f, s, axis)
+    out *= 0.5
+    return out
+
+
+def _ddx(f, h, out=None):
+    """Periodic central d/dx on the third-from-last axis.  The difference
+    is taken on slab slices of f (_shift_op), so out must not be f."""
+    return _shift_diff(f, -1, 1, -3, 2.0 * h, out)
+
+
+def _ddy(f, h, out=None):
+    """Periodic central d/dy on the second-from-last axis.  The difference
+    is taken on slab slices of f (_shift_op), so out must not be f."""
+    return _shift_diff(f, -1, 1, -2, 2.0 * h, out)
+
+
+def _dz_centered(f, hz, out=None):
     """Second-order d/dz on cell-centered data along the last axis.
 
     Central differences inside, one-sided three-point stencils on the first
-    and last interior layers (no ghost values are assumed).
+    and last interior layers (no ghost values are assumed).  out must not
+    be f.
     """
-    out = np.empty_like(f)
+    if out is None:
+        out = np.empty_like(f)
     np.subtract(f[..., 2:], f[..., :-2], out=out[..., 1:-1])
     out[..., 1:-1] /= 2.0 * hz
     out[..., 0] = (-3.0 * f[..., 0] + 4.0 * f[..., 1] - f[..., 2]) / (2.0 * hz)

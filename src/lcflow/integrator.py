@@ -32,8 +32,9 @@ from .errors import SimulationError
 from .fields import (FaceField, State, init_state, max_face_speed,
                      renormalize_director)
 from .grid import ChannelGrid, make_grid
-from .operators import (SlipMatrixB, advect_center, grad_sq_director,
-                        laplacian_face, momentum_forcing)
+from .operators import (SlipMatrixB, advect_center, director_gradient,
+                        grad_sq_director, laplacian_center, laplacian_face,
+                        momentum_forcing)
 from .pressure import project, solve_helmholtz_neumann, solve_viscous_helmholtz
 
 DT_FLOOR_FACTOR = 64.0
@@ -63,7 +64,8 @@ def step(state: State, cfg: SimConfig, grid: ChannelGrid, B: SlipMatrixB,
                                  cfg.renorm_floor)
 
     # -- (b) velocity predictor -------------------------------------------
-    F = momentum_forcing(u, d_new, grid)
+    F = momentum_forcing(u, director_gradient(d_new, grid),
+                         laplacian_center(d_new, grid), grid)
     fx = -F.x
     fy = -F.y
     fz = -F.z

@@ -24,7 +24,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fields import FaceField, discrete_divergence, face_to_center
-from .grid import ChannelGrid, _ddx, _ddy, _dz_centered
+from .grid import (ChannelGrid, _ddx, _ddy, _dz_centered, _shift_diff,
+                   _shift_mean, _shift_op)
 
 
 @dataclass(frozen=True)
@@ -58,13 +59,17 @@ def _wall_tangential(f4, which):
 
 def _v_on_u_points(v):
     # four-point average of y-face data onto x-face positions
-    t = v + np.roll(v, 1, axis=0)
-    return 0.25 * (t + np.roll(t, -1, axis=1))
+    t = _shift_op(np.add, v, 0, v, 1, 0)
+    out = _shift_op(np.add, t, 0, t, -1, 1)
+    out *= 0.25
+    return out
 
 
 def _u_on_v_points(u):
-    t = u + np.roll(u, -1, axis=0)
-    return 0.25 * (t + np.roll(t, 1, axis=1))
+    t = _shift_op(np.add, u, 0, u, -1, 0)
+    out = _shift_op(np.add, t, 0, t, 1, 1)
+    out *= 0.25
+    return out
 
 
 def slip_closure(u: FaceField, B: SlipMatrixB, grid: ChannelGrid):
@@ -118,8 +123,10 @@ def fill_ghosts_navier_slip(u: FaceField, B: SlipMatrixB, grid: ChannelGrid):
 # differential operators
 # ---------------------------------------------------------------------------
 
-def _dz_ghost(f_ext, hz):
-    return (f_ext[..., 2:] - f_ext[..., :-2]) / (2.0 * hz)
+def _dz_ghost(f_ext, hz, out=None):
+    out = np.subtract(f_ext[..., 2:], f_ext[..., :-2], out=out)
+    out /= 2.0 * hz
+    return out
 
 
 def _dzz_ghost(f_ext, hz):
@@ -129,8 +136,14 @@ def _dzz_ghost(f_ext, hz):
 def _lap_xy(f, grid: ChannelGrid):
     """Periodic x/y part of the 7-point Laplacian on the (x, y) axes
     (third- and second-from-last)."""
-    out = (np.roll(f, -1, axis=-3) - 2.0 * f + np.roll(f, 1, axis=-3)) / grid.hx**2
-    out += (np.roll(f, -1, axis=-2) - 2.0 * f + np.roll(f, 1, axis=-2)) / grid.hy**2
+    f2 = 2.0 * f
+    out = _shift_op(np.subtract, f, -1, f2, 0, -3)
+    _shift_op(np.add, out, 0, f, 1, -3, out)
+    out /= grid.hx**2
+    t = _shift_op(np.subtract, f, -1, f2, 0, -2, f2)
+    _shift_op(np.add, t, 0, f, 1, -2, t)
+    t /= grid.hy**2
+    out += t
     return out
 
 
@@ -189,14 +202,14 @@ def advect_center(u: FaceField, f: np.ndarray, grid: ChannelGrid) -> np.ndarray:
     the L2 pairing with f.  Transport of a constant returns (c/2) div u,
     bounded by the divergence residual.
     """
-    fx = 0.5 * (f + np.roll(f, 1, axis=-3))              # at x-faces
-    fy = 0.5 * (f + np.roll(f, 1, axis=-2))              # at y-faces
+    flux_x = _shift_mean(f, 1, -3)                       # at x-faces
+    flux_x *= u.x
+    flux_y = _shift_mean(f, 1, -2)                       # at y-faces
+    flux_y *= u.y
     fz = 0.5 * (f[..., :-1] + f[..., 1:])                # at interior z-faces
 
-    flux_x = u.x * fx
-    flux_y = u.y * fy
-    term = (np.roll(flux_x, -1, axis=-3) - flux_x) / grid.hx
-    term += (np.roll(flux_y, -1, axis=-2) - flux_y) / grid.hy
+    term = _shift_diff(flux_x, -1, 0, -3, grid.hx)
+    term += _shift_diff(flux_y, -1, 0, -2, grid.hy, flux_x)
 
     # interior z-face fluxes; wall faces carry exactly zero mass flux, so
     # cell k picks up +flux at its top face (k+1) and -flux at its bottom (k)
@@ -214,22 +227,21 @@ def _advect_tangential(u_own, u_other, w, f, a, grid: ChannelGrid):
     which is (x + y) + z bit for bit: a sum of two floats commutes."""
     b = 1 - a
     h = (grid.hx, grid.hy)
-    Uc = 0.5 * (u_own + np.roll(u_own, -1, axis=a))      # at centers
-    Von = 0.5 * (u_other + np.roll(u_other, 1, axis=a))  # at (xf, yf, zc)
-    Won = 0.5 * (w + np.roll(w, 1, axis=a))              # at (own face, zf)
-    fc = 0.5 * (f + np.roll(f, -1, axis=a))
-    fo = 0.5 * (f + np.roll(f, 1, axis=b))
-    fz = 0.5 * (f[:, :, :-1] + f[:, :, 1:])
-    flux = Uc * fc
-    out = (flux - np.roll(flux, 1, axis=a)) / h[a]
-    flux = Von * fo
-    out += (np.roll(flux, -1, axis=b) - flux) / h[b]
-    flux = Won[:, :, 1:-1] * fz
+    Uc = _shift_mean(u_own, -1, a)          # at centers
+    Von = _shift_mean(u_other, 1, a)        # at (xf, yf, zc)
+    Won = _shift_mean(w, 1, a)              # at (own face, zf)
+    flux = _shift_mean(f, -1, a)
+    flux *= Uc
+    out = _shift_diff(flux, 0, 1, a, h[a])
+    flux_o = _shift_mean(f, 1, b)
+    flux_o *= Von
+    out += _shift_diff(flux_o, -1, 0, b, h[b], flux)
+    flux = Won[:, :, 1:-1] * (0.5 * (f[:, :, :-1] + f[:, :, 1:]))
     out[:, :, :-1] += flux / grid.hz
     out[:, :, 1:] -= flux / grid.hz
-    div = ((Uc - np.roll(Uc, 1, axis=a)) / h[a]
-           + (np.roll(Von, -1, axis=b) - Von) / h[b]
-           + (Won[:, :, 1:] - Won[:, :, :-1]) / grid.hz)
+    div = _shift_diff(Uc, 0, 1, a, h[a])
+    div += _shift_diff(Von, -1, 0, b, h[b], flux_o)
+    div += (Won[:, :, 1:] - Won[:, :, :-1]) / grid.hz
     out -= 0.5 * f * div
     return out
 
@@ -246,19 +258,20 @@ def advect_face(u: FaceField, f: FaceField, grid: ChannelGrid) -> FaceField:
     Wc = 0.5 * (u.z[:, :, :-1] + u.z[:, :, 1:])          # at centers
     Uon = 0.5 * (u.x[:, :, :-1] + u.x[:, :, 1:])         # at (xf, yc, zf int)
     Von = 0.5 * (u.y[:, :, :-1] + u.y[:, :, 1:])         # at (xc, yf, zf int)
-    fzx = 0.5 * (f.z + np.roll(f.z, 1, axis=0))[:, :, 1:-1]
-    fzy = 0.5 * (f.z + np.roll(f.z, 1, axis=1))[:, :, 1:-1]
-    fzc = 0.5 * (f.z[:, :, :-1] + f.z[:, :, 1:])         # at centers
-    flux = Uon * fzx
-    az[:, :, 1:-1] = (np.roll(flux, -1, axis=0) - flux) / hx
-    flux = Von * fzy
-    az[:, :, 1:-1] += (np.roll(flux, -1, axis=1) - flux) / hy
-    flux = Wc * fzc
-    az[:, :, 1:-1] += (flux[:, :, 1:] - flux[:, :, :-1]) / hz
-    divw = (np.roll(Uon, -1, axis=0) - Uon) / hx \
-        + (np.roll(Von, -1, axis=1) - Von) / hy \
-        + (Wc[:, :, 1:] - Wc[:, :, :-1]) / hz
-    az[:, :, 1:-1] -= 0.5 * f.z[:, :, 1:-1] * divw
+    fzi = f.z[:, :, 1:-1]
+    azi = az[:, :, 1:-1]
+    flux_x = _shift_mean(fzi, 1, 0)
+    flux_x *= Uon
+    _shift_diff(flux_x, -1, 0, 0, hx, azi)
+    flux_y = _shift_mean(fzi, 1, 1)
+    flux_y *= Von
+    azi += _shift_diff(flux_y, -1, 0, 1, hy, flux_x)
+    flux = Wc * (0.5 * (f.z[:, :, :-1] + f.z[:, :, 1:]))  # at centers
+    azi += (flux[:, :, 1:] - flux[:, :, :-1]) / hz
+    divw = _shift_diff(Uon, -1, 0, 0, hx)
+    divw += _shift_diff(Von, -1, 0, 1, hy, flux_y)
+    divw += (Wc[:, :, 1:] - Wc[:, :, :-1]) / hz
+    azi -= 0.5 * fzi * divw
 
     return FaceField(ax, ay, az)
 
@@ -270,19 +283,17 @@ def advect_face(u: FaceField, f: FaceField, grid: ChannelGrid) -> FaceField:
 def director_gradient(d: np.ndarray, grid: ChannelGrid) -> np.ndarray:
     """grad tensor of a centered (3,...) field with zero-flux z closure;
     out[i, j] = d_i d_j (derivative axis first)."""
-    d_ext = pad_neumann(d)
-    return np.stack([
-        _ddx(d, grid.hx),
-        _ddy(d, grid.hy),
-        _dz_ghost(d_ext, grid.hz),
-    ])
+    out = np.empty((3,) + d.shape)
+    _ddx(d, grid.hx, out[0])
+    _ddy(d, grid.hy, out[1])
+    _dz_ghost(pad_neumann(d), grid.hz, out[2])
+    return out
 
 
-def elastic_stress(d: np.ndarray, grid: ChannelGrid) -> np.ndarray:
-    """sigma_i = sum_j (d_i d_j) (lap d_j) at cell centers."""
-    grad = director_gradient(d, grid)
-    lap = laplacian_center(d, grid)
-    return np.einsum("icxyz,cxyz->ixyz", grad, lap)
+def elastic_stress(gd: np.ndarray, ld: np.ndarray) -> np.ndarray:
+    """sigma_i = sum_j (d_i d_j) (lap d_j) at cell centers, from the
+    director gradient gd and the centered Laplacian ld of d."""
+    return np.einsum("icxyz,cxyz->ixyz", gd, ld)
 
 
 def grad_sq_director(d: np.ndarray, grid: ChannelGrid) -> np.ndarray:
@@ -295,19 +306,21 @@ def stress_to_faces(sigma: np.ndarray, grid: ChannelGrid) -> FaceField:
     """Average a centered vector (3, nx, ny, nz) onto faces; wall-normal
     entries on the walls are zero (consistent with zero boundary data in
     the pressure problems)."""
-    fx = 0.5 * (sigma[0] + np.roll(sigma[0], 1, axis=0))
-    fy = 0.5 * (sigma[1] + np.roll(sigma[1], 1, axis=1))
+    fx = _shift_mean(sigma[0], 1, 0)
+    fy = _shift_mean(sigma[1], 1, 1)
     fz = np.zeros((grid.nx, grid.ny, grid.nz + 1))
     fz[:, :, 1:-1] = 0.5 * (sigma[2][:, :, :-1] + sigma[2][:, :, 1:])
     return FaceField(fx, fy, fz)
 
 
-def momentum_forcing(u: FaceField, d: np.ndarray, grid: ChannelGrid) -> FaceField:
+def momentum_forcing(u: FaceField, gd: np.ndarray, ld: np.ndarray,
+                     grid: ChannelGrid) -> FaceField:
     """u . grad u + sigma(d) on faces: the explicit part of the momentum
     equation shared by the predictor, the pressure problems and the
-    time-derivative diagnostics."""
+    time-derivative diagnostics.  The stress comes from the caller's grad d
+    (gd, director_gradient) and lap d (ld, laplacian_center)."""
     adv = advect_face(u, u, grid)
-    sig = stress_to_faces(elastic_stress(d, grid), grid)
+    sig = stress_to_faces(elastic_stress(gd, ld), grid)
     return FaceField(adv.x + sig.x, adv.y + sig.y, adv.z + sig.z)
 
 
@@ -321,11 +334,11 @@ def center_gradient(f: np.ndarray, grid: ChannelGrid) -> np.ndarray:
     Periodic central differences in x/y and the one-sided z closure of
     _dz_centered, so it does not bake in any wall condition.
     """
-    return np.stack([
-        _ddx(f, grid.hx),
-        _ddy(f, grid.hy),
-        _dz_centered(f, grid.hz),
-    ])
+    out = np.empty((3,) + f.shape)
+    _ddx(f, grid.hx, out[0])
+    _ddy(f, grid.hy, out[1])
+    _dz_centered(f, grid.hz, out[2])
+    return out
 
 
 def velocity_gradient_center(u: FaceField, grid: ChannelGrid) -> np.ndarray:

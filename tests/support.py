@@ -5,22 +5,49 @@ stencil arithmetic on purpose: it re-derives the center-sampled remainder
 fields from their definitions without touching the package's vectorized
 kernels, so agreement is evidence and not tautology.  Only use on small
 grids.  full_pressure is the superposition oracle of the pressure split:
-one solve with the combined data of both split problems.
+one solve with the combined data of both split problems.  grids, seeds and
+face_field generate the inputs of the property tests.
 """
 
 import math
 
 import numpy as np
+from hypothesis import strategies as hst
 
-from lcflow.fields import discrete_divergence
-from lcflow.operators import momentum_forcing
+from lcflow.fields import FaceField, discrete_divergence
+from lcflow.grid import ChannelGrid
+from lcflow.operators import director_gradient, laplacian_center, momentum_forcing
 from lcflow.pressure import _wall_dzz_w, solve_poisson_neumann
+
+
+# odd, even and anisotropic channels of 4..9 cells per axis
+grids = hst.builds(
+    ChannelGrid,
+    hst.integers(4, 9), hst.integers(4, 9), hst.integers(4, 9),
+    hst.sampled_from([1.0, 0.7, 2.5]), hst.sampled_from([1.0, 1.3]),
+    hst.sampled_from([1.0, 0.4, 3.0]))
+seeds = hst.integers(0, 2**32 - 1)
+
+
+def face_field(rng, grid):
+    """Random staggered field, not solenoidal, with exact wall zeros in w."""
+    z = rng.standard_normal((grid.nx, grid.ny, grid.nz + 1))
+    z[:, :, 0] = z[:, :, -1] = 0.0
+    return FaceField(rng.standard_normal(grid.shape),
+                     rng.standard_normal(grid.shape), z)
+
+
+def grad_and_lap(d, grid):
+    """(grad d, lap d) of a centered director: the inputs elastic_stress and
+    momentum_forcing take."""
+    return director_gradient(d, grid), laplacian_center(d, grid)
 
 
 def full_pressure(state, eps, grid):
     """Single-solve pressure with the combined right-hand side and boundary
     data of both problems of pressure_split."""
-    rhs = -discrete_divergence(momentum_forcing(state.u, state.d, grid), grid)
+    F = momentum_forcing(state.u, *grad_and_lap(state.d, grid), grid)
+    rhs = -discrete_divergence(F, grid)
     bot, top = _wall_dzz_w(state.u, grid)
     return solve_poisson_neumann(rhs, -eps * bot, eps * top, grid)
 

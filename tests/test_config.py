@@ -106,19 +106,22 @@ def test_validation_ranges():
     ("dt", "inf"), ("dt", "nan"), ("dt", "-inf"),
     ("t_final", "inf"), ("t_final", "nan"),
     ("cfl_safety", "nan"), ("solver_tol", "nan"), ("renorm_floor", "nan"),
-    ("lx", "nan"), ("lx", "inf"),
+    ("lx", "nan"), ("lx", "inf"), ("amplitude", "nan"), ("twist", "inf"),
 ])
 def test_non_finite_times_are_rejected(tmp_path, capsys, key, value):
     # dt = inf would spin in the step-halving loop, t_final = inf would run
     # zero steps and exit 0, dt = nan would fail later as a non-finite state;
     # cfl_safety = nan switches the CFL check off, solver_tol = nan the
-    # Poisson residual check
+    # Poisson residual check; amplitude = nan and twist = inf would fail
+    # later as a non-finite state
     if key in ("dt", "t_final"):
         line = {"dt": "dt = 1e-3", "t_final": "t_final = 0.1"}[key]
         text = MINIMAL.replace(line, f"{key} = {value}")
     elif key in ("lx", "cfl_safety"):
         line = {"lx": "nz = 32", "cfl_safety": "t_final = 0.1"}[key]
         text = MINIMAL.replace(line, f"{line}\n{key} = {value}")
+    elif key in ("amplitude", "twist"):
+        text = MINIMAL + f"\n[ic]\nname = shear+twist\n{key} = {value}\n"
     else:
         text = MINIMAL + f"\n[diag]\n{key} = {value}\n"
     with pytest.raises(ConfigError, match=f"{key} must be"):

@@ -344,23 +344,35 @@ def test_record_conormal_entries_match_norm_function():
 
 @pytest.mark.parametrize("time_derivs", [0, 1])
 def test_record_builds_momentum_forcing_once(monkeypatch, time_derivs):
-    # the pressure split and the time derivatives share one forcing; count
-    # the calls at every module that could reach the operator
-    calls = []
+    # the pressure split and the time derivatives share one forcing, built
+    # from the record's own grad d and lap d; count the calls at every
+    # module that could reach the operators
+    calls, grads = [], []
 
-    def counting(*args):
-        calls.append(1)
-        return operators.momentum_forcing(*args)
+    def counting(u, gd, ld, grid):
+        calls.append((gd, ld))
+        return operators.momentum_forcing(u, gd, ld, grid)
+
+    def counting_gradient(d, grid):
+        grads.append(1)
+        return operators.director_gradient(d, grid)
 
     for mod in (diagnostics, pressure):
         if hasattr(mod, "momentum_forcing"):
             monkeypatch.setattr(mod, "momentum_forcing", counting)
+    monkeypatch.setattr(diagnostics, "director_gradient", counting_gradient)
     cfg = SimConfig(nx=8, ny=6, nz=12, eps=0.05, b11=1.0, b22=1.0, dt=1e-3,
                     t_final=1e-3, ic_name="random-solenoidal", amplitude=0.2,
                     seed=3, time_derivs=time_derivs).validate()
     grid = make_grid(cfg)
-    make_record(init_state(grid, cfg.ic), cfg, grid, SlipMatrixB(1.0, 0.0, 1.0))
+    st = init_state(grid, cfg.ic)
+    make_record(st, cfg, grid, SlipMatrixB(1.0, 0.0, 1.0))
     assert len(calls) == 1
+    gd, ld = calls[0]
+    assert np.array_equal(gd, operators.director_gradient(st.d, grid))
+    assert np.array_equal(ld, operators.laplacian_center(st.d, grid))
+    # grad d of the state, plus grad of dd/dt for the time derivatives
+    assert len(grads) == 1 + time_derivs
 
 
 @pytest.mark.parametrize("m", [1, 2, 3])

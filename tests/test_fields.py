@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
 from lcflow import (
     ChannelGrid,
@@ -15,6 +16,8 @@ from lcflow import (
 )
 from lcflow.fields import max_face_speed, unit_deviation, zero_face_field
 from lcflow.operators import laplacian_center
+
+from support import face_field, grids, seeds
 
 
 def _grid(nx=8, ny=8, nz=16, lx=1.0, ly=1.0, lz=1.0):
@@ -190,6 +193,24 @@ def test_div_grad_equals_center_laplacian():
     direct = laplacian_center(p, grid)
     scale = np.max(np.abs(direct))
     assert np.max(np.abs(via_faces - direct)) <= 1e-12 * scale
+
+
+@settings(max_examples=40, deadline=None)
+@given(grid=grids, seed=seeds)
+def test_divergence_is_minus_adjoint_of_gradient(grid, seed):
+    # <div u, p> over cells = -<u, grad p> over faces for impermeable u:
+    # the identity the projection and the energy budget rest on
+    rng = np.random.default_rng(seed)
+    u = face_field(rng, grid)
+    p = rng.standard_normal(grid.shape)
+    g = discrete_gradient(p, grid)
+    assert np.all(g.z[:, :, 0] == 0.0) and np.all(g.z[:, :, -1] == 0.0)
+    lhs_terms = p * discrete_divergence(u, grid)
+    rhs_terms = [u.x * g.x, u.y * g.y, u.z * g.z]
+    lhs = np.sum(lhs_terms)
+    rhs = sum(np.sum(t) for t in rhs_terms)
+    scale = np.sum(np.abs(lhs_terms)) + sum(np.sum(np.abs(t)) for t in rhs_terms)
+    assert abs(lhs + rhs) <= 1e-13 * scale
 
 
 def test_gradient_annihilates_constants_with_zero_wall_flux():

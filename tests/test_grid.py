@@ -1,10 +1,16 @@
 """Grid geometry, the wall-distance weight, and the tangential derivative family."""
 
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as hst
 
+import lcflow
 from lcflow import ChannelGrid, ConfigError, conormal_derivative, conormal_weight, make_grid
-from lcflow.grid import M_MAX
+from lcflow.grid import M_MAX, _shift_op
 
 
 class _Geom:
@@ -158,3 +164,63 @@ def test_conormal_derivative_rejects_bad_input():
 
 def test_m_max_is_four():
     assert M_MAX == 4
+
+
+# ----------------------------------------------------- periodic slab kernel
+
+@settings(max_examples=40, deadline=None)
+@given(cells=hst.tuples(hst.integers(4, 9), hst.integers(4, 9),
+                        hst.integers(4, 9)),
+       stack=hst.sampled_from([(), (3,), (3, 3)]),
+       axis=hst.sampled_from([-3, -2, 0, 1]),
+       sa=hst.sampled_from([-1, 0, 1]), sb=hst.sampled_from([-1, 0, 1]),
+       op=hst.sampled_from([np.add, np.subtract]),
+       b_is_a=hst.booleans(),
+       out=hst.sampled_from(["new", "given", "a", "b"]),
+       seed=hst.integers(0, 2**32 - 1))
+def test_shift_op_is_op_of_rolled_operands(cells, stack, axis, sa, sb, op,
+                                           b_is_a, out, seed):
+    # bit for bit the np.roll expression it replaces, on every slab
+    # boundary; out may alias only an operand that is not shifted
+    rng = np.random.default_rng(seed)
+    a = rng.standard_normal(stack + cells)
+    b = a if b_is_a else rng.standard_normal(a.shape)
+    if out == "a":
+        assume(sa == 0 and (sb == 0 or not b_is_a))
+    if out == "b":
+        assume(sb == 0 and (sa == 0 or not b_is_a))
+    want = op(np.roll(a, sa, axis=axis), np.roll(b, sb, axis=axis))
+    target = {"new": None, "given": np.empty_like(a), "a": a, "b": b}[out]
+    got = _shift_op(op, a, sa, b, sb, axis, target)
+    if target is not None:
+        assert got is target
+    assert got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
+def _roll_uses(tree):
+    """Lines of the module that name numpy.roll, as an attribute or an
+    import."""
+    lines = []
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute) and node.attr == "roll"
+                and isinstance(node.value, ast.Name)
+                and node.value.id in ("np", "numpy")):
+            lines.append(node.lineno)
+        if (isinstance(node, ast.ImportFrom) and node.module == "numpy"
+                and any(alias.name == "roll" for alias in node.names)):
+            lines.append(node.lineno)
+    return lines
+
+
+def test_package_makes_no_rolled_copies():
+    # every periodic stencil goes through grid._shift_op; a np.roll in the
+    # package would bring back one full copy of its operand per call
+    sources = sorted(Path(lcflow.__file__).parent.glob("*.py"))
+    assert sources
+    found = {path.name: _roll_uses(ast.parse(path.read_text()))
+             for path in sources}
+    assert {name: lines for name, lines in found.items() if lines} == {}
+    # the scan itself sees both spellings
+    assert _roll_uses(ast.parse("import numpy as np\nnp.roll(a, 1)")) == [2]
+    assert _roll_uses(ast.parse("from numpy import roll")) == [1]

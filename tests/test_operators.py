@@ -29,6 +29,8 @@ from lcflow.operators import (
     velocity_gradient_center,
 )
 
+from support import face_field, grids, seeds
+
 B0 = SlipMatrixB(0.0, 0.0, 0.0)
 
 
@@ -269,22 +271,6 @@ def test_advect_face_skew_symmetry():
 
 # ------------------------------------- properties on generated grids/fields
 
-_grids = hst.builds(
-    ChannelGrid,
-    hst.integers(4, 9), hst.integers(4, 9), hst.integers(4, 9),
-    hst.sampled_from([1.0, 0.7, 2.5]), hst.sampled_from([1.0, 1.3]),
-    hst.sampled_from([1.0, 0.4, 3.0]))
-_seeds = hst.integers(0, 2**32 - 1)
-
-
-def _face_field(rng, grid):
-    """Random staggered field, not solenoidal, with exact wall zeros in w."""
-    z = rng.standard_normal((grid.nx, grid.ny, grid.nz + 1))
-    z[:, :, 0] = z[:, :, -1] = 0.0
-    return FaceField(rng.standard_normal(grid.shape),
-                     rng.standard_normal(grid.shape), z)
-
-
 def _swap_xy(f):
     """The same field with the x and y axes (and components) exchanged."""
     if isinstance(f, FaceField):
@@ -297,22 +283,22 @@ def _swapped_grid(g):
 
 
 @settings(max_examples=40, deadline=None)
-@given(grid=_grids, seed=_seeds)
+@given(grid=grids, seed=seeds)
 def test_advect_face_skew_symmetric_per_component(grid, seed):
     # each component's split form telescopes on its own control volumes,
     # whatever the divergence of u, once the wall normal values vanish
     rng = np.random.default_rng(seed)
-    u, g = _face_field(rng, grid), _face_field(rng, grid)
+    u, g = face_field(rng, grid), face_field(rng, grid)
     a = advect_face(u, g, grid)
     for gc, ac in zip(g.components(), a.components()):
         assert abs(np.sum(gc * ac)) <= 1e-13 * np.sum(np.abs(gc * ac))
 
 
 @settings(max_examples=40, deadline=None)
-@given(grid=_grids, seed=_seeds)
+@given(grid=grids, seed=seeds)
 def test_advect_face_transposes_under_xy_swap(grid, seed):
     rng = np.random.default_rng(seed)
-    u, f = _face_field(rng, grid), _face_field(rng, grid)
+    u, f = face_field(rng, grid), face_field(rng, grid)
     want = _swap_xy(advect_face(u, f, grid))
     got = advect_face(_swap_xy(u), _swap_xy(f), _swapped_grid(grid))
     for g_c, w_c in zip(got.components(), want.components()):
@@ -320,14 +306,14 @@ def test_advect_face_transposes_under_xy_swap(grid, seed):
 
 
 @settings(max_examples=40, deadline=None)
-@given(grid=_grids, seed=_seeds, b11=hst.sampled_from([0.0, 0.5, 2.0]),
+@given(grid=grids, seed=seeds, b11=hst.sampled_from([0.0, 0.5, 2.0]),
        b12=hst.sampled_from([0.0, 0.4, -1.0]),
        b22=hst.sampled_from([0.0, 0.5, 2.0]))
 def test_laplacian_and_curl_transpose_under_xy_swap(grid, seed, b11, b12, b22):
     # round-off, not exact: the b12 four-point wall averages add their
     # terms in a different order once x and y trade places
     rng = np.random.default_rng(seed)
-    u = _face_field(rng, grid)
+    u = face_field(rng, grid)
     B, B_sw = SlipMatrixB(b11, b12, b22), SlipMatrixB(b22, b12, b11)
     grid_sw = _swapped_grid(grid)
 
@@ -351,7 +337,8 @@ def test_elastic_stress_of_uniform_director():
     grid = _grid()
     d = np.zeros((3,) + grid.shape)
     d[2] = 1.0
-    assert np.max(np.abs(elastic_stress(d, grid))) == 0.0
+    assert np.max(np.abs(elastic_stress(director_gradient(d, grid),
+                         laplacian_center(d, grid)))) == 0.0
 
 
 def test_elastic_stress_z_only_profile():
@@ -361,7 +348,8 @@ def test_elastic_stress_z_only_profile():
     d = np.stack([np.broadcast_to(np.sin(beta), grid.shape),
                   np.zeros(grid.shape),
                   np.broadcast_to(np.cos(beta), grid.shape)])
-    sig = elastic_stress(d, grid)
+    sig = elastic_stress(director_gradient(d, grid),
+                         laplacian_center(d, grid))
     assert np.max(np.abs(sig[0])) == 0.0
     assert np.max(np.abs(sig[1])) == 0.0
     assert np.max(np.abs(sig[2])) > 0.1
@@ -387,7 +375,8 @@ def test_elastic_stress_against_symbolic_reference():
         ones = np.ones(grid.shape)
         beta_n = b * np.cos(np.pi * zc) * np.cos(2 * np.pi * xc) * ones
         d = np.stack([np.sin(beta_n), np.zeros(grid.shape), np.cos(beta_n)])
-        got = elastic_stress(d, grid)
+        got = elastic_stress(director_gradient(d, grid),
+                         laplacian_center(d, grid))
         want = np.stack([np.broadcast_to(f(xc, zc) * ones, grid.shape) for f in fs])
         errs.append(np.max(np.abs(got - want)))
         scale = np.max(np.abs(want))
