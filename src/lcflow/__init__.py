@@ -4,9 +4,8 @@ around it."""
 
 from .config import (DEFAULT_EPS_LADDER, InitialConditionSpec, SimConfig,
                      config_hash, load_config, parse_config)
-from .diagnostics import (DiagnosticsRecord, conormal_energy, conormal_norm,
-                          energy_balance_residual, linf_conormal, make_record,
-                          slip_mismatch_field, slip_mismatch_trace)
+from .diagnostics import (DiagnosticsRecord, energy_balance_residual,
+                          make_record)
 from .errors import ConfigError, SimulationError
 from .fields import (FaceField, State, discrete_divergence, discrete_gradient,
                      face_to_center, init_state, renormalize_director)
@@ -26,13 +25,11 @@ __all__ = [
     "ChannelGrid", "ConfigError", "DEFAULT_EPS_LADDER", "DiagnosticsRecord",
     "FaceField", "InitialConditionSpec", "SimConfig", "SimulationError",
     "SlipMatrixB", "State", "SweepResult", "config_hash", "conormal_derivative",
-    "conormal_energy", "conormal_norm", "conormal_weight",
-    "discrete_divergence", "discrete_gradient", "energy_balance_residual",
-    "error_norms", "face_to_center", "fit_rate", "init_state",
-    "linf_conormal", "load_config", "make_grid", "make_record", "parse_config",
+    "conormal_weight", "discrete_divergence", "discrete_gradient",
+    "energy_balance_residual", "error_norms", "face_to_center", "fit_rate",
+    "init_state", "load_config", "make_grid", "make_record", "parse_config",
     "pressure_split", "project", "read_checkpoint", "read_diag_csv",
     "read_sweep_csv", "remainder_norms", "renormalize_director", "run",
-    "run_sweep", "slip_mismatch_field", "slip_mismatch_trace",
-    "solve_poisson_neumann", "stable_dt", "step", "write_checkpoint",
+    "run_sweep", "solve_poisson_neumann", "stable_dt", "step", "write_checkpoint",
     "write_diag_csv", "write_rate_report", "write_sweep_csv",
 ]

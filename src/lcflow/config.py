@@ -110,6 +110,8 @@ class SimConfig:
             v = getattr(self, name)
             if not math.isfinite(v):
                 raise ConfigError(f"{name} must be finite, got {v}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
         if self.time_derivs not in (0, 1):
             raise ConfigError("time_derivs must be 0 or 1")
         if not (1 <= self.conormal_m <= M_MAX):

@@ -11,12 +11,12 @@ level by level, each multi-index once from its parent, keeping only the
 previous level.  _conormal_sums reduces one walk to the cumulative sums of
 every order 0..m (and the sup-type sums up to a requested order), summed in
 the walk's order, so a walk to order m gives conormal_norm_sq(f, k) for
-every k <= m bit for bit.  conormal_norm_sq, linf_conormal and
-conormal_energy are thin wrappers over it; make_record derives each field
-of the state once (centered u, grad d, |grad d|^2, grad u, lap d,
-vorticity, momentum forcing F), walks each once, and feeds them to the
-private forms the public functions use.  F serves both the pressure split
-and the time derivatives of the functional.
+every k <= m bit for bit.  A record is the one assembly of the
+per-state diagnostics: make_record derives each field of the state once
+(centered u, grad d, |grad d|^2, grad u, lap d, vorticity, momentum
+forcing F), walks each once, and computes the functional (_functional),
+the sup norm of grad u and the slip trace from them.  F serves both the
+pressure split and the time derivatives of the functional.
 
 The energy budget pairs the quantities the scheme actually conserves:
 kinetic energy on faces (the quadrature in which advection is exactly
@@ -41,8 +41,7 @@ from .operators import (SlipMatrixB, _u_on_v_points, _v_on_u_points,
                         _wall_tangential, advect_center, center_gradient,
                         curl_center, director_gradient,
                         fill_ghosts_navier_slip, grad_sq_director,
-                        laplacian_center, laplacian_face, momentum_forcing,
-                        velocity_gradient_center)
+                        laplacian_center, laplacian_face, momentum_forcing)
 from .pressure import pressure_split
 
 
@@ -78,8 +77,8 @@ def _conormal_sums(f: np.ndarray, m: int, grid: ChannelGrid, sup: int = -1):
 
     l2[k] is the squared L2 conormal norm of order k, the value of
     conormal_norm_sq(f, k, grid).  linf[k], for k <= sup <= m, is the sum of
-    squared sup norms whose square root is linf_conormal(f, k, grid); vector
-    input (leading axes) takes the pointwise Euclidean magnitude first.
+    squared sup norms whose square root (_linf) is the order-k sup norm;
+    vector input (leading axes) takes the pointwise Euclidean magnitude first.
     """
     vol = grid.cell_volume
     l2, linf = [0.0] * (m + 1), [0.0] * (sup + 1)
@@ -108,22 +107,6 @@ def conormal_norm_sq(f: np.ndarray, m: int, grid: ChannelGrid) -> float:
     if not (0 <= m <= M_MAX):
         raise ConfigError(f"conormal order must be in 0..{M_MAX}, got {m}")
     return _conormal_sums(f, m, grid)[0][m]
-
-
-def conormal_norm(f: np.ndarray, m: int, grid: ChannelGrid) -> float:
-    return float(np.sqrt(conormal_norm_sq(f, m, grid)))
-
-
-def linf_conormal(f: np.ndarray, k: int, grid: ChannelGrid) -> float:
-    """sqrt of the sum over |alpha| <= k of squared sup norms.
-
-    Vector input (leading axes) takes the pointwise Euclidean magnitude
-    before the sup.  k is capped low: high tangential orders in sup norm
-    are noise amplifiers, not diagnostics.
-    """
-    if not (0 <= k <= 2):
-        raise ConfigError(f"sup-norm conormal order must be 0..2, got {k}")
-    return _linf(_conormal_sums(f, k, grid, sup=k)[1], k)
 
 
 # ---------------------------------------------------------------------------
@@ -223,63 +206,20 @@ def energy_balance_residual(prev: State, nxt: State, dt: float, eps: float,
 # slip mismatch (boundary-layer indicator)
 # ---------------------------------------------------------------------------
 
-def _smoothstep5(t):
-    t = np.clip(t, 0.0, 1.0)
-    return t * t * t * (t * (6.0 * t - 15.0) + 10.0)
-
-
-def wall_cutoff(grid: ChannelGrid) -> np.ndarray:
-    """chi(zeta): 1 within lz/8 of a wall, 0 beyond lz/4, quintic blend."""
-    zc = grid.z_centers()
-    zeta = np.minimum(zc, grid.lz - zc)
-    return 1.0 - _smoothstep5((zeta - grid.lz / 8.0) / (grid.lz / 8.0))
-
-
-def _mismatch(w: np.ndarray, uc: np.ndarray, B: SlipMatrixB, n):
-    """Tangential components of omega x n + (B u)_tau for the normal n e_z,
-    from the centered vorticity w and velocity uc."""
-    bu1, bu2 = B.apply(uc[0], uc[1])
-    return w[1] * n + bu1, -w[0] * n + bu2
-
-
-def slip_mismatch_field(u: FaceField, B: SlipMatrixB, grid: ChannelGrid) -> np.ndarray:
-    """chi * (omega x n + (B u)_tau), shape (2, nx, ny, nz).
-
-    n is the outward normal of the nearest wall; the slip boundary
-    condition makes the uncut field vanish on the walls, so this measures
-    how far the state is from boundary compatibility, localized to the
-    wall region by the cutoff.
-    """
-    zc = grid.z_centers()
-    n3 = np.where(zc < 0.5 * grid.lz, -1.0, 1.0)[None, None, :]
-    q1, q2 = _mismatch(curl_center(u, B, grid), face_to_center(u), B, n3)
-    chi = wall_cutoff(grid)[None, None, :]
-    return np.stack([chi * q1, chi * q2])
-
-
 def _slip_mismatch_trace(w: np.ndarray, uc: np.ndarray, B: SlipMatrixB,
                          grid: ChannelGrid) -> float:
-    """slip_mismatch_trace from the centered vorticity and velocity; only
-    the two cell layers next to each wall enter the extrapolation."""
+    """L2 norm over both walls of the one-sided extrapolation of
+    omega x n + (B u)_tau (n the outward normal) onto the wall planes, from
+    the centered vorticity w and velocity uc, next-to-wall layers only."""
     da = grid.hx * grid.hy
     total = 0.0
     for n, layers, which in ((-1.0, [0, 1], "bottom"), (+1.0, [-2, -1], "top")):
-        for q in _mismatch(w[..., layers], uc[..., layers], B, n):
+        wl, ul = w[..., layers], uc[..., layers]
+        bu1, bu2 = B.apply(ul[0], ul[1])
+        for q in (wl[1] * n + bu1, -wl[0] * n + bu2):
             wall = _wall_tangential(q, which)
             total += float(np.sum(wall * wall)) * da
     return float(np.sqrt(total))
-
-
-def slip_mismatch_trace(u: FaceField, B: SlipMatrixB, grid: ChannelGrid) -> float:
-    """L2 norm over both walls of the one-sided extrapolation of
-    omega x n + (B u)_tau onto the wall planes."""
-    return _slip_mismatch_trace(curl_center(u, B, grid), face_to_center(u),
-                                B, grid)
-
-
-def grad_u_linf(u: FaceField, grid: ChannelGrid) -> float:
-    """Sup-type conormal norm (order 1) of the velocity gradient tensor."""
-    return linf_conormal(velocity_gradient_center(u, grid), 1, grid)
 
 
 # ---------------------------------------------------------------------------
@@ -301,17 +241,15 @@ def _time_derivatives(state: State, F: FaceField, ld: np.ndarray,
     return face_to_center(ut), dt_d
 
 
-def _grad_u_sums(gu: np.ndarray, m: int, grid: ChannelGrid):
-    """One walk of grad u serving both |grad u|_{m-1}^2 and |grad u|_{1,inf}."""
-    return _conormal_sums(gu, max(m - 1, 1), grid, sup=1)
-
-
 def _functional(state: State, eps: float, B: SlipMatrixB, grid: ChannelGrid,
                 m: int, time_derivs: int, u_sq: float, gd_sq: float, gu_sums,
                 ld: np.ndarray, grad_sq: np.ndarray, F: FaceField) -> float:
-    """conormal_energy from |u|_m^2 and |grad d|_m^2, the walk of grad u
-    (_grad_u_sums), the centered Laplacian ld of d, and (for the time
-    derivatives) |grad d|^2 and the momentum forcing F."""
+    """The functional tracked for uniform boundedness, |u|_m^2 + |d|_0^2
+    + |grad d|_m^2 + |grad u|_{m-1}^2 + |lap d|_{m-1}^2 + |grad u|_{1,inf}^2,
+    from |u|_m^2, |grad d|_m^2, the sums of one walk of grad u, lap d (ld)
+    and, for time_derivs=1, |grad d|^2 and the forcing F: each Sobolev-type
+    term then also counts one time derivative (by substituting the
+    evolution equations), one tangential order lower."""
     gu_l2, gu_linf = gu_sums
     total = u_sq
     total += float(np.sum(state.d**2)) * grid.cell_volume
@@ -331,30 +269,6 @@ def _functional(state: State, eps: float, B: SlipMatrixB, grid: ChannelGrid,
             total += conormal_norm_sq(laplacian_center(dt_d, grid), m - 2, grid)
             total += _linf(linf, 0) ** 2
     return float(total)
-
-
-def conormal_energy(state: State, eps: float, B: SlipMatrixB,
-                    grid: ChannelGrid, m: int, time_derivs: int = 0) -> float:
-    """Combined squared-norm functional tracked for uniform boundedness:
-
-        |u|_m^2 + |d|_0^2 + |grad d|_m^2 + |grad u|_{m-1}^2
-        + |lap d|_{m-1}^2 + |grad u|_{1,inf}^2
-
-    With time_derivs=1, each Sobolev-type term also counts one time
-    derivative (computed by substituting the evolution equations), at one
-    order lower in the tangential family.
-    """
-    if not (1 <= m <= M_MAX):
-        raise ConfigError(f"order m must be in 1..{M_MAX}, got {m}")
-    uc = face_to_center(state.u)
-    gd = director_gradient(state.d, grid)
-    ld = laplacian_center(state.d, grid)
-    return _functional(state, eps, B, grid, m, time_derivs,
-                       conormal_norm_sq(uc, m, grid),
-                       conormal_norm_sq(gd, m, grid),
-                       _grad_u_sums(center_gradient(uc, grid), m, grid),
-                       ld, np.sum(gd * gd, axis=(0, 1)),
-                       momentum_forcing(state.u, gd, ld, grid))
 
 
 # ---------------------------------------------------------------------------
@@ -388,8 +302,10 @@ def make_record(state: State, cfg: SimConfig, grid: ChannelGrid,
     at this state (0.0 for the initial record or offline recomputation).
 
     The derived fields are built once and each field is walked through the
-    tangential family once; the terms are the private forms of the public
-    functions named in the record, applied to those shared arrays.
+    tangential family once.  The dissipation and production terms are the
+    private forms of their public functions, applied to those shared
+    arrays; the functional, the sup norm of grad u and the slip trace are
+    computed here only.
     """
     eps, m = cfg.eps, cfg.conormal_m
     vol = grid.cell_volume
@@ -406,7 +322,8 @@ def make_record(state: State, cfg: SimConfig, grid: ChannelGrid,
     w = curl_center(state.u, B, grid)
     l2 = {name: _conormal_sums(f, m, grid)[0]
           for name, f in (("u", uc), ("d", state.d), ("grad_d", gd))}
-    gu_sums = _grad_u_sums(center_gradient(uc, grid), m, grid)
+    gu_sums = _conormal_sums(center_gradient(uc, grid), max(m - 1, 1), grid,
+                             sup=1)
     conormal = {(name, mm): float(np.sqrt(sums[mm]))
                 for name, sums in l2.items() for mm in range(1, m + 1)}
 

@@ -343,5 +343,5 @@ def center_gradient(f: np.ndarray, grid: ChannelGrid) -> np.ndarray:
 
 def velocity_gradient_center(u: FaceField, grid: ChannelGrid) -> np.ndarray:
     """grad u at cell centers, (3, 3, nx, ny, nz), out[i, j] = d_i u_j;
-    used by diagnostics and remainders."""
+    used by the sweep's error remainders."""
     return center_gradient(face_to_center(u), grid)

@@ -107,13 +107,15 @@ def test_validation_ranges():
     ("t_final", "inf"), ("t_final", "nan"),
     ("cfl_safety", "nan"), ("solver_tol", "nan"), ("renorm_floor", "nan"),
     ("lx", "nan"), ("lx", "inf"), ("amplitude", "nan"), ("twist", "inf"),
+    ("seed", "-1"),
 ])
 def test_non_finite_times_are_rejected(tmp_path, capsys, key, value):
     # dt = inf would spin in the step-halving loop, t_final = inf would run
     # zero steps and exit 0, dt = nan would fail later as a non-finite state;
     # cfl_safety = nan switches the CFL check off, solver_tol = nan the
     # Poisson residual check; amplitude = nan and twist = inf would fail
-    # later as a non-finite state
+    # later as a non-finite state; seed = -1 would escape init_state as an
+    # uncaught numpy error
     if key in ("dt", "t_final"):
         line = {"dt": "dt = 1e-3", "t_final": "t_final = 0.1"}[key]
         text = MINIMAL.replace(line, f"{key} = {value}")
@@ -122,6 +124,8 @@ def test_non_finite_times_are_rejected(tmp_path, capsys, key, value):
         text = MINIMAL.replace(line, f"{line}\n{key} = {value}")
     elif key in ("amplitude", "twist"):
         text = MINIMAL + f"\n[ic]\nname = shear+twist\n{key} = {value}\n"
+    elif key == "seed":
+        text = MINIMAL + f"\n[ic]\nname = random-solenoidal\n{key} = {value}\n"
     else:
         text = MINIMAL + f"\n[diag]\n{key} = {value}\n"
     with pytest.raises(ConfigError, match=f"{key} must be"):
@@ -176,8 +180,9 @@ def test_known_initial_conditions_accepted():
 
 
 def test_diagnostic_knob_ranges():
-    with pytest.raises(ConfigError, match="conormal_m must be in 1..4"):
-        _parse(MINIMAL + "\n[diag]\nconormal_m = 5\n")
+    for m in (0, 5):
+        with pytest.raises(ConfigError, match="conormal_m must be in 1..4"):
+            _parse(MINIMAL + f"\n[diag]\nconormal_m = {m}\n")
     with pytest.raises(ConfigError, match="time_derivs must be 0 or 1"):
         _parse(MINIMAL + "\n[diag]\ntime_derivs = 2\n")
     with pytest.raises(ConfigError, match="diag_every must be >= 1"):

@@ -9,13 +9,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as hst
 
 from lcflow import SimConfig, diagnostics, operators, pressure, run
-from lcflow.diagnostics import (_conormal_sums, _linf, conormal_energy,
-                                conormal_norm, conormal_norm_sq,
+from lcflow.diagnostics import (_conormal_sums, _linf, conormal_norm_sq,
                                 director_dissipation, elastic_energy,
-                                grad_u_linf, kinetic_energy, linf_conormal,
-                                make_record, quartic_production,
-                                slip_mismatch_field, slip_mismatch_trace,
-                                viscous_dissipation, wall_cutoff)
+                                kinetic_energy, make_record,
+                                quartic_production, viscous_dissipation)
 from lcflow.errors import ConfigError
 from lcflow.fields import (InitialConditionSpec, State, face_to_center,
                            init_state, zero_face_field)
@@ -31,6 +28,16 @@ def _grid(nx=8, ny=8, nz=16, **kw):
 
 def _zfield(grid, profile):
     return np.broadcast_to(profile[None, None, :], grid.shape).copy()
+
+
+def _record(st, grid, B, m=2, time_derivs=0):
+    """The record of st on grid, eps = 0.1: the one place the functional,
+    the sup norm of grad u and the slip trace are computed."""
+    cfg = SimConfig(nx=grid.nx, ny=grid.ny, nz=grid.nz, lx=grid.lx,
+                    ly=grid.ly, lz=grid.lz, eps=0.1, b11=B.b11, b12=B.b12,
+                    b22=B.b22, dt=1e-3, t_final=1e-3, conormal_m=m,
+                    time_derivs=time_derivs)
+    return make_record(st, cfg, grid, B)
 
 
 # -- weighted norm family --------------------------------------------------
@@ -68,8 +75,8 @@ def test_conormal_norm_of_constant_is_volume_scaled():
     for m in (0, 1, 3):
         assert conormal_norm_sq(f, m, grid) == pytest.approx(0.49 * vol,
                                                              rel=1e-12)
-    assert conormal_norm(f, 0, grid) == pytest.approx(0.7 * math.sqrt(vol),
-                                                      rel=1e-12)
+    assert math.sqrt(conormal_norm_sq(f, 0, grid)) == pytest.approx(
+        0.7 * math.sqrt(vol), rel=1e-12)
 
 
 def test_conormal_order_zero_is_plain_l2():
@@ -96,23 +103,17 @@ def test_norm_families_reject_bad_orders():
         conormal_norm_sq(f, 5, grid)
     with pytest.raises(ConfigError, match="conormal order must be in 0..4"):
         conormal_norm_sq(f, -1, grid)
-    with pytest.raises(ConfigError, match="sup-norm conormal order"):
-        linf_conormal(f, 3, grid)
-    st = State(zero_face_field(grid), np.zeros(grid.shape),
-               np.zeros((3,) + grid.shape), 0.0)
-    with pytest.raises(ConfigError, match="order m must be in 1..4"):
-        conormal_energy(st, 0.1, SlipMatrixB(0, 0, 0), grid, 0)
 
 
 def test_sup_norm_family_values():
     grid = _grid()
     c = np.full(grid.shape, -2.5)
-    assert linf_conormal(c, 0, grid) == 2.5
+    assert _linf(_conormal_sums(c, 0, grid, sup=0)[1], 0) == 2.5
 
     vec = np.zeros((3,) + grid.shape)
     vec[0] = 3.0
     vec[1] = 4.0                                   # Euclidean before the sup
-    assert linf_conormal(vec, 0, grid) == 5.0
+    assert _linf(_conormal_sums(vec, 0, grid, sup=0)[1], 0) == 5.0
 
 
 def test_sup_norm_of_sine_converges_to_closed_form():
@@ -123,7 +124,7 @@ def test_sup_norm_of_sine_converges_to_closed_form():
         grid = _grid(nx=nx)
         f = np.broadcast_to(np.sin(2 * np.pi * grid.x_centers())[:, None, None],
                             grid.shape).copy()
-        v = linf_conormal(f, 1, grid)
+        v = _linf(_conormal_sums(f, 1, grid, sup=1)[1], 1)
         assert v < target                          # discrete sups undershoot
         deficit[nx] = target - v
     assert deficit[32] <= 0.015 * target
@@ -166,10 +167,12 @@ def test_walk_sums_are_the_public_norms(grid, lead, m, seed):
     sup = min(m, 2)
     l2, linf = _conormal_sums(f, m, grid, sup=sup)
     assert len(l2) == m + 1 and len(linf) == sup + 1
+    # a walk to m holds the sums of every shorter walk, bit for bit: the
+    # record reads orders below m off one walk
     for k in range(m + 1):
         assert l2[k] == conormal_norm_sq(f, k, grid)
     for k in range(sup + 1):
-        assert _linf(linf, k) == linf_conormal(f, k, grid)
+        assert linf[k] == _conormal_sums(f, k, grid, sup=k)[1][k]
     # cumulative in k, and equal to the plain enumeration of multi-indices
     assert all(a <= b for a, b in zip(l2, l2[1:]))
     want_l2, want_sup = _multi_index_oracle(f, m, grid)
@@ -222,22 +225,11 @@ def test_energy_residual_is_first_order_in_dt():
 
 # -- boundary-layer indicators ----------------------------------------------
 
-def test_wall_cutoff_profile():
-    grid = _grid(nz=8)                             # centers hit 3 lz/16
-    chi = wall_cutoff(grid)
-    assert chi[0] == 1.0                           # zeta = 1/16 < lz/8
-    assert chi[1] == 0.5                           # zeta = 3/16, midpoint
-    assert chi[3] == 0.0                           # zeta = 7/16 > lz/4
-    assert np.array_equal(chi, chi[::-1])
-    assert np.all((chi >= 0.0) & (chi <= 1.0))
-
-
 def test_slip_mismatch_vanishes_at_rest():
     grid = _grid()
     B = SlipMatrixB(1.0, 0.3, 1.5)
-    u = zero_face_field(grid)
-    assert np.max(np.abs(slip_mismatch_field(u, B, grid))) == 0.0
-    assert slip_mismatch_trace(u, B, grid) == 0.0
+    st = init_state(grid, InitialConditionSpec("rest"))
+    assert _record(st, grid, B).eta_trace == 0.0
 
 
 def test_slip_mismatch_trace_second_order_for_consistent_profile():
@@ -250,7 +242,7 @@ def test_slip_mismatch_trace_second_order_for_consistent_profile():
         grid = _grid(nz=nz)
         st = init_state(grid, InitialConditionSpec(
             name, amplitude=0.3, twist=0.4, slip_b11=1.0))
-        return slip_mismatch_trace(st.u, B, grid)
+        return _record(st, grid, B).eta_trace
 
     assert trace(32, "slipflow") / trace(64, "slipflow") >= 3.0
     assert trace(32, "shear+twist") / trace(64, "shear+twist") <= 1.5
@@ -258,15 +250,16 @@ def test_slip_mismatch_trace_second_order_for_consistent_profile():
 
 def test_grad_u_linf_values():
     grid = _grid(nz=64)
-    assert grad_u_linf(zero_face_field(grid), grid) == 0.0
+    B = SlipMatrixB(1.0, 0.0, 1.0)
+    st = init_state(grid, InitialConditionSpec("rest"))
+    assert _record(st, grid, B).linf_grad_u == 0.0
 
     # U(z) = sin(pi z): sup|U'| = pi, sup|phi U''| = pi^2 phi(1/2) = pi^2/3,
     # so the order-1 sup norm is sqrt(pi^2 + pi^4/9); discrete sups
     # undershoot by O(h) (the weight has a kink at mid-channel)
-    u = zero_face_field(grid)
-    u.x[:] = np.sin(np.pi * grid.z_centers())[None, None, :]
+    st.u.x[:] = np.sin(np.pi * grid.z_centers())[None, None, :]
     target = math.pi * math.sqrt(1.0 + math.pi ** 2 / 9.0)
-    v = grad_u_linf(u, grid)
+    v = _record(st, grid, B).linf_grad_u
     assert v < target
     assert target - v <= 0.008 * target
 
@@ -279,9 +272,9 @@ def test_conormal_energy_of_rest_is_box_volume():
         grid = _grid(lz=lz)
         st = init_state(grid, InitialConditionSpec("rest"))
         for m in (1, 2):
-            assert conormal_energy(st, 0.1, B, grid, m) \
+            assert _record(st, grid, B, m).nm_value \
                 == pytest.approx(vol, rel=1e-12)
-        assert conormal_energy(st, 0.1, B, grid, 2, time_derivs=1) \
+        assert _record(st, grid, B, 2, time_derivs=1).nm_value \
             == pytest.approx(vol, rel=1e-12)
 
 
@@ -295,9 +288,7 @@ def test_conormal_energy_velocity_terms_are_quadratic():
     st2 = State(FaceField(2 * st.u.x, 2 * st.u.y, 2 * st.u.z),
                 st.p.copy(), st.d.copy(), 0.0)
     for m in (1, 2):
-        e0 = conormal_energy(st0, 0.1, B, grid, m)
-        e1 = conormal_energy(st, 0.1, B, grid, m)
-        e2 = conormal_energy(st2, 0.1, B, grid, m)
+        e0, e1, e2 = (_record(s, grid, B, m).nm_value for s in (st0, st, st2))
         assert (e2 - e0) == pytest.approx(4.0 * (e1 - e0), rel=1e-12)
 
 
@@ -307,8 +298,8 @@ def test_conormal_energy_time_derivatives_add_mass():
     st = init_state(grid, InitialConditionSpec("slipflow", amplitude=0.3,
                                                twist=0.4, slip_b11=1.0))
     for m in (1, 2):
-        assert conormal_energy(st, 0.1, B, grid, m, time_derivs=1) \
-            > conormal_energy(st, 0.1, B, grid, m)
+        assert _record(st, grid, B, m, time_derivs=1).nm_value \
+            > _record(st, grid, B, m).nm_value
 
 
 # -- records -----------------------------------------------------------------
@@ -388,16 +379,12 @@ def test_record_fields_are_their_public_functions(m, time_derivs):
     st = init_state(grid, cfg.ic)
     B = SlipMatrixB(cfg.b11, cfg.b12, cfg.b22)
     rec = make_record(st, cfg, grid, B)
-    assert rec.nm_value == conormal_energy(st, cfg.eps, B, grid, m,
-                                           time_derivs)
-    assert rec.linf_grad_u == grad_u_linf(st.u, grid)
     assert rec.visc_diss == viscous_dissipation(st.u, cfg.eps, B, grid)
     assert rec.dir_diss == director_dissipation(st.d, grid)
     assert rec.quartic == quartic_production(st.d, grid)
-    assert rec.eta_trace == slip_mismatch_trace(st.u, B, grid)
     fields = {"u": face_to_center(st.u), "d": st.d,
               "grad_d": director_gradient(st.d, grid)}
     assert list(rec.conormal) == [(n, k) for n in fields
                                   for k in range(1, m + 1)]
     for (name, k), value in rec.conormal.items():
-        assert value == conormal_norm(fields[name], k, grid)
+        assert value == math.sqrt(conormal_norm_sq(fields[name], k, grid))

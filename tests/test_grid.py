@@ -224,3 +224,14 @@ def test_package_makes_no_rolled_copies():
     # the scan itself sees both spellings
     assert _roll_uses(ast.parse("import numpy as np\nnp.roll(a, 1)")) == [2]
     assert _roll_uses(ast.parse("from numpy import roll")) == [1]
+
+
+def test_public_names_resolve_once():
+    # a name left in __all__ after its definition is gone breaks only
+    # `from lcflow import *`, which nothing else runs
+    names = lcflow.__all__
+    assert len(set(names)) == len(names)
+    assert [n for n in names if not hasattr(lcflow, n)] == []
+    star = {}
+    exec("from lcflow import *", star)
+    assert set(names) <= set(star)

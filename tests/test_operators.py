@@ -96,6 +96,41 @@ def test_robin_ghost_satisfies_discrete_condition():
     assert np.max(np.abs(ug - a11 * u0)) <= 1e-13
 
 
+# positive-semidefinite slip matrices: b12 = rho * sqrt(b11 * b22)
+_psd_slip = hst.builds(
+    lambda b11, b22, rho: SlipMatrixB(b11, rho * np.sqrt(b11 * b22), b22),
+    hst.floats(0.0, 20.0), hst.floats(0.0, 20.0), hst.floats(-1.0, 1.0))
+
+
+@settings(max_examples=40, deadline=None)
+@given(grid=grids, seed=seeds, B=_psd_slip)
+def test_robin_ghost_satisfies_slip_relation_on_both_walls(grid, seed, B):
+    # the discrete relation, at the bottom for u,
+    #     (u0 - ug)/hz = b11*(u0 + ug)/2 + b12 * v_wall,
+    # with v_wall the four-point mean of v around the u point extrapolated
+    # linearly from the two wall-adjacent layers; at the top the outward
+    # normal flips the sign of both sides, so the same relation holds with
+    # the top layer.  v mirrors it with b22 and u_wall.
+    u = face_field(np.random.default_rng(seed), grid)
+    xg, yg = fill_ghosts_navier_slip(u, B, grid)
+    # u.x[i, j] sits at x = i hx, y = (j + 1/2) hy; u.y[i, j] at
+    # x = (i + 1/2) hx, y = j hy; np.roll(f, s, axis)[i] = f[i - s]
+    v_on_u = 0.25 * (u.y + np.roll(u.y, 1, 0) + np.roll(u.y, -1, 1)
+                     + np.roll(u.y, (1, -1), (0, 1)))
+    u_on_v = 0.25 * (u.x + np.roll(u.x, -1, 0) + np.roll(u.x, 1, 1)
+                     + np.roll(u.x, (-1, 1), (0, 1)))
+    for inner, ghost, near in ((0, 0, 1), (-1, -1, -2)):
+        for f, g, other, b in ((u.x, xg, v_on_u, B.b11),
+                               (u.y, yg, u_on_v, B.b22)):
+            f0, fg = f[:, :, inner], g[:, :, ghost]
+            wall = 1.5 * other[:, :, inner] - 0.5 * other[:, :, near]
+            res = (f0 - fg) / grid.hz - (b * (f0 + fg) / 2.0 + B.b12 * wall)
+            scale = ((np.max(np.abs(f0)) + np.max(np.abs(fg))) / grid.hz
+                     + b * np.max(np.abs(f0 + fg))
+                     + abs(B.b12) * np.max(np.abs(wall)))
+            assert np.max(np.abs(res)) <= 1e-13 * scale
+
+
 def test_robin_ghost_tracks_smooth_extension():
     # For a profile that satisfies the slip condition at both walls the
     # ghost value tracks the analytic continuation at third order in hz.

@@ -21,6 +21,7 @@ from lcflow.operators import (fill_ghosts_navier_slip, laplacian_center,
 from lcflow.pressure import solve_helmholtz_neumann, solve_viscous_helmholtz
 
 from hypothesis import given, settings
+from hypothesis import strategies as hst
 
 from support import face_field, full_pressure, grad_and_lap, grids, seeds
 
@@ -45,9 +46,10 @@ def test_helmholtz_zero_coef_is_identity():
     assert np.max(np.abs(x - b)) <= 1e-13 * np.max(np.abs(b))
 
 
-def test_helmholtz_residual_small():
-    grid = _grid(nx=12, ny=10, nz=14, ly=1.3, lz=0.7)
-    rng = np.random.default_rng(4)
+@settings(max_examples=40, deadline=None)
+@given(grid=grids, seed=seeds)
+def test_helmholtz_residual_small(grid, seed):
+    rng = np.random.default_rng(seed)
     b = rng.standard_normal(grid.shape)
     coef = 3e-3
     x = solve_helmholtz_neumann(b, coef, grid)
@@ -88,6 +90,26 @@ def test_poisson_solution_is_mean_free_and_consistent():
     assert abs(p.mean()) <= 1e-13
     res = laplacian_center(p, grid) - rhs
     assert np.max(np.abs(res)) <= 1e-10 * np.max(np.abs(rhs))
+
+
+@settings(max_examples=40, deadline=None)
+@given(grid=grids, seed=seeds)
+def test_poisson_inverts_center_laplacian(grid, seed):
+    # compatible random data: the wall fluxes fold into the wall-adjacent
+    # cells, so lap p must equal rhs minus the outward flux over hz there
+    rng = np.random.default_rng(seed)
+    rhs = rng.standard_normal(grid.shape)
+    g_bot = rng.standard_normal((grid.nx, grid.ny))
+    g_top = rng.standard_normal((grid.nx, grid.ny))
+    rhs += ((np.sum(g_bot) + np.sum(g_top)) * grid.hx * grid.hy
+            / grid.cell_volume - np.sum(rhs)) / rhs.size
+    p = solve_poisson_neumann(rhs, g_bot, g_top, grid)
+    want = rhs.copy()
+    want[:, :, 0] -= g_bot / grid.hz
+    want[:, :, -1] -= g_top / grid.hz
+    res = laplacian_center(p, grid) - want
+    assert np.max(np.abs(res)) <= 1e-10 * np.max(np.abs(want))
+    assert abs(p.mean()) <= 1e-13 * max(1.0, np.max(np.abs(p)))
 
 
 def test_poisson_rejects_incompatible_data():
@@ -260,13 +282,15 @@ def test_wall_stress_flux_second_order():
 # ------------------------------------------------------- viscous Helmholtz
 
 
-def test_viscous_helmholtz_inverts_face_laplacian():
+@settings(max_examples=40, deadline=None)
+@given(grid=grids, seed=seeds, b11=hst.floats(0.0, 20.0),
+       b22=hst.floats(0.0, 20.0))
+def test_viscous_helmholtz_inverts_face_laplacian(grid, seed, b11, b22):
     # with a diagonal slip matrix the solve must invert (I - coef*L) for the
     # ghost-based face Laplacian exactly (the b12 coupling is lagged, so the
     # identity is only exact when b12 = 0)
-    grid = _grid(nx=10, ny=8, nz=12)
-    B = SlipMatrixB(1.2, 0.0, 0.7)
-    rng = np.random.default_rng(12)
+    B = SlipMatrixB(b11, 0.0, b22)
+    rng = np.random.default_rng(seed)
     b = zero_face_field(grid)
     b.x[:] = rng.standard_normal(b.x.shape)
     b.y[:] = rng.standard_normal(b.y.shape)
