@@ -339,9 +339,3 @@ def center_gradient(f: np.ndarray, grid: ChannelGrid) -> np.ndarray:
     _ddy(f, grid.hy, out[1])
     _dz_centered(f, grid.hz, out[2])
     return out
-
-
-def velocity_gradient_center(u: FaceField, grid: ChannelGrid) -> np.ndarray:
-    """grad u at cell centers, (3, 3, nx, ny, nz), out[i, j] = d_i u_j;
-    used by the sweep's error remainders."""
-    return center_gradient(face_to_center(u), grid)

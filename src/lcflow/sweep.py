@@ -2,10 +2,13 @@
 
 Runs an inviscid reference and a ladder of viscous members from identical
 initial data, with one fixed dt shared by every run so the time
-discretization error cancels in the differences.  Members are independent
-processes (fork) reading the reference trajectory snapshots from module
-globals; only error scalars cross process boundaries, which makes the
-emitted CSV independent of the job count.
+discretization error cancels in the differences.  Members are explicit
+jobs: each takes its config, its eps and a work directory as arguments and
+leaves one checkpoint per record there, so any process start method can
+run it.  The reference runs in the calling process beside the member
+workers and keeps its snapshots in memory; the caller then reads each
+member's checkpoints back bit for bit and computes every error norm
+itself, which makes the emitted CSV independent of the job count.
 
 Error norms follow the convention: velocity differences are measured in
 the face quadrature (L2) and as the sup of the centered magnitude (Linf);
@@ -16,6 +19,8 @@ the H1 and W1inf parts.
 from __future__ import annotations
 
 import math
+import os
+import tempfile
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
@@ -31,8 +36,9 @@ from .errors import ConfigError, SimulationError
 from .fields import FaceField, State, face_to_center
 from .grid import ChannelGrid, make_grid
 from .integrator import run
-from .operators import (director_gradient, grad_sq_director,
-                        laplacian_center, velocity_gradient_center)
+from .io import read_checkpoint, write_checkpoint
+from .operators import (center_gradient, director_gradient, grad_sq_director,
+                        laplacian_center)
 
 RECORD_TIME_TOL = 1e-9
 
@@ -79,7 +85,7 @@ def remainder_norms(state_eps: State, state_0: State, eps: float,
     v = uc_e - uc_0
     phi = state_eps.d - state_0.d
 
-    gu_e = velocity_gradient_center(state_eps.u, grid)   # [j, i] = d_j u_i
+    gu_e = center_gradient(uc_e, grid)                   # [j, i] = d_j u_i
     lap_u0 = laplacian_center(uc_0, grid)
     gd_e = director_gradient(state_eps.d, grid)          # [i, c] = d_i d_c
     lap_phi = laplacian_center(phi, grid)
@@ -149,7 +155,9 @@ class SweepResult:
     errors_by_time: dict         # eps -> list of (t, 4-tuple)
     nm_max: dict                 # eps -> max-over-time nm_value (0.0 = ref)
     linf_grad_u_max: dict        # eps -> max-over-time linf_grad_u
-    wall_times: dict             # eps -> measured seconds (0.0 = ref)
+    wall_times: dict             # eps -> measured seconds (0.0 = ref);
+                                 # members are timed while they share the
+                                 # cores with the reference
     fitted_slope_l2: float
     fitted_intercept_l2: float
     fitted_r2_l2: float
@@ -164,11 +172,6 @@ class SweepResult:
     failed: tuple = ()
 
 
-# reference trajectory snapshots, set in the parent before workers fork
-_REF_SNAPSHOTS = None
-_REF_CFG = None
-
-
 def _collecting_run(cfg):
     """Run cfg and return (snapshots, records) where snapshots is a list of
     (t, u, d) copies at the record times."""
@@ -181,50 +184,73 @@ def _collecting_run(cfg):
     return snaps, records
 
 
-def _member_job(eps):
-    """Run one viscous member against the forked-in reference snapshots.
+def _record_path(workdir, eps, i):
+    """Where member eps leaves its state at record i."""
+    return os.path.join(workdir, f"eps{eps!r}-record{i}.ckpt")
 
-    Returns (eps, per_time list of (t, 4-tuple), nm_max, linf_max, seconds).
+
+def _member_job(cfg, eps, workdir):
+    """Run cfg with viscosity eps and write the state at each record to
+    _record_path(workdir, eps, i) with io.write_checkpoint.
+
+    Everything comes in as arguments, so any process start method works.
+    Returns (eps, record times, nm_max, linf_max, seconds).
     """
-    cfg = replace(_REF_CFG, eps=eps)
+    cfg = replace(cfg, eps=eps)
     grid = make_grid(cfg)
-    ref = _REF_SNAPSHOTS
-    per_time = []
-    idx = [0]
+    times = []
 
-    def compare(state, rec):
-        i = idx[0]
-        if i >= len(ref):
-            raise SimulationError(
-                f"member eps={eps:g} produced more records than the reference")
-        t_ref, ru, rd = ref[i]
-        if abs(state.t - t_ref) > RECORD_TIME_TOL:
-            raise SimulationError(
-                f"record times diverged: member eps={eps:g} at t={state.t!r}, "
-                f"reference at t={t_ref!r}")
-        per_time.append((state.t, error_norms(state.u, state.d, ru, rd, grid)))
-        idx[0] += 1
+    def save(state, rec):
+        # the sweep steps with a fixed dt, so the step count follows from t
+        # (only the last step may be short)
+        steps = math.ceil(state.t / cfg.dt - 1e-6)
+        write_checkpoint(_record_path(workdir, eps, len(times)), state, cfg,
+                         grid, steps)
+        times.append(state.t)
 
     t0 = time.perf_counter()
-    _, records, _ = run(cfg, on_record=compare)
+    _, records, _ = run(cfg, on_record=save)
     seconds = time.perf_counter() - t0
-    if idx[0] != len(ref):
-        raise SimulationError(
-            f"member eps={eps:g} produced {idx[0]} records, "
-            f"reference has {len(ref)}")
     nm_max = max(r.nm_value for r in records)
     linf_max = max(r.linf_grad_u for r in records)
-    return eps, per_time, nm_max, linf_max, seconds
+    return eps, times, nm_max, linf_max, seconds
+
+
+def _compare_member(eps, times, ref, workdir, grid):
+    """Per-record (t, error_norms) of member eps against the reference
+    snapshots ref, from the checkpoints _member_job left in workdir; each
+    checkpoint is deleted once it is read.  A member whose records do not
+    match the reference's in number or time raises SimulationError."""
+    if len(times) != len(ref):
+        raise SimulationError(
+            f"member eps={eps:g} produced {len(times)} records, "
+            f"reference has {len(ref)}")
+    per_time = []
+    for i, (t, (t_ref, ru, rd)) in enumerate(zip(times, ref)):
+        if abs(t - t_ref) > RECORD_TIME_TOL:
+            raise SimulationError(
+                f"record times diverged: member eps={eps:g} at t={t!r}, "
+                f"reference at t={t_ref!r}")
+        path = _record_path(workdir, eps, i)
+        state, _, _ = read_checkpoint(path, grid)
+        os.remove(path)
+        per_time.append((t, error_norms(state.u, state.d, ru, rd, grid)))
+    return per_time
 
 
 def run_sweep(cfg: SimConfig, jobs: int = 1, force: bool = False) -> SweepResult:
     """Run the ladder experiment.  See SweepResult for what comes back.
 
-    The reference (eps = 0) runs first in this process; members run either
-    inline (jobs = 1) or in forked workers.  Adaptive stepping is disabled
-    so every run takes the identical step sequence; a member whose fixed dt
-    violates its stability bound fails loudly and the sweep aborts with the
-    completed members flagged.
+    With jobs > 1 the members start first, in up to `jobs` forked workers,
+    and the reference (eps = 0) runs in this process beside them; with
+    jobs = 1 the members run inline after the reference.  Each member
+    leaves one checkpoint per record in a directory under the system temp
+    dir, 8*nx*ny*(6*nz + 1) bytes plus the header each, and this process
+    reads it back, computes the error norms against the reference and
+    deletes it.  Adaptive stepping is disabled so every run takes the
+    identical step sequence; a member whose fixed dt violates its
+    stability bound fails loudly and the sweep aborts with the completed
+    members flagged.  A failing reference raises its SimulationError.
     """
     ladder = tuple(cfg.validate().eps_ladder)
     if jobs < 1:
@@ -251,41 +277,42 @@ def run_sweep(cfg: SimConfig, jobs: int = 1, force: bool = False) -> SweepResult
     base = replace(cfg, eps=0.0, adaptive_dt=False,
                    forcing_u=None, forcing_d=None)
 
-    global _REF_SNAPSHOTS, _REF_CFG
-    t0 = time.perf_counter()
-    _REF_SNAPSHOTS, ref_records = _collecting_run(base)
-    ref_seconds = time.perf_counter() - t0
-    _REF_CFG = base
-
-    wall_times = {0.0: ref_seconds}
-    nm_max = {0.0: max(r.nm_value for r in ref_records)}
-    linf_max = {0.0: max(r.linf_grad_u for r in ref_records)}
+    wall_times = {}
+    nm_max = {}
+    linf_max = {}
     results = {}
     failed = []
     pool = None
-    try:
-        if jobs > 1 and len(included) > 1:
-            pool = ProcessPoolExecutor(max_workers=min(jobs, len(included)),
-                                       mp_context=mp.get_context("fork"))
-            calls = [(e, pool.submit(_member_job, e).result) for e in included]
-        else:
-            calls = [(e, partial(_member_job, e)) for e in included]
-        # the first failure ends the sweep: no later member starts
-        for e, call in calls:
-            try:
-                _, per_time, nm, lg, secs = call()
-            except SimulationError as exc:
-                failed.append((e, str(exc)))
-                break
-            results[e] = per_time
-            nm_max[e] = nm
-            linf_max[e] = lg
-            wall_times[e] = secs
-    finally:
-        if pool is not None:
-            pool.shutdown(cancel_futures=True)
-        _REF_SNAPSHOTS = None
-        _REF_CFG = None
+    with tempfile.TemporaryDirectory(prefix="lcflow-sweep-") as workdir:
+        try:
+            if jobs > 1 and included:
+                pool = ProcessPoolExecutor(
+                    max_workers=min(jobs, len(included)),
+                    mp_context=mp.get_context("fork"))
+                calls = [pool.submit(_member_job, base, e, workdir).result
+                         for e in included]
+            else:
+                calls = [partial(_member_job, base, e, workdir)
+                         for e in included]
+            t0 = time.perf_counter()
+            ref, ref_records = _collecting_run(base)
+            wall_times[0.0] = time.perf_counter() - t0
+            nm_max[0.0] = max(r.nm_value for r in ref_records)
+            linf_max[0.0] = max(r.linf_grad_u for r in ref_records)
+            # the first failure ends the sweep: no later member starts
+            for e, call in zip(included, calls):
+                try:
+                    _, times, nm, lg, secs = call()
+                    results[e] = _compare_member(e, times, ref, workdir, grid)
+                except SimulationError as exc:
+                    failed.append((e, str(exc)))
+                    break
+                nm_max[e] = nm
+                linf_max[e] = lg
+                wall_times[e] = secs
+        finally:
+            if pool is not None:
+                pool.shutdown(cancel_futures=True)
 
     if failed:
         for e, msg in failed:

@@ -13,11 +13,12 @@ from hypothesis import strategies as hst
 
 from lcflow import ChannelGrid, InitialConditionSpec, SimConfig, SlipMatrixB, init_state
 from lcflow.diagnostics import kinetic_energy, viscous_dissipation
-from lcflow.fields import FaceField, State, zero_face_field
+from lcflow.fields import FaceField, State, face_to_center, zero_face_field
 from lcflow.integrator import step
 from lcflow.operators import (
     advect_center,
     advect_face,
+    center_gradient,
     curl_center,
     director_gradient,
     elastic_stress,
@@ -26,7 +27,6 @@ from lcflow.operators import (
     laplacian_center,
     laplacian_face,
     pad_neumann,
-    velocity_gradient_center,
 )
 
 from support import face_field, grids, seeds
@@ -499,7 +499,7 @@ def test_velocity_gradient_linear_shear():
     grid = _grid(nz=12)
     u = zero_face_field(grid)
     u.x[:] = grid.z_centers()
-    gu = velocity_gradient_center(u, grid)
+    gu = center_gradient(face_to_center(u), grid)
     assert gu.shape == (3, 3) + grid.shape
     assert np.max(np.abs(gu[2, 0] - 1.0)) <= 1e-12
     mask = np.ones((3, 3), dtype=bool)

@@ -1,5 +1,9 @@
 """Rate fitting, error norms, remainders, and the sweep driver itself."""
 
+import multiprocessing as mp
+import tempfile
+from concurrent.futures import ProcessPoolExecutor
+
 import numpy as np
 import pytest
 
@@ -8,6 +12,7 @@ from lcflow import (
     ConfigError,
     InitialConditionSpec,
     SimConfig,
+    SimulationError,
     error_norms,
     fit_rate,
     init_state,
@@ -15,8 +20,10 @@ from lcflow import (
     run_sweep,
 )
 from lcflow.fields import State, zero_face_field
+from lcflow.grid import make_grid
 from lcflow.operators import laplacian_center
 from lcflow.fields import face_to_center
+from lcflow.sweep import _collecting_run, _compare_member, _member_job
 
 from support import loop_remainder_norms
 
@@ -232,6 +239,64 @@ def test_sweep_member_failure_aborts_with_partials():
     assert pooled.failed == res.failed
     assert pooled.errors_by_time == res.errors_by_time == {}
     assert pooled.flags == res.flags
+
+
+def test_member_job_is_spawn_safe(tmp_path):
+    # a member takes everything as arguments: a spawned worker, which
+    # inherits no module state from this process, returns the same values
+    # and leaves the same checkpoint bytes as an inline call
+    cfg = _sweep_cfg()
+    inline, spawned = tmp_path / "inline", tmp_path / "spawned"
+    inline.mkdir()
+    spawned.mkdir()
+    a = _member_job(cfg, 0.25, str(inline))
+    with ProcessPoolExecutor(max_workers=1,
+                             mp_context=mp.get_context("spawn")) as pool:
+        b = pool.submit(_member_job, cfg, 0.25, str(spawned)).result()
+    assert a[:4] == b[:4]
+    names = sorted(p.name for p in inline.iterdir())
+    assert len(names) == len(a[1]) >= 2
+    assert sorted(p.name for p in spawned.iterdir()) == names
+    for n in names:
+        assert (inline / n).read_bytes() == (spawned / n).read_bytes()
+
+
+def test_compare_member_checks_record_count_and_times(tmp_path):
+    cfg = _sweep_cfg()
+    grid = make_grid(cfg)
+    ref, _ = _collecting_run(cfg)
+    _, times, _, _, _ = _member_job(cfg, 0.25, str(tmp_path))
+    assert len(times) == len(ref) >= 3
+    with pytest.raises(SimulationError,
+                       match=f"member eps=0.25 produced {len(ref) - 1} "
+                             f"records, reference has {len(ref)}"):
+        _compare_member(0.25, times[:-1], ref, str(tmp_path), grid)
+    off = times[:-1] + [times[-1] + 1e-6]
+    with pytest.raises(SimulationError, match="record times diverged: "
+                                              "member eps=0.25"):
+        _compare_member(0.25, off, ref, str(tmp_path), grid)
+
+
+def test_compare_member_deletes_what_it_reads(tmp_path):
+    cfg = _sweep_cfg()
+    ref, _ = _collecting_run(cfg)
+    _, times, _, _, _ = _member_job(cfg, 0.25, str(tmp_path))
+    per_time = _compare_member(0.25, times, ref, str(tmp_path), make_grid(cfg))
+    assert [t for t, _ in per_time] == times
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_sweep_reference_failure_raises_and_cleans_up(tmp_path, monkeypatch,
+                                                      jobs):
+    # dt is above the advective CFL bound, and a sweep never adapts it, so
+    # the inviscid reference itself fails on its first step
+    monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+    cfg = _sweep_cfg(dt=0.05, t_final=0.1, adaptive_dt=True,
+                     eps_ladder=(0.25, 0.125))
+    with pytest.raises(SimulationError, match="exceeds the stability limit"):
+        run_sweep(cfg, jobs=jobs)
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_error_injection_recovers_rate():
