@@ -8,15 +8,22 @@ taken; all L2 quadrature is the midpoint rule, cell volume per center.
 
 All of them come from one walk (_walk) that builds the derivative tree
 level by level, each multi-index once from its parent, keeping only the
-previous level.  _conormal_sums reduces one walk to the cumulative sums of
-every order 0..m (and the sup-type sums up to a requested order), summed in
-the walk's order, so a walk to order m gives conormal_norm_sq(f, k) for
-every k <= m bit for bit.  A record is the one assembly of the
-per-state diagnostics: make_record derives each field of the state once
-(centered u, grad d, |grad d|^2, grad u, lap d, vorticity, momentum
-forcing F), walks each once, and computes the functional (_functional),
-the sup norm of grad u and the slip trace from them.  F serves both the
-pressure split and the time derivatives of the functional.
+previous level.  _conormal_sums reduces walks to the cumulative sums of
+every order 0..m (and the sup-type sums up to a requested order).  A
+stacked field is walked one component at a time, in C order of its leading
+axes, so every walked member is one single-component array and the working
+set of a walk is a few of them.  The L2 sums add member by member, in walk
+order and then component order, so a walk to order m gives
+conormal_norm_sq(f, k) for every k <= m bit for bit; for a stack they may
+differ at round-off from summing the squares of whole-stack members.  The
+sup sums add each member's squares across components in component order,
+the arithmetic of np.sum over the leading axes, so they are bit-identical
+to the whole-stack form.  A record is the one assembly of the per-state
+diagnostics: make_record derives each field of the state once (centered u,
+grad d, |grad d|^2, grad u, lap d, vorticity, momentum forcing F), walks
+each once, and computes the functional (_functional), the sup norm of grad
+u and the slip trace from them.  F serves both the pressure split and the
+time derivatives of the functional.
 
 The energy budget pairs the quantities the scheme actually conserves:
 kinetic energy on faces (the quadrature in which advection is exactly
@@ -79,21 +86,41 @@ def _conormal_sums(f: np.ndarray, m: int, grid: ChannelGrid, sup: int = -1):
     conormal_norm_sq(f, k, grid).  linf[k], for k <= sup <= m, is the sum of
     squared sup norms whose square root (_linf) is the order-k sup norm;
     vector input (leading axes) takes the pointwise Euclidean magnitude first.
+
+    Stacked leading axes are walked one component at a time, in C order, so
+    the walk's working set is a few single-component arrays.  Each member's
+    sum of squares times the cell volume is added to l2[k] for every k at
+    or above its order, in walk order and then component order; a walk to
+    m thus holds every shorter walk's l2 bit for bit.  For the sup orders
+    each member's squares are added across components in component order,
+    the arithmetic of np.sum over the leading axes, so linf is bit-identical
+    to the whole-stack form; stacked l2 may differ from a whole-stack sum of
+    squares at round-off, scalar l2 does not.
     """
+    f = np.asarray(f, dtype=float)
+    if f.shape[-3:] != grid.shape:
+        raise ConfigError(f"field shape {f.shape} does not end in {grid.shape}")
     vol = grid.cell_volume
     l2, linf = [0.0] * (m + 1), [0.0] * (sup + 1)
-    total = sup_total = 0.0
-    for k, g in _walk(f, m, grid):
-        sq = g * g
-        total += float(np.sum(sq)) * vol
-        l2[k] = total
-        if k <= sup:
-            if g.ndim > 3:
-                mag = np.sqrt(np.sum(sq, axis=tuple(range(g.ndim - 3))))
+    buf = np.empty(grid.shape)
+    sups = []          # per member of order <= sup: [order, |g| or sum of g^2]
+    for c, comp in enumerate(f.reshape((-1,) + grid.shape)):
+        for i, (k, g) in enumerate(_walk(comp, m, grid)):
+            s = float(np.sum(np.multiply(g, g, out=buf))) * vol
+            for j in range(k, m + 1):
+                l2[j] += s
+            if k > sup:
+                continue
+            if c == 0:
+                sups.append([k, np.abs(g) if f.ndim == 3 else buf.copy()])
             else:
-                mag = np.abs(g)
-            sup_total += float(np.max(mag)) ** 2
-            linf[k] = sup_total
+                sups[i][1] += buf
+    sup_total = 0.0
+    for k, mag in sups:
+        if f.ndim > 3:
+            np.sqrt(mag, out=mag)
+        sup_total += float(np.max(mag)) ** 2
+        linf[k] = sup_total
     return l2, linf
 
 

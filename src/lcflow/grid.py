@@ -25,6 +25,7 @@ no stencil makes a rolled copy of its operand.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -171,14 +172,36 @@ def _dz_centered(f, hz, out=None):
     Central differences inside, one-sided three-point stencils on the first
     and last interior layers (no ghost values are assumed).  out must not
     be f.
+
+    When f and out are both C-contiguous the central difference is one
+    subtract and one divide over the flattened arrays: the entries whose
+    two operands straddle two rows are exactly the first and last layer,
+    and the one-sided rows overwrite them.  Other layouts take the same
+    difference on last-axis slices.  Each entry is the same arithmetic on
+    the same floats either way, so both paths are bit-identical.
     """
     if out is None:
         out = np.empty_like(f)
-    np.subtract(f[..., 2:], f[..., :-2], out=out[..., 1:-1])
-    out[..., 1:-1] /= 2.0 * hz
-    out[..., 0] = (-3.0 * f[..., 0] + 4.0 * f[..., 1] - f[..., 2]) / (2.0 * hz)
-    out[..., -1] = (3.0 * f[..., -1] - 4.0 * f[..., -2] + f[..., -3]) / (2.0 * hz)
+    h2 = 2.0 * hz
+    if f.flags.c_contiguous and out.flags.c_contiguous:
+        ff, of = f.reshape(-1), out.reshape(-1)
+        np.subtract(ff[2:], ff[:-2], out=of[1:-1])
+        of[1:-1] /= h2
+    else:
+        np.subtract(f[..., 2:], f[..., :-2], out=out[..., 1:-1])
+        out[..., 1:-1] /= h2
+    out[..., 0] = (-3.0 * f[..., 0] + 4.0 * f[..., 1] - f[..., 2]) / h2
+    out[..., -1] = (3.0 * f[..., -1] - 4.0 * f[..., -2] + f[..., -3]) / h2
     return out
+
+
+@lru_cache(maxsize=8)
+def _z_weight(grid: ChannelGrid) -> np.ndarray:
+    """conormal_weight at the cell centers of grid, built on first use and
+    shared read-only by every later call with an equal grid."""
+    w = conormal_weight(grid.z_centers(), grid)
+    w.flags.writeable = False
+    return w
 
 
 def conormal_derivative(f: np.ndarray, axis: int, grid: ChannelGrid) -> np.ndarray:
@@ -189,9 +212,10 @@ def conormal_derivative(f: np.ndarray, axis: int, grid: ChannelGrid) -> np.ndarr
 
     The three operators commute pairwise to round-off: the x/y shifts
     commute with each other, and the z stencil plus its z-only weight is
-    translation invariant in x and y.
+    translation invariant in x and y.  Input of any numeric dtype is taken
+    as float.
     """
-    f = np.asarray(f)
+    f = np.asarray(f, dtype=float)
     if f.shape[-3:] != grid.shape:
         raise ConfigError(f"field shape {f.shape} does not end in {grid.shape}")
     if axis == 0:
@@ -200,6 +224,6 @@ def conormal_derivative(f: np.ndarray, axis: int, grid: ChannelGrid) -> np.ndarr
         return _ddy(f, grid.hy)
     if axis == 2:
         out = _dz_centered(f, grid.hz)
-        out *= conormal_weight(grid.z_centers(), grid)
+        out *= _z_weight(grid)
         return out
     raise ConfigError(f"axis must be 0, 1 or 2, got {axis}")

@@ -1,6 +1,7 @@
 """Conormal norms, energy budget, boundary-layer indicators, records."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as hst
 
 from lcflow import SimConfig, diagnostics, operators, pressure, run
-from lcflow.diagnostics import (_conormal_sums, _linf, conormal_norm_sq,
+from lcflow.diagnostics import (_conormal_sums, _linf, _walk, conormal_norm_sq,
                                 director_dissipation, elastic_energy,
                                 kinetic_energy, make_record,
                                 quartic_production, viscous_dissipation)
@@ -18,6 +19,8 @@ from lcflow.fields import (InitialConditionSpec, State, face_to_center,
                            init_state, zero_face_field)
 from lcflow.grid import ChannelGrid, conormal_derivative, make_grid
 from lcflow.operators import SlipMatrixB, director_gradient
+
+from support import grids
 
 
 def _grid(nx=8, ny=8, nz=16, **kw):
@@ -103,6 +106,12 @@ def test_norm_families_reject_bad_orders():
         conormal_norm_sq(f, 5, grid)
     with pytest.raises(ConfigError, match="conormal order must be in 0..4"):
         conormal_norm_sq(f, -1, grid)
+    # a field that does not end in the grid shape is refused before the
+    # walk splits it into components, at every order
+    bad = np.zeros((2,) + grid.shape[:-1] + (2 * grid.nz,))
+    for m in (0, 2):
+        with pytest.raises(ConfigError, match="does not end in"):
+            conormal_norm_sq(bad, m, grid)
 
 
 def test_sup_norm_family_values():
@@ -133,13 +142,6 @@ def test_sup_norm_of_sine_converges_to_closed_form():
 
 # -- the single walk ---------------------------------------------------------
 
-_grids = hst.builds(
-    ChannelGrid,
-    hst.integers(4, 9), hst.integers(4, 9), hst.integers(4, 9),
-    hst.sampled_from([1.0, 0.7, 2.5]), hst.sampled_from([1.0, 1.3]),
-    hst.sampled_from([1.0, 0.4, 3.0]))
-
-
 def _multi_index_oracle(f, m, grid):
     """Per-multi-index enumeration of the order-m sums: every alpha with
     |alpha| <= m once, each Z^alpha f built by applying its x, y and z
@@ -160,7 +162,7 @@ def _multi_index_oracle(f, m, grid):
 
 
 @settings(max_examples=40, deadline=None)
-@given(grid=_grids, lead=hst.sampled_from([(), (2,), (3,), (3, 3)]),
+@given(grid=grids, lead=hst.sampled_from([(), (2,), (3,), (3, 3)]),
        m=hst.integers(0, 4), seed=hst.integers(0, 2**32 - 1))
 def test_walk_sums_are_the_public_norms(grid, lead, m, seed):
     f = np.random.default_rng(seed).standard_normal(lead + grid.shape)
@@ -179,6 +181,49 @@ def test_walk_sums_are_the_public_norms(grid, lead, m, seed):
     assert l2[m] == pytest.approx(want_l2, rel=1e-12)
     if m <= 2:
         assert linf[m] == pytest.approx(want_sup, rel=1e-12)
+
+
+@settings(max_examples=40, deadline=None)
+@given(grid=grids, m=hst.integers(0, 3), sup=hst.integers(0, 2),
+       seed=hst.integers(0, 2**32 - 1))
+def test_component_walk_is_layout_free(grid, m, sup, seed):
+    # the walk goes one component at a time; how the stack is laid out in
+    # memory must not change a bit of its sums
+    sup = min(sup, m)
+    rng = np.random.default_rng(seed)
+    wide = rng.standard_normal((3, 3, 2 * grid.nx) + grid.shape[1:])
+    strided = wide[:, :, ::2]
+    fortran = np.asfortranarray(strided)
+    c_copy = np.ascontiguousarray(strided)
+    assert not strided.flags.c_contiguous and fortran.flags.f_contiguous
+    want = _conormal_sums(c_copy, m, grid, sup=sup)
+    assert _conormal_sums(strided, m, grid, sup=sup) == want
+    assert _conormal_sums(fortran, m, grid, sup=sup) == want
+    # the sup orders are those of the whole-stack members, bit for bit
+    total, linf = 0.0, [0.0] * (sup + 1)
+    for k, g in _walk(c_copy, sup, grid):
+        total += float(np.max(np.sqrt(np.sum(g * g, axis=(0, 1))))) ** 2
+        linf[k] = total
+    assert want[1] == linf
+
+
+def test_component_walk_working_set():
+    # A (3, 3) stack is walked one 16x16x32 component (64 KiB) at a time.
+    # Measured peak: 12.7 components (the kept level-1 members, the sup
+    # sums of the four order <= 1 members, one square buffer and the member
+    # being built).  The bound of 16 leaves a margin for numpy temporaries;
+    # walking the whole stack at once peaked at 58 components.
+    grid = ChannelGrid(16, 16, 32, 1.0, 1.0, 1.0)
+    f = np.random.default_rng(0).standard_normal((3, 3) + grid.shape)
+    unit = f[0, 0].nbytes
+    _conormal_sums(f, 2, grid, sup=1)
+    tracemalloc.start()
+    try:
+        _conormal_sums(f, 2, grid, sup=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * unit
 
 
 # -- energy pieces ---------------------------------------------------------

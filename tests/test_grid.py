@@ -10,7 +10,9 @@ from hypothesis import strategies as hst
 
 import lcflow
 from lcflow import ChannelGrid, ConfigError, conormal_derivative, conormal_weight, make_grid
-from lcflow.grid import M_MAX, _shift_op
+from lcflow.grid import M_MAX, _dz_centered, _shift_op
+
+from support import grids
 
 
 class _Geom:
@@ -162,6 +164,17 @@ def test_conormal_derivative_rejects_bad_input():
         conormal_derivative(np.zeros((8, 8, 9)), 0, grid)
 
 
+def test_conormal_derivative_takes_integer_input_as_float():
+    # integer input used to stop in the in-place divide with a numpy
+    # casting error
+    grid = ChannelGrid(8, 8, 8, 1.0, 1.0, 1.0)
+    f = np.arange(512).reshape(grid.shape)
+    for axis in (0, 1, 2):
+        got = conormal_derivative(f, axis, grid)
+        assert got.dtype == np.float64
+        assert np.array_equal(got, conormal_derivative(f.astype(float), axis, grid))
+
+
 def test_m_max_is_four():
     assert M_MAX == 4
 
@@ -196,6 +209,55 @@ def test_shift_op_is_op_of_rolled_operands(cells, stack, axis, sa, sb, op,
         assert got is target
     assert got.shape == want.shape
     assert got.tobytes() == want.tobytes()
+
+
+# ------------------------------------------------------- centered z kernel
+
+def _dz_slices(f, hz):
+    """The slice form of _dz_centered: the central difference on last-axis
+    slices, then the one-sided wall rows."""
+    out = np.empty(f.shape)
+    np.subtract(f[..., 2:], f[..., :-2], out=out[..., 1:-1])
+    out[..., 1:-1] /= 2.0 * hz
+    out[..., 0] = (-3.0 * f[..., 0] + 4.0 * f[..., 1] - f[..., 2]) / (2.0 * hz)
+    out[..., -1] = (3.0 * f[..., -1] - 4.0 * f[..., -2] + f[..., -3]) / (2.0 * hz)
+    return out
+
+
+@settings(max_examples=40, deadline=None)
+@given(grid=grids, stack=hst.sampled_from([(), (3,), (3, 3)]),
+       layout=hst.sampled_from(["c", "strided", "moved"]),
+       out=hst.sampled_from(["new", "stack", "fortran"]),
+       seed=hst.integers(0, 2**32 - 1))
+def test_dz_centered_is_the_slice_formula(grid, stack, layout, out, seed):
+    # bit for bit the slice form on every layout: the flat difference of
+    # C-contiguous operands differs from it only in the entries the wall
+    # rows overwrite
+    rng = np.random.default_rng(seed)
+    if layout == "c":
+        f = rng.standard_normal(stack + grid.shape)
+    elif layout == "strided":
+        f = rng.standard_normal(stack + (2 * grid.nx,) + grid.shape[1:])
+        f = f[..., ::2, :, :]
+    else:
+        f = np.moveaxis(rng.standard_normal(grid.shape[-1:] + stack
+                                            + grid.shape[:-1]), 0, -1)
+    assert f.shape == stack + grid.shape
+    assert f.flags.c_contiguous == (layout == "c")
+    want = _dz_slices(f, grid.hz)
+    if out == "stack":
+        # how center_gradient calls it: out is one slot of a larger stack
+        target = np.full((3,) + f.shape, np.nan)
+        got = _dz_centered(f, grid.hz, target[2])
+        assert got.base is target
+        assert np.all(np.isnan(target[:2]))
+    elif out == "fortran":
+        target = np.asfortranarray(np.empty(f.shape))
+        assert _dz_centered(f, grid.hz, target) is target
+        got = target
+    else:
+        got = _dz_centered(f, grid.hz)
+    assert np.array_equal(got, want)
 
 
 def _roll_uses(tree):
