@@ -82,6 +82,9 @@ def step(state: State, cfg: SimConfig, grid: ChannelGrid, B: SlipMatrixB,
     us = FaceField(u.x + dt * fx, u.y + dt * fy, u.z + dt * fz)
     us.z[:, :, 0] = 0.0
     us.z[:, :, -1] = 0.0
+    # checked before the solves, so a non-finite predictor is reported as
+    # a non-finite state and not as a failed pressure solve
+    _check_finite(us, d_new, t + dt)
     if eps > 0.0 and cfg.visc_implicit:
         us = solve_viscous_helmholtz(us, eps * dt, B, grid)
 
@@ -91,10 +94,10 @@ def step(state: State, cfg: SimConfig, grid: ChannelGrid, B: SlipMatrixB,
     return State(u=u_new, p=dp, d=d_new, t=t + dt)
 
 
-def _check_finite(state: State):
-    if not (np.isfinite(state.u.x).all() and np.isfinite(state.u.y).all()
-            and np.isfinite(state.u.z).all() and np.isfinite(state.d).all()):
-        raise SimulationError(f"non-finite state at t = {state.t:.6g}")
+def _check_finite(u: FaceField, d: np.ndarray, t: float):
+    if not (np.isfinite(u.x).all() and np.isfinite(u.y).all()
+            and np.isfinite(u.z).all() and np.isfinite(d).all()):
+        raise SimulationError(f"non-finite state at t = {t:.6g}")
 
 
 def run(cfg: SimConfig, on_record=None):
@@ -103,8 +106,8 @@ def run(cfg: SimConfig, on_record=None):
     Returns (final_state, records, step_count).  Records are taken at step
     0, every diag_every steps, and at the final step.  on_record(state,
     record), if given, is called at each record point (the sweep driver
-    uses this to collect state snapshots without keeping every step in
-    memory).
+    uses this to write one checkpoint per record, for the reference and
+    every member alike).
     """
     cfg.validate()
     grid = make_grid(cfg)
@@ -140,7 +143,6 @@ def run(cfg: SimConfig, on_record=None):
 
         prev = state
         state = step(state, cfg, grid, B, dt_step)
-        _check_finite(state)
         nstep += 1
 
         done = state.t >= cfg.t_final - tiny

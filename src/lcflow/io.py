@@ -130,7 +130,8 @@ def write_checkpoint(path, state: State, cfg: SimConfig, grid: ChannelGrid,
 
 
 def read_checkpoint(path, grid: ChannelGrid):
-    """Returns (state, config_sha256, step_count); dims must match grid."""
+    """Returns (state, config_sha256, step_count); dims must match grid,
+    and a block (u, v, w, p or d) holding NaN or inf is a ConfigError."""
     try:
         with open(path, "rb") as f:
             raw = f.read()
@@ -163,6 +164,9 @@ def read_checkpoint(path, grid: ChannelGrid):
     # one C-contiguous copy per block, so downstream reductions see the
     # same memory order as the arrays the run itself held
     u, v, w, p, d = (b.astype(float, order="C") for b in blocks)
+    for name, b in zip("uvwpd", (u, v, w, p, d)):
+        if not np.isfinite(b).all():
+            raise ConfigError(f"{path}: non-finite values in block {name}")
     return State(u=FaceField(u, v, w), p=p, d=d, t=float(t)), sha, int(steps)
 
 

@@ -99,7 +99,8 @@ def solve_poisson_neumann(rhs: np.ndarray, g_bottom, g_top, grid: ChannelGrid,
     defect = float(np.sum(rhs) * vol - (np.sum(g_bottom) + np.sum(g_top)) * da)
     scale = float(np.sqrt(np.sum(rhs * rhs) * vol)
                   + np.sqrt((np.sum(g_bottom**2) + np.sum(g_top**2)) * da))
-    if abs(defect) > COMPAT_REJECT_TOL * scale + COMPAT_ABS_FLOOR:
+    # the negated comparisons also reject nan
+    if not (abs(defect) <= COMPAT_REJECT_TOL * scale + COMPAT_ABS_FLOOR):
         raise SimulationError(
             f"incompatible Neumann problem: volume/boundary mismatch {defect:.3e} "
             f"exceeds {COMPAT_REJECT_TOL:.0e} of the data scale {scale:.3e}")
@@ -110,7 +111,7 @@ def solve_poisson_neumann(rhs: np.ndarray, g_bottom, g_top, grid: ChannelGrid,
     b -= np.sum(b) / b.size  # mean removal == the defect projection above
 
     post = abs(float(np.sum(b) * vol))
-    if post > COMPAT_TOL * scale + COMPAT_ABS_FLOOR:
+    if not (post <= COMPAT_TOL * scale + COMPAT_ABS_FLOOR):
         raise SimulationError(f"compatibility projection failed: {post:.3e}")
 
     denom = _eig_sum(grid)
@@ -123,7 +124,7 @@ def solve_poisson_neumann(rhs: np.ndarray, g_bottom, g_top, grid: ChannelGrid,
     res = laplacian_center(p, grid) - b
     rnorm = float(np.sqrt(np.sum(res * res)))
     bnorm = float(np.sqrt(np.sum(b * b)))
-    if rnorm > tol * max(bnorm, 1e-300) + tol:
+    if not (rnorm <= tol * max(bnorm, 1e-300) + tol):
         raise SimulationError(
             f"poisson residual {rnorm:.3e} above tol*|rhs| = {tol * bnorm:.3e}")
     return p

@@ -2,13 +2,14 @@
 
 Runs an inviscid reference and a ladder of viscous members from identical
 initial data, with one fixed dt shared by every run so the time
-discretization error cancels in the differences.  Members are explicit
-jobs: each takes its config, its eps and a work directory as arguments and
-leaves one checkpoint per record there, so any process start method can
-run it.  The reference runs in the calling process beside the member
-workers and keeps its snapshots in memory; the caller then reads each
-member's checkpoints back bit for bit and computes every error norm
-itself, which makes the emitted CSV independent of the job count.
+discretization error cancels in the differences.  Every run, the reference
+included, is one explicit job: it takes its config, its eps and a work
+directory as arguments and leaves one checkpoint per record there, so any
+process start method can run it.  The reference runs in the calling
+process beside the member workers and its checkpoints stay until the
+sweep ends; the caller reads both runs' checkpoints back bit for bit,
+computes every error norm itself and deletes each member checkpoint once
+compared, which makes the emitted CSV independent of the job count.
 
 Error norms follow the convention: velocity differences are measured in
 the face quadrature (L2) and as the sup of the centered magnitude (Linf);
@@ -172,20 +173,8 @@ class SweepResult:
     failed: tuple = ()
 
 
-def _collecting_run(cfg):
-    """Run cfg and return (snapshots, records) where snapshots is a list of
-    (t, u, d) copies at the record times."""
-    snaps = []
-
-    def keep(state, rec):
-        snaps.append((state.t, state.u.copy(), state.d.copy()))
-
-    _, records, _ = run(cfg, on_record=keep)
-    return snaps, records
-
-
 def _record_path(workdir, eps, i):
-    """Where member eps leaves its state at record i."""
+    """Where the run with viscosity eps leaves its state at record i."""
     return os.path.join(workdir, f"eps{eps!r}-record{i}.ckpt")
 
 
@@ -193,8 +182,9 @@ def _member_job(cfg, eps, workdir):
     """Run cfg with viscosity eps and write the state at each record to
     _record_path(workdir, eps, i) with io.write_checkpoint.
 
-    Everything comes in as arguments, so any process start method works.
-    Returns (eps, record times, nm_max, linf_max, seconds).
+    The sweep runs every ladder member and the eps = 0 reference through
+    this job.  Everything comes in as arguments, so any process start
+    method works.  Returns (record times, nm_max, linf_max, seconds).
     """
     cfg = replace(cfg, eps=eps)
     grid = make_grid(cfg)
@@ -213,20 +203,21 @@ def _member_job(cfg, eps, workdir):
     seconds = time.perf_counter() - t0
     nm_max = max(r.nm_value for r in records)
     linf_max = max(r.linf_grad_u for r in records)
-    return eps, times, nm_max, linf_max, seconds
+    return times, nm_max, linf_max, seconds
 
 
-def _compare_member(eps, times, ref, workdir, grid):
-    """Per-record (t, error_norms) of member eps against the reference
-    snapshots ref, from the checkpoints _member_job left in workdir; each
-    checkpoint is deleted once it is read.  A member whose records do not
-    match the reference's in number or time raises SimulationError."""
-    if len(times) != len(ref):
+def _compare_member(eps, times, ref_times, workdir, grid):
+    """Per-record (t, error_norms) of member eps against the reference,
+    from the checkpoints _member_job left in workdir for both; each member
+    checkpoint is deleted once it is read, and the reference's are kept
+    for the next member.  A member whose records do not match the
+    reference's in number or time raises SimulationError."""
+    if len(times) != len(ref_times):
         raise SimulationError(
             f"member eps={eps:g} produced {len(times)} records, "
-            f"reference has {len(ref)}")
+            f"reference has {len(ref_times)}")
     per_time = []
-    for i, (t, (t_ref, ru, rd)) in enumerate(zip(times, ref)):
+    for i, (t, t_ref) in enumerate(zip(times, ref_times)):
         if abs(t - t_ref) > RECORD_TIME_TOL:
             raise SimulationError(
                 f"record times diverged: member eps={eps:g} at t={t!r}, "
@@ -234,7 +225,8 @@ def _compare_member(eps, times, ref, workdir, grid):
         path = _record_path(workdir, eps, i)
         state, _, _ = read_checkpoint(path, grid)
         os.remove(path)
-        per_time.append((t, error_norms(state.u, state.d, ru, rd, grid)))
+        ref, _, _ = read_checkpoint(_record_path(workdir, 0.0, i), grid)
+        per_time.append((t, error_norms(state.u, state.d, ref.u, ref.d, grid)))
     return per_time
 
 
@@ -243,14 +235,15 @@ def run_sweep(cfg: SimConfig, jobs: int = 1, force: bool = False) -> SweepResult
 
     With jobs > 1 the members start first, in up to `jobs` forked workers,
     and the reference (eps = 0) runs in this process beside them; with
-    jobs = 1 the members run inline after the reference.  Each member
-    leaves one checkpoint per record in a directory under the system temp
-    dir, 8*nx*ny*(6*nz + 1) bytes plus the header each, and this process
-    reads it back, computes the error norms against the reference and
-    deletes it.  Adaptive stepping is disabled so every run takes the
-    identical step sequence; a member whose fixed dt violates its
-    stability bound fails loudly and the sweep aborts with the completed
-    members flagged.  A failing reference raises its SimulationError.
+    jobs = 1 the members run inline after the reference.  Every run goes
+    through _member_job and leaves one checkpoint per record in a directory
+    under the system temp dir, 8*nx*ny*(6*nz + 1) bytes plus the header
+    each.  This process compares each member checkpoint with the
+    reference's and deletes it; the reference's stay until the sweep ends.
+    Adaptive stepping is disabled so every run takes the identical step
+    sequence; a member whose fixed dt violates its stability bound fails
+    loudly and the sweep aborts with the completed members flagged.  A
+    failing reference raises its SimulationError.
     """
     ladder = tuple(cfg.validate().eps_ladder)
     if jobs < 1:
@@ -294,29 +287,24 @@ def run_sweep(cfg: SimConfig, jobs: int = 1, force: bool = False) -> SweepResult
             else:
                 calls = [partial(_member_job, base, e, workdir)
                          for e in included]
-            t0 = time.perf_counter()
-            ref, ref_records = _collecting_run(base)
-            wall_times[0.0] = time.perf_counter() - t0
-            nm_max[0.0] = max(r.nm_value for r in ref_records)
-            linf_max[0.0] = max(r.linf_grad_u for r in ref_records)
+            (ref_times, nm_max[0.0], linf_max[0.0],
+             wall_times[0.0]) = _member_job(base, 0.0, workdir)
             # the first failure ends the sweep: no later member starts
             for e, call in zip(included, calls):
                 try:
-                    _, times, nm, lg, secs = call()
-                    results[e] = _compare_member(e, times, ref, workdir, grid)
+                    times, nm, lg, secs = call()
+                    results[e] = _compare_member(e, times, ref_times, workdir,
+                                                 grid)
                 except SimulationError as exc:
                     failed.append((e, str(exc)))
                     break
-                nm_max[e] = nm
-                linf_max[e] = lg
-                wall_times[e] = secs
+                nm_max[e], linf_max[e], wall_times[e] = nm, lg, secs
         finally:
             if pool is not None:
                 pool.shutdown(cancel_futures=True)
 
-    if failed:
-        for e, msg in failed:
-            flags.append(f"aborted: member eps={e:g} failed: {msg}")
+    for e, msg in failed:
+        flags.append(f"aborted: member eps={e:g} failed: {msg}")
 
     completed = tuple(e for e in included if e in results)
     errors_max = {e: tuple(max(row[1][k] for row in results[e]) for k in range(4))

@@ -22,7 +22,7 @@ from lcflow import (
 )
 from lcflow.cli import cli
 from lcflow.config import config_hash
-from lcflow.io import CHECKPOINT_MAGIC, DIAG_COLUMNS, SWEEP_COLUMNS
+from lcflow.io import _HEADER, CHECKPOINT_MAGIC, DIAG_COLUMNS, SWEEP_COLUMNS
 
 CFG_TEXT = """\
 [grid]
@@ -262,6 +262,32 @@ def test_cli_diagnose_rejects_checkpoint_of_another_config(tmp_path, capsys):
     assert rc == 1
     assert "config hash" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_cli_diagnose_rejects_non_finite_checkpoint(tmp_path, capsys):
+    cfg_path = tmp_path / "run.cfg"
+    cfg_path.write_text(CFG_TEXT)
+    ckpt = tmp_path / "state.ckpt"
+    assert cli(["simulate", "--config", str(cfg_path),
+                "--checkpoint-out", str(ckpt)]) == 0
+    raw = ckpt.read_bytes()
+    grid = make_grid(_tiny_cfg())
+    out = tmp_path / "diag.csv"
+    # a NaN as the first value of u, an inf as the last value of d
+    for block, at, bad in (("u", _HEADER.size, np.nan),
+                           ("d", len(raw) - 8, np.inf)):
+        ckpt.write_bytes(raw[:at] + np.float64(bad).astype("<f8").tobytes()
+                         + raw[at + 8:])
+        with pytest.raises(ConfigError, match=f"non-finite values in block "
+                                              f"{block}"):
+            read_checkpoint(ckpt, grid)
+        capsys.readouterr()
+        rc = cli(["diagnose", "--checkpoint", str(ckpt),
+                  "--config", str(cfg_path), "--out", str(out)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert str(ckpt) in err and f"block {block}" in err
+        assert not out.exists()
 
 
 def test_cli_sweep_and_rate_fit(tmp_path, capsys):

@@ -121,6 +121,21 @@ def test_poisson_rejects_incompatible_data():
         solve_poisson_neumann(np.ones(grid.shape), zero2, zero2, grid)
 
 
+def test_poisson_rejects_nan_data():
+    # a nan compares false against every bound, so each check must be
+    # phrased to fail on it rather than pass
+    grid = _grid(8, 8, 8)
+    zero2 = np.zeros((grid.nx, grid.ny))
+    rhs = np.zeros(grid.shape)
+    rhs[3, 4, 5] = np.nan
+    with pytest.raises(SimulationError):
+        solve_poisson_neumann(rhs, zero2, zero2, grid)
+    g_top = zero2.copy()
+    g_top[1, 2] = np.nan
+    with pytest.raises(SimulationError):
+        solve_poisson_neumann(np.zeros(grid.shape), zero2, g_top, grid)
+
+
 def test_poisson_boundary_data_enter_with_outward_sign():
     # manufactured p = cos(pi z/(2 lz)) has dp/dz = -pi/(2 lz) sin(...):
     # inward/outward bookkeeping is checked by reconstructing p from its

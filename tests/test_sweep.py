@@ -23,7 +23,7 @@ from lcflow.fields import State, zero_face_field
 from lcflow.grid import make_grid
 from lcflow.operators import laplacian_center
 from lcflow.fields import face_to_center
-from lcflow.sweep import _collecting_run, _compare_member, _member_job
+from lcflow.sweep import _compare_member, _member_job
 
 from support import loop_remainder_norms
 
@@ -253,9 +253,9 @@ def test_member_job_is_spawn_safe(tmp_path):
     with ProcessPoolExecutor(max_workers=1,
                              mp_context=mp.get_context("spawn")) as pool:
         b = pool.submit(_member_job, cfg, 0.25, str(spawned)).result()
-    assert a[:4] == b[:4]
+    assert a[:3] == b[:3]
     names = sorted(p.name for p in inline.iterdir())
-    assert len(names) == len(a[1]) >= 2
+    assert len(names) == len(a[0]) >= 2
     assert sorted(p.name for p in spawned.iterdir()) == names
     for n in names:
         assert (inline / n).read_bytes() == (spawned / n).read_bytes()
@@ -264,26 +264,32 @@ def test_member_job_is_spawn_safe(tmp_path):
 def test_compare_member_checks_record_count_and_times(tmp_path):
     cfg = _sweep_cfg()
     grid = make_grid(cfg)
-    ref, _ = _collecting_run(cfg)
-    _, times, _, _, _ = _member_job(cfg, 0.25, str(tmp_path))
-    assert len(times) == len(ref) >= 3
+    ref_times = _member_job(cfg, 0.0, str(tmp_path))[0]
+    times = _member_job(cfg, 0.25, str(tmp_path))[0]
+    assert len(times) == len(ref_times) >= 3
     with pytest.raises(SimulationError,
-                       match=f"member eps=0.25 produced {len(ref) - 1} "
-                             f"records, reference has {len(ref)}"):
-        _compare_member(0.25, times[:-1], ref, str(tmp_path), grid)
+                       match=f"member eps=0.25 produced {len(ref_times) - 1} "
+                             f"records, reference has {len(ref_times)}"):
+        _compare_member(0.25, times[:-1], ref_times, str(tmp_path), grid)
     off = times[:-1] + [times[-1] + 1e-6]
     with pytest.raises(SimulationError, match="record times diverged: "
                                               "member eps=0.25"):
-        _compare_member(0.25, off, ref, str(tmp_path), grid)
+        _compare_member(0.25, off, ref_times, str(tmp_path), grid)
 
 
 def test_compare_member_deletes_what_it_reads(tmp_path):
+    # the member's checkpoints go as they are compared; the reference's
+    # stay for the next member
     cfg = _sweep_cfg()
-    ref, _ = _collecting_run(cfg)
-    _, times, _, _, _ = _member_job(cfg, 0.25, str(tmp_path))
-    per_time = _compare_member(0.25, times, ref, str(tmp_path), make_grid(cfg))
+    ref_times = _member_job(cfg, 0.0, str(tmp_path))[0]
+    ref_files = sorted(p.name for p in tmp_path.iterdir())
+    times = _member_job(cfg, 0.25, str(tmp_path))[0]
+    assert len(list(tmp_path.iterdir())) == 2 * len(ref_files)
+    per_time = _compare_member(0.25, times, ref_times, str(tmp_path),
+                               make_grid(cfg))
     assert [t for t, _ in per_time] == times
-    assert list(tmp_path.iterdir()) == []
+    assert sorted(p.name for p in tmp_path.iterdir()) == ref_files
+    assert len(ref_files) == len(ref_times)
 
 
 @pytest.mark.parametrize("jobs", [1, 2])
@@ -296,6 +302,16 @@ def test_sweep_reference_failure_raises_and_cleans_up(tmp_path, monkeypatch,
                      eps_ladder=(0.25, 0.125))
     with pytest.raises(SimulationError, match="exceeds the stability limit"):
         run_sweep(cfg, jobs=jobs)
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_sweep_success_leaves_temp_dir_empty(tmp_path, monkeypatch, jobs):
+    # the reference's checkpoints outlive every comparison; the sweep's
+    # work directory must still take them, and the members', away
+    monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+    res = run_sweep(_sweep_cfg(eps_ladder=(0.25, 0.125)), jobs=jobs)
+    assert res.failed == () and set(res.errors_max) == {0.25, 0.125}
     assert list(tmp_path.iterdir()) == []
 
 
