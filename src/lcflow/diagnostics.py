@@ -35,7 +35,7 @@ mismatch.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -319,7 +319,6 @@ class DiagnosticsRecord:
     linf_grad_u: float
     p1_norm: float
     p2_norm: float
-    conormal: dict = field(default_factory=dict, repr=False)
 
 
 def make_record(state: State, cfg: SimConfig, grid: ChannelGrid,
@@ -347,12 +346,10 @@ def make_record(state: State, cfg: SimConfig, grid: ChannelGrid,
     uc = face_to_center(state.u)
     grad_sq = np.sum(gd * gd, axis=(0, 1))
     w = curl_center(state.u, B, grid)
-    l2 = {name: _conormal_sums(f, m, grid)[0]
-          for name, f in (("u", uc), ("d", state.d), ("grad_d", gd))}
+    u_sq = _conormal_sums(uc, m, grid)[0][m]
+    gd_sq = _conormal_sums(gd, m, grid)[0][m]
     gu_sums = _conormal_sums(center_gradient(uc, grid), max(m - 1, 1), grid,
                              sup=1)
-    conormal = {(name, mm): float(np.sqrt(sums[mm]))
-                for name, sums in l2.items() for mm in range(1, m + 1)}
 
     return DiagnosticsRecord(
         t=state.t,
@@ -366,12 +363,10 @@ def make_record(state: State, cfg: SimConfig, grid: ChannelGrid,
         energy_residual=er,
         unit_dev=unit_deviation(state.d),
         div_res=float(np.max(np.abs(discrete_divergence(state.u, grid)))),
-        nm_value=_functional(state, eps, B, grid, m, cfg.time_derivs,
-                             l2["u"][m], l2["grad_d"][m], gu_sums, ld, grad_sq,
-                             F),
+        nm_value=_functional(state, eps, B, grid, m, cfg.time_derivs, u_sq,
+                             gd_sq, gu_sums, ld, grad_sq, F),
         eta_trace=_slip_mismatch_trace(w, uc, B, grid),
         linf_grad_u=_linf(gu_sums[1], 1),
         p1_norm=float(np.sqrt(np.sum(p1 * p1) * vol)),
         p2_norm=float(np.sqrt(np.sum(p2 * p2) * vol)),
-        conormal=conormal,
     )

@@ -2,11 +2,13 @@
 
 All solvers invert the exact 7-point stencils from the operators module by
 diagonalizing in the periodic directions (FFT) and the wall-normal
-direction (cosine transform for the zero-flux closure, tridiagonal solves
-when a Robin row breaks the symmetry).  Residuals are therefore round-off
-level and are asserted, not hoped for.  The transforms act on the trailing
-(x, y, z) axes, so a stack of fields (the three director components) is
-solved in one batched call.
+direction: a cosine transform for the zero-flux closure, the same cosine
+transform with a rank-2 correction of the two wall rows for the Robin
+closure of the tangential velocities, and a sine transform for the
+Dirichlet rows of the normal velocity.  Residuals are therefore round-off
+level; the Poisson solve asserts its own.  The transforms act on the
+trailing (x, y, z) axes, so a stack of fields (the three director
+components, the two tangential velocities) is solved in one batched call.
 
 Nothing physical is assembled here: pressure_split solves for the
 momentum forcing its caller built in the operators module, and the
@@ -60,14 +62,12 @@ def _inverse(fh, nx, ny):
     return sfft.idct(sfft.irfft2(fh, s=(nx, ny), axes=(-3, -2)), type=2, axis=-1)
 
 
-def _mode_plane(grid: ChannelGrid):
-    """Eigenvalues of the periodic x/y stencil on the rfft2 mode plane."""
-    return (_eig_periodic(grid.nx, grid.hx)[:, None]
-            + _eig_periodic(grid.ny, grid.hy)[None, : grid.ny // 2 + 1])
-
-
 def _eig_sum(grid: ChannelGrid):
-    return _mode_plane(grid)[:, :, None] + _eig_reflect(grid.nz, grid.hz)[None, None, :]
+    """Eigenvalues of the 7-point stencil: the periodic x/y ones on the
+    rfft2 mode plane plus the zero-flux z ones of the cosine modes."""
+    return (_eig_periodic(grid.nx, grid.hx)[:, None, None]
+            + _eig_periodic(grid.ny, grid.hy)[None, : grid.ny // 2 + 1, None]
+            + _eig_reflect(grid.nz, grid.hz)[None, None, :])
 
 
 def solve_helmholtz_neumann(b: np.ndarray, coef: float, grid: ChannelGrid) -> np.ndarray:
@@ -176,33 +176,6 @@ def pressure_split(u: FaceField, F: FaceField, eps: float, grid: ChannelGrid,
 # implicit viscosity (optional stiff-run path)
 # ---------------------------------------------------------------------------
 
-def _thomas_batched(main_edge, main_in, off, rhs):
-    """Tridiagonal solve along the last axis, vectorized over leading axes.
-
-    Constant sub/super diagonal `off` (scalar); main diagonal `main_in`
-    except the first and last rows, which share the one edge diagonal
-    `main_edge` (the Robin rows of both walls are alike, and a Dirichlet
-    column passes `main_in` there).  Both diagonals broadcast against
-    rhs[..., 0].  Diagonally dominant by construction here, so no
-    pivoting; the columns have at least two rows (make_grid).
-    """
-    n = rhs.shape[-1]
-    cp = np.empty(rhs.shape, dtype=float)
-    dp = np.empty_like(rhs)
-    cp[..., 0] = off / main_edge
-    dp[..., 0] = rhs[..., 0] / main_edge
-    for k in range(1, n):
-        mk = main_edge if k == n - 1 else main_in
-        beta = mk - off * cp[..., k - 1]
-        cp[..., k] = off / beta
-        dp[..., k] = (rhs[..., k] - off * dp[..., k - 1]) / beta
-    x = np.empty_like(rhs)
-    x[..., -1] = dp[..., -1]
-    for k in range(n - 2, -1, -1):
-        x[..., k] = dp[..., k] - cp[..., k] * x[..., k + 1]
-    return x
-
-
 def solve_viscous_helmholtz(b: FaceField, coef: float, B: SlipMatrixB,
                             grid: ChannelGrid) -> FaceField:
     """(I - coef * lap) u = b with slip closure for the tangential
@@ -211,29 +184,48 @@ def solve_viscous_helmholtz(b: FaceField, coef: float, B: SlipMatrixB,
     The diagonal of B is implicit through the Robin ghost row; the b12
     cross coupling is evaluated from b (lagged), which keeps first-order
     time accuracy and unconditional stability for diagonal-dominant B.
-    Every component is one column solve: rfft2 in x/y, a tridiagonal
-    solve per mode along z, irfft2 back.
+
+    A tangential column is the zero-flux operator A_N of
+    solve_helmholtz_neumann (ghost = interior) plus delta on its two wall
+    rows, delta = coef*(1 - alpha)/hz^2 >= 0 with alpha = a11 or a22 of
+    slip_closure.  The rank-2 correction (capacitance matrix) is taken in
+    cosine space: the channel's reflection symmetry makes the 2x2 wall
+    block of A_N^-1 [[a, b], [b, a]], so it splits into one scalar solve
+    for the even and one for the odd cosine modes.  The wall sums y_0 +-
+    y_{n-1} of y = A_N^-1 rhs and a +- b are even/odd-mode sums of cosine
+    coefficients, and the correction is subtracted in cosine space.
+    One transform pair serves both tangential components.  The normal
+    component has Dirichlet wall rows, which the type-I sine transform of
+    its interior faces diagonalizes exactly.
     """
-    hz2 = grid.hz**2
-    lam = _mode_plane(grid)
-    off = -coef / hz2
-    main_in = 1.0 + coef * (2.0 / hz2) - coef * lam
+    nz, hz2 = grid.nz, grid.hz**2
     a11, a22, cu, cv, vw_b, vw_t, uw_b, uw_t = slip_closure(b, B, grid)
+    rhs = np.stack([b.x, b.y])
+    rhs[0, :, :, 0] -= coef * cu * vw_b / hz2
+    rhs[0, :, :, -1] -= coef * cu * vw_t / hz2
+    rhs[1, :, :, 0] -= coef * cv * uw_b / hz2
+    rhs[1, :, :, -1] -= coef * cv * uw_t / hz2
 
-    def _column_solve(rhs, main_edge):
-        xh = _thomas_batched(main_edge, main_in, off,
-                             sfft.rfft2(rhs, axes=(0, 1)))
-        return sfft.irfft2(xh, s=(grid.nx, grid.ny), axes=(0, 1))
+    denom = 1.0 - coef * _eig_sum(grid)
+    delta = coef * (1.0 - np.array([a11, a22]))[:, None, None] / hz2
+    # the cosine coefficients of e_0 (those of e_{n-1} alternate in sign)
+    # and the idct weights that read a column's wall value off them
+    e = 2.0 * np.cos(np.pi * np.arange(nz) / (2 * nz))
+    wgt = e / nz
+    wgt[0] /= 2.0
+    e_d = e / denom
+    xh = _transform(rhs) / denom
+    for par in (slice(0, None, 2), slice(1, None, 2)):
+        c = (delta * np.sum(wgt[par] * xh[..., par], axis=-1)
+             / (1.0 + delta * np.sum(wgt[par] * e_d[..., par], axis=-1)))
+        xh[..., par] -= c[..., None] * e_d[..., par]
+    x, y = _inverse(xh, grid.nx, grid.ny)
 
-    def _tan(comp, alpha, cross_b, cross_t, c12):
-        rhs = comp.copy()
-        rhs[:, :, 0] -= coef * c12 * cross_b / hz2
-        rhs[:, :, -1] -= coef * c12 * cross_t / hz2
-        return _column_solve(rhs, 1.0 + coef * ((2.0 - alpha) / hz2) - coef * lam)
-
-    x = _tan(b.x, a11, vw_b, vw_t, cu)
-    y = _tan(b.y, a22, uw_b, uw_t, cv)
-    # normal component: Dirichlet zeros on the walls, interior columns
+    # the type-I sine spectrum of the nz - 1 interior faces is the cosine
+    # spectrum above without its k = 0 entry
     z = np.zeros_like(b.z)
-    z[:, :, 1:-1] = _column_solve(b.z[:, :, 1:-1], main_in)
+    zh = sfft.rfft2(sfft.dst(b.z[:, :, 1:-1], type=1, axis=-1), axes=(0, 1))
+    zh /= denom[..., 1:]
+    z[:, :, 1:-1] = sfft.idst(sfft.irfft2(zh, s=(grid.nx, grid.ny), axes=(0, 1)),
+                              type=1, axis=-1)
     return FaceField(x, y, z)

@@ -240,10 +240,11 @@ def run_sweep(cfg: SimConfig, jobs: int = 1, force: bool = False) -> SweepResult
     under the system temp dir, 8*nx*ny*(6*nz + 1) bytes plus the header
     each.  This process compares each member checkpoint with the
     reference's and deletes it; the reference's stay until the sweep ends.
-    Adaptive stepping is disabled so every run takes the identical step
-    sequence; a member whose fixed dt violates its stability bound fails
-    loudly and the sweep aborts with the completed members flagged.  A
-    failing reference raises its SimulationError.
+    A ladder that the resolution guard empties raises ConfigError before
+    any run.  Adaptive stepping is disabled so every run takes the
+    identical step sequence; a member whose fixed dt violates its
+    stability bound fails loudly and the sweep aborts with the completed
+    members flagged.  A failing reference raises its SimulationError.
     """
     ladder = tuple(cfg.validate().eps_ladder)
     if jobs < 1:
@@ -262,6 +263,10 @@ def run_sweep(cfg: SimConfig, jobs: int = 1, force: bool = False) -> SweepResult
     else:
         included = tuple(e for e in ladder if e >= eps_min)
         excluded = tuple(e for e in ladder if e < eps_min)
+        if not included:
+            raise ConfigError(
+                f"resolution guard excludes every member: eps {list(excluded)} "
+                f"below eps_min = {eps_min:g}; --force runs them anyway")
         if excluded:
             flags.append(
                 f"resolution guard: excluded eps {list(excluded)} below "

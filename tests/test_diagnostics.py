@@ -15,8 +15,8 @@ from lcflow.diagnostics import (_conormal_sums, _linf, _walk, conormal_norm_sq,
                                 kinetic_energy, make_record,
                                 quartic_production, viscous_dissipation)
 from lcflow.errors import ConfigError
-from lcflow.fields import (InitialConditionSpec, State, face_to_center,
-                           init_state, zero_face_field)
+from lcflow.fields import (InitialConditionSpec, State, init_state,
+                           zero_face_field)
 from lcflow.grid import ChannelGrid, conormal_derivative, make_grid
 from lcflow.operators import SlipMatrixB, director_gradient
 
@@ -361,21 +361,6 @@ def test_record_of_rest_state():
                  "eta_trace", "linf_grad_u", "p1_norm", "p2_norm"):
         assert getattr(rec, name) == 0.0, name
     assert rec.nm_value == pytest.approx(1.0, rel=1e-12)
-    assert set(rec.conormal.keys()) == {(n, m) for n in ("u", "d", "grad_d")
-                                        for m in (1, 2)}
-    assert rec.conormal[("d", 1)] == pytest.approx(1.0, rel=1e-12)
-
-
-def test_record_conormal_entries_match_norm_function():
-    cfg = SimConfig(nx=8, ny=8, nz=16, eps=0.1, b11=1.0, b22=1.0,
-                    dt=1e-3, t_final=1e-3, conormal_m=2)
-    grid = make_grid(cfg)
-    st = init_state(grid, InitialConditionSpec("slipflow", amplitude=0.3,
-                                               twist=0.4, slip_b11=1.0))
-    rec = make_record(st, cfg, grid, SlipMatrixB(1.0, 0.0, 1.0))
-    uc = face_to_center(st.u)
-    assert rec.conormal[("u", 2)] == np.sqrt(conormal_norm_sq(uc, 2, grid))
-    assert rec.conormal[("d", 1)] == np.sqrt(conormal_norm_sq(st.d, 1, grid))
 
 
 @pytest.mark.parametrize("time_derivs", [0, 1])
@@ -427,9 +412,3 @@ def test_record_fields_are_their_public_functions(m, time_derivs):
     assert rec.visc_diss == viscous_dissipation(st.u, cfg.eps, B, grid)
     assert rec.dir_diss == director_dissipation(st.d, grid)
     assert rec.quartic == quartic_production(st.d, grid)
-    fields = {"u": face_to_center(st.u), "d": st.d,
-              "grad_d": director_gradient(st.d, grid)}
-    assert list(rec.conormal) == [(n, k) for n in fields
-                                  for k in range(1, m + 1)]
-    for (name, k), value in rec.conormal.items():
-        assert value == math.sqrt(conormal_norm_sq(fields[name], k, grid))

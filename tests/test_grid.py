@@ -288,6 +288,57 @@ def test_package_makes_no_rolled_copies():
     assert _roll_uses(ast.parse("from numpy import roll")) == [1]
 
 
+# numpy/scipy spellings that may hand work to a BLAS library
+_BLAS_ATTRS = {"dot", "vdot", "matmul", "tensordot", "inner", "linalg"}
+
+
+def _blas_uses(tree):
+    """Lines of the module that may call BLAS: the @ operator, a
+    dot/vdot/matmul/tensordot/inner or linalg attribute, an import of a
+    linalg module or of one of those names, or einsum with optimize=."""
+    lines = []
+    for node in ast.walk(tree):
+        if (isinstance(node, (ast.BinOp, ast.AugAssign))
+                and isinstance(node.op, ast.MatMult)):
+            lines.append(node.lineno)
+        elif isinstance(node, ast.Attribute) and node.attr in _BLAS_ATTRS:
+            lines.append(node.lineno)
+        elif isinstance(node, ast.Import) and any(
+                "linalg" in alias.name.split(".") for alias in node.names):
+            lines.append(node.lineno)
+        elif isinstance(node, ast.ImportFrom) and (
+                "linalg" in (node.module or "").split(".")
+                or any(alias.name in _BLAS_ATTRS for alias in node.names)):
+            lines.append(node.lineno)
+        elif (isinstance(node, ast.Call)
+              and getattr(node.func, "attr", getattr(node.func, "id", None))
+              == "einsum"
+              and any(kw.arg == "optimize" for kw in node.keywords)):
+            lines.append(node.lineno)
+    return lines
+
+
+def test_package_makes_no_blas_calls():
+    # the sweep forks its workers, and a BLAS call in each would start one
+    # BLAS thread pool per worker on the same cores; every solve is a
+    # transform and every contraction an unoptimized einsum instead
+    sources = sorted(Path(lcflow.__file__).parent.glob("*.py"))
+    assert sources
+    found = {path.name: _blas_uses(ast.parse(path.read_text()))
+             for path in sources}
+    assert {name: lines for name, lines in found.items() if lines} == {}
+    # the scan itself sees every spelling, and passes a plain einsum
+    for line in ("a @ b", "a @= b", "np.dot(a, b)", "a.dot(b)", "np.vdot(a, b)",
+                 "np.matmul(a, b)", "np.tensordot(a, b)", "np.inner(a, b)",
+                 "np.linalg.solve(a, b)", "import numpy.linalg",
+                 "import scipy.linalg as sl", "from scipy import linalg",
+                 "from numpy.linalg import solve", "from numpy import dot",
+                 "np.einsum('ij,jk', a, b, optimize=True)",
+                 "einsum('ij,jk', a, b, optimize='greedy')"):
+        assert _blas_uses(ast.parse("x = 1\n" + line)) == [2], line
+    assert _blas_uses(ast.parse("np.einsum('ij,jk', a, b)")) == []
+
+
 def test_public_names_resolve_once():
     # a name left in __all__ after its definition is gone breaks only
     # `from lcflow import *`, which nothing else runs

@@ -298,9 +298,9 @@ def test_wall_stress_flux_second_order():
 
 
 @settings(max_examples=40, deadline=None)
-@given(grid=grids, seed=seeds, b11=hst.floats(0.0, 20.0),
-       b22=hst.floats(0.0, 20.0))
-def test_viscous_helmholtz_inverts_face_laplacian(grid, seed, b11, b22):
+@given(grid=grids, seed=seeds, b11=hst.floats(0.0, 1000.0),
+       b22=hst.floats(0.0, 1000.0), coef=hst.floats(0.0, 5.0))
+def test_viscous_helmholtz_inverts_face_laplacian(grid, seed, b11, b22, coef):
     # with a diagonal slip matrix the solve must invert (I - coef*L) for the
     # ghost-based face Laplacian exactly (the b12 coupling is lagged, so the
     # identity is only exact when b12 = 0)
@@ -310,7 +310,6 @@ def test_viscous_helmholtz_inverts_face_laplacian(grid, seed, b11, b22):
     b.x[:] = rng.standard_normal(b.x.shape)
     b.y[:] = rng.standard_normal(b.y.shape)
     b.z[:, :, 1:-1] = rng.standard_normal(b.z[:, :, 1:-1].shape)
-    coef = 4e-3
     x = solve_viscous_helmholtz(b, coef, B, grid)
     lap = laplacian_face(x, B, grid)
     for got, rhs, lp in ((x.x, b.x, lap.x), (x.y, b.y, lap.y), (x.z, b.z, lap.z)):

@@ -23,6 +23,8 @@ from lcflow.fields import State, zero_face_field
 from lcflow.grid import make_grid
 from lcflow.operators import laplacian_center
 from lcflow.fields import face_to_center
+from lcflow import sweep
+from lcflow.cli import cli
 from lcflow.sweep import _compare_member, _member_job
 
 from support import loop_remainder_norms
@@ -187,6 +189,29 @@ def test_sweep_resolution_guard():
     assert any("resolution guard" in f for f in res.flags)
     assert res.fit_note == "insufficient-points"
     assert np.isnan(res.fitted_slope_l2)
+
+
+def test_sweep_guard_excluding_every_member_fails_before_any_run(
+        tmp_path, monkeypatch, capsys):
+    # hz = 1/16 so eps_min = 1/16: the whole ladder is below it, and the
+    # sweep must say so at once instead of running the reference first
+    ran = []
+    monkeypatch.setattr(sweep, "_member_job",
+                        lambda *args: ran.append(args) or _member_job(*args))
+    with pytest.raises(ConfigError, match=r"eps \[0.03, 0.01\] below "
+                                          r"eps_min = 0.0625; --force"):
+        run_sweep(_sweep_cfg(eps_ladder=(0.03, 0.01)))
+    assert ran == []
+    cfg_path = tmp_path / "run.cfg"
+    cfg_path.write_text("[grid]\nnx = 8\nny = 8\nnz = 16\n"
+                        "[physics]\neps = 0.05\n"
+                        "[time]\ndt = 2e-3\nt_final = 0.02\n"
+                        "[sweep]\neps_ladder = 0.03 0.01\n")
+    out = tmp_path / "out"
+    assert cli(["sweep", "--config", str(cfg_path), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert "eps_min = 0.0625" in err and "--force" in err
+    assert ran == [] and not (out / "sweep.csv").exists()
 
 
 def test_sweep_force_overrides_guard():
