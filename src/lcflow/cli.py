@@ -20,10 +20,11 @@ from .diagnostics import make_record
 from .errors import ConfigError, SimulationError
 from .grid import make_grid
 from .integrator import run
-from .io import (read_checkpoint, read_sweep_csv, write_checkpoint,
-                 write_diag_csv, write_rate_report, write_sweep_csv)
+from .io import (FAMILY_LABELS, SWEEP_COLUMNS, read_checkpoint,
+                 read_sweep_csv, write_checkpoint, write_diag_csv,
+                 write_rate_report, write_sweep_csv)
 from .operators import SlipMatrixB
-from .sweep import fit_rate, run_sweep
+from .sweep import FAMILIES, fit_rate, run_sweep
 
 
 class _Parser(argparse.ArgumentParser):
@@ -86,7 +87,9 @@ def _cmd_sweep(args):
     try:
         os.makedirs(args.out, exist_ok=True)
         result = run_sweep(cfg, jobs=args.jobs, force=args.force)
-        write_sweep_csv(result, os.path.join(args.out, "sweep.csv"))
+        # a sweep whose first member failed has no rows, only a report
+        if result.errors_max:
+            write_sweep_csv(result, os.path.join(args.out, "sweep.csv"))
         text = write_rate_report(result, os.path.join(args.out,
                                                       "rate_report.txt"))
     except ConfigError:
@@ -95,11 +98,10 @@ def _cmd_sweep(args):
         print(f"lcflow sweep: {exc}", file=sys.stderr)
         return 2
     print(text, end="")
-    if result.failed:
-        print("lcflow sweep: aborted with failed members, see report",
+    for e, msg in result.failed:
+        print(f"lcflow sweep: aborted: member eps={e:g} failed: {msg}",
               file=sys.stderr)
-        return 2
-    return 0
+    return 2 if result.failed else 0
 
 
 def _cmd_diagnose(args):
@@ -124,17 +126,16 @@ def _cmd_diagnose(args):
 
 def _cmd_rate_fit(args):
     rows = read_sweep_csv(args.csv)
-    pts_l2 = [(r["eps"], r["err_u_l2sq"] + r["err_d_h1sq"]) for r in rows]
-    pts_li = [(r["eps"], r["err_u_linf"] + r["err_d_w1inf"]) for r in rows]
     try:
-        s1, i1, r1 = fit_rate(pts_l2)
-        s2, i2, r2 = fit_rate(pts_li)
+        # error_norms entry k is the sweep CSV column after eps
+        fits = {name: fit_rate((r["eps"], r[SWEEP_COLUMNS[1 + k1]]
+                                + r[SWEEP_COLUMNS[1 + k2]]) for r in rows)
+                for name, (k1, k2) in FAMILIES.items()}
     except ValueError as exc:
         raise ConfigError(f"{args.csv}: {exc}") from exc
-    print(f"l2 family   (err_u_l2sq + err_d_h1sq) : slope = {s1:.12g}  "
-          f"intercept = {i1:.12g}  r^2 = {r1:.12g}")
-    print(f"linf family (err_u_linf + err_d_w1inf): slope = {s2:.12g}  "
-          f"intercept = {i2:.12g}  r^2 = {r2:.12g}")
+    for name, fit in fits.items():
+        print(f"{FAMILY_LABELS[name]}: slope = {fit.slope:.12g}  "
+              f"intercept = {fit.intercept:.12g}  r^2 = {fit.r2:.12g}")
     return 0
 
 

@@ -27,6 +27,10 @@ DIAG_COLUMNS = ("t", "kinetic", "elastic", "visc_diss", "dir_diss", "quartic",
 SWEEP_COLUMNS = ("eps", "err_u_l2sq", "err_d_h1sq", "err_u_linf",
                  "err_d_w1inf", "wall_time_s")
 
+# how the rate report and `lcflow rate-fit` name each sweep.FAMILIES entry
+FAMILY_LABELS = {"l2": "l2 family   (err_u_l2sq + err_d_h1sq) ",
+                 "linf": "linf family (err_u_linf + err_d_w1inf)"}
+
 CHECKPOINT_MAGIC = b"LCFLOW1\0"
 _HEADER = struct.Struct("<8s32s3IdQ")   # magic, sha256, dims, time, steps
 
@@ -174,22 +178,6 @@ def read_checkpoint(path, grid: ChannelGrid):
 # rate report
 # ---------------------------------------------------------------------------
 
-def format_fit_lines(result) -> str:
-    def line(tag, s, i, r2):
-        if math.isnan(s):
-            return f"{tag}: not fitted ({result.fit_note or 'no data'})"
-        return (f"{tag}: slope = {s:.6f}  intercept = {i:.6f}  "
-                f"r^2 = {r2:.6f}")
-    return "\n".join([
-        line("l2 family   (err_u_l2sq + err_d_h1sq) ",
-             result.fitted_slope_l2, result.fitted_intercept_l2,
-             result.fitted_r2_l2),
-        line("linf family (err_u_linf + err_d_w1inf)",
-             result.fitted_slope_linf, result.fitted_intercept_linf,
-             result.fitted_r2_linf),
-    ])
-
-
 def write_rate_report(result, path):
     """Human-readable summary of a sweep; everything here is commentary,
     the machine-readable truth is the sweep CSV."""
@@ -214,11 +202,16 @@ def write_rate_report(result, path):
         add(f"{e:>12.6g} {e1:>14.6e} {e2:>14.6e} {e3:>14.6e} {e4:>14.6e} "
             f"{result.wall_times.get(e, float('nan')):>9.2f}")
     add("")
-    add(format_fit_lines(result))
+    for name, fit in result.fits.items():
+        if math.isnan(fit.slope):
+            add(f"{FAMILY_LABELS[name]}: not fitted ({result.fit_note})")
+        else:
+            add(f"{FAMILY_LABELS[name]}: slope = {fit.slope:.6f}  "
+                f"intercept = {fit.intercept:.6f}  r^2 = {fit.r2:.6f}")
     add("")
-    add(f"monotone along ladder at every recorded time: "
-        f"l2 {'yes' if result.monotone_l2 else 'NO'}, "
-        f"linf {'yes' if result.monotone_linf else 'NO'}")
+    mono = ", ".join(f"{name} {'yes' if ok else 'NO'}"
+                     for name, ok in result.monotone.items())
+    add(f"monotone along ladder at every recorded time: {mono}")
     nm_members = {e: v for e, v in result.nm_max.items() if e > 0.0}
     if len(nm_members) >= 2:
         lo, hi = min(nm_members.values()), max(nm_members.values())

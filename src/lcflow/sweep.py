@@ -23,6 +23,7 @@ import math
 import os
 import tempfile
 import time
+from collections import namedtuple
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 from functools import partial
@@ -42,6 +43,9 @@ from .operators import (center_gradient, director_gradient, grad_sq_director,
                         laplacian_center)
 
 RECORD_TIME_TOL = 1e-9
+
+# the error families fitted against eps: each sums two error_norms entries
+FAMILIES = {"l2": (0, 1), "linf": (2, 3)}
 
 
 # ---------------------------------------------------------------------------
@@ -113,12 +117,15 @@ def remainder_norms(state_eps: State, state_0: State, eps: float,
 # rate fitting
 # ---------------------------------------------------------------------------
 
+Fit = namedtuple("Fit", "slope intercept r2")
+
+
 def fit_rate(points):
     """Ordinary least squares of log(err) on log(eps).
 
     points: iterable of (eps, err) pairs, all positive and finite, at
     least two.
-    Returns (slope, intercept, r_squared).
+    Returns Fit(slope, intercept, r2).
     """
     pts = [(float(e), float(r)) for e, r in points]
     if len(pts) < 2:
@@ -139,7 +146,7 @@ def fit_rate(points):
     ss_res = float(np.sum((y - (slope * x + intercept)) ** 2))
     ss_tot = float(np.sum((y - ym) ** 2))
     r2 = 1.0 if ss_tot == 0.0 else 1.0 - ss_res / ss_tot
-    return slope, intercept, r2
+    return Fit(slope, intercept, r2)
 
 
 # ---------------------------------------------------------------------------
@@ -159,15 +166,9 @@ class SweepResult:
     wall_times: dict             # eps -> measured seconds (0.0 = ref);
                                  # members are timed while they share the
                                  # cores with the reference
-    fitted_slope_l2: float
-    fitted_intercept_l2: float
-    fitted_r2_l2: float
-    fitted_slope_linf: float
-    fitted_intercept_linf: float
-    fitted_r2_linf: float
+    fits: dict                   # family -> Fit, all nan when not fitted
     fit_note: str                # "" or "insufficient-points"
-    monotone_l2: bool
-    monotone_linf: bool
+    monotone: dict               # family -> errors never grow as eps falls
     flags: list = field(default_factory=list)
     config_hash: str = ""
     failed: tuple = ()
@@ -317,37 +318,31 @@ def run_sweep(cfg: SimConfig, jobs: int = 1, force: bool = False) -> SweepResult
 
     # fits over the max-over-time errors (the sup-in-time bound is the
     # quantity with a guaranteed rate)
-    def _fit(k1, k2):
+    fits = {}
+    fit_note = ""
+    for name, (k1, k2) in FAMILIES.items():
         pts = [(e, errors_max[e][k1] + errors_max[e][k2]) for e in completed]
         pts = [(e, r) for e, r in pts if r > 0.0]
         if len(pts) < len(completed):
-            flags.append("fit: dropped members with exactly zero error")
+            flags.append(f"fit {name}: dropped members with exactly zero error")
         try:
-            return fit_rate(pts), ""
+            fits[name] = fit_rate(pts)
         except ValueError:
-            return (math.nan, math.nan, math.nan), "insufficient-points"
+            fits[name] = Fit(math.nan, math.nan, math.nan)
+            fit_note = "insufficient-points"
 
-    (s_l2, i_l2, r2_l2), note1 = _fit(0, 1)
-    (s_li, i_li, r2_li), note2 = _fit(2, 3)
-    fit_note = note1 or note2
-
-    def _monotone(k1, k2):
-        ok = True
-        nrec = min((len(results[e]) for e in completed), default=0)
-        for irec in range(1, nrec):
-            vals = [results[e][irec][1][k1] + results[e][irec][1][k2]
-                    for e in completed]   # completed is decreasing in eps
+    # the members' (t, errors) rows at each record time, by decreasing eps
+    by_time = list(zip(*(results[e] for e in completed)))
+    monotone = dict.fromkeys(FAMILIES, True)
+    for name, (k1, k2) in FAMILIES.items():
+        for rows in by_time[1:]:
+            vals = [errs[k1] + errs[k2] for _, errs in rows]
             for a, b in zip(vals, vals[1:]):
                 if b > a * (1.0 + 1e-12):
-                    t_bad = results[completed[0]][irec][0]
                     flags.append(
-                        f"monotonicity violated at t={t_bad:g} "
-                        f"(family {k1},{k2}): consider under-resolution")
-                    ok = False
-        return ok
-
-    mono_l2 = _monotone(0, 1) if len(completed) >= 2 else True
-    mono_li = _monotone(2, 3) if len(completed) >= 2 else True
+                        f"monotonicity violated at t={rows[0][0]:g} in the "
+                        f"{name} family: consider under-resolution")
+                    monotone[name] = False
 
     return SweepResult(
         eps_ladder=ladder,
@@ -359,15 +354,9 @@ def run_sweep(cfg: SimConfig, jobs: int = 1, force: bool = False) -> SweepResult
         nm_max=nm_max,
         linf_grad_u_max=linf_max,
         wall_times=wall_times,
-        fitted_slope_l2=s_l2,
-        fitted_intercept_l2=i_l2,
-        fitted_r2_l2=r2_l2,
-        fitted_slope_linf=s_li,
-        fitted_intercept_linf=i_li,
-        fitted_r2_linf=r2_li,
+        fits=fits,
         fit_note=fit_note,
-        monotone_l2=mono_l2,
-        monotone_linf=mono_li,
+        monotone=monotone,
         flags=flags,
         config_hash=config_hash(cfg).hex(),
         failed=tuple(failed),

@@ -172,15 +172,15 @@ def test_criterion_06_uniform_regularity_trend(viscosity_sweep):
 
 def test_criterion_07_vanishing_viscosity_rates(viscosity_sweep):
     res = viscosity_sweep
-    s_l2 = res.fitted_slope_l2
+    s_l2 = res.fits["l2"].slope
     in_band = 1.2 <= s_l2 <= 1.8
     if in_band:
-        ok = (res.fitted_r2_l2 >= 0.98 and res.fitted_slope_linf >= 0.25
-              and res.monotone_l2 and res.monotone_linf)
+        ok = (res.fits["l2"].r2 >= 0.98 and res.fits["linf"].slope >= 0.25
+              and res.monotone["l2"] and res.monotone["linf"])
         detail = (f"slope_l2 = {s_l2:.3f} (in [1.2, 1.8]), "
-                  f"r2 = {res.fitted_r2_l2:.4f} (>= 0.98), "
-                  f"slope_linf = {res.fitted_slope_linf:.3f} (>= 0.25), "
-                  f"monotone = {res.monotone_l2}/{res.monotone_linf}")
+                  f"r2 = {res.fits['l2'].r2:.4f} (>= 0.98), "
+                  f"slope_linf = {res.fits['linf'].slope:.3f} (>= 0.25), "
+                  f"monotone = {res.monotone['l2']}/{res.monotone['linf']}")
     else:
         # out-of-band slopes are only acceptable when the run says why
         flagged = (bool(res.excluded) or bool(res.fit_note)

@@ -1,10 +1,14 @@
 """File formats (diagnostics CSV, sweep CSV, binary checkpoint) and the CLI."""
 
+import ast
+import re
 import types
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import lcflow
 from lcflow import (
     ChannelGrid,
     ConfigError,
@@ -22,7 +26,9 @@ from lcflow import (
 )
 from lcflow.cli import cli
 from lcflow.config import config_hash
-from lcflow.io import _HEADER, CHECKPOINT_MAGIC, DIAG_COLUMNS, SWEEP_COLUMNS
+from lcflow.io import (_HEADER, CHECKPOINT_MAGIC, DIAG_COLUMNS, FAMILY_LABELS,
+                       SWEEP_COLUMNS)
+from lcflow.sweep import FAMILIES
 
 CFG_TEXT = """\
 [grid]
@@ -218,6 +224,67 @@ def test_rate_report_contents(tmp_path):
     assert "monotone along ladder" in text
 
 
+def test_rate_report_of_unfitted_sweep(tmp_path):
+    # the one-member guard case of test_sweep_resolution_guard: neither
+    # family has two points
+    res = run_sweep(_tiny_cfg(eps=0.0, eps_ladder=(0.25, 0.03125)))
+    text = write_rate_report(res, tmp_path / "report.txt")
+    for name in ("l2", "linf"):
+        assert (f"{FAMILY_LABELS[name]}: not fitted (insufficient-points)"
+                in text)
+
+
+def _error_column_strings(tree):
+    """Lines of the module whose string constants, docstrings aside, name
+    a sweep error column."""
+    docstrings = {id(node.body[0].value) for node in ast.walk(tree)
+                  if isinstance(node, (ast.Module, ast.ClassDef,
+                                       ast.FunctionDef, ast.AsyncFunctionDef))
+                  and ast.get_docstring(node, clean=False) is not None}
+    return [node.lineno for node in ast.walk(tree)
+            if isinstance(node, ast.Constant) and isinstance(node.value, str)
+            and id(node) not in docstrings
+            and any(c in node.value for c in SWEEP_COLUMNS[1:5])]
+
+
+def test_error_columns_are_spelled_only_in_io():
+    # the families are column pairs in sweep.FAMILIES and names in io;
+    # a column name spelled anywhere else is a second definition of one
+    sources = sorted(Path(lcflow.__file__).parent.glob("*.py"))
+    found = {path.name: _error_column_strings(ast.parse(path.read_text()))
+             for path in sources}
+    assert found.pop("io.py")
+    assert {name: lines for name, lines in found.items() if lines} == {}
+    # the scan itself sees keys, plain and f-string text, and passes a
+    # docstring
+    for line in ('r["err_u_l2sq"]', "x = 'err_d_w1inf'",
+                 'f"l2 family (err_u_l2sq + err_d_h1sq): {s}"'):
+        assert _error_column_strings(ast.parse("x = 1\n" + line)) == [2], line
+    assert _error_column_strings(
+        ast.parse('def f():\n    """err_u_linf"""\n')) == []
+
+
+def test_rate_report_and_rate_fit_name_families_alike(tmp_path, capsys):
+    cfg_path = tmp_path / "run.cfg"
+    cfg_path.write_text(CFG_TEXT + "\n[sweep]\neps_ladder = 0.25 0.125 0.0625\n")
+    out = tmp_path / "out"
+    assert cli(["sweep", "--config", str(cfg_path), "--out", str(out)]) == 0
+    report = (out / "rate_report.txt").read_text()
+    capsys.readouterr()
+    assert cli(["rate-fit", "--csv", str(out / "sweep.csv")]) == 0
+    printed = capsys.readouterr().out.splitlines()
+    assert len(printed) == len(FAMILIES)
+    for name, line in zip(FAMILIES, printed):
+        label, _, rest = line.partition(": slope = ")
+        assert label == FAMILY_LABELS[name]
+        # each label names the columns its family sums
+        assert f"({' + '.join(SWEEP_COLUMNS[1 + k] for k in FAMILIES[name])})" \
+            in label
+        m = re.search(re.escape(label) + r": slope = (\S+)", report)
+        assert m, report
+        assert m.group(1) == f"{float(rest.split()[0]):.6f}"
+
+
 # --------------------------------------------------------------------- CLI
 
 
@@ -333,6 +400,29 @@ def test_cli_exit_code_for_runtime_failure(tmp_path, capsys):
     rc = cli(["simulate", "--config", str(cfg_path)])
     assert rc == 2
     assert "exceeds the stability limit" in capsys.readouterr().err
+
+
+def test_cli_sweep_whose_first_member_fails(tmp_path, capsys):
+    # the config of test_sweep_member_failure_aborts_with_partials: explicit
+    # viscosity at dt = 6e-3 breaks the first member's stability limit, so
+    # no member completes; the report and stderr still say why
+    cfg_path = tmp_path / "run.cfg"
+    cfg_path.write_text(CFG_TEXT
+                        .replace("visc_implicit = yes", "visc_implicit = no")
+                        .replace("dt = 2e-3", "dt = 6e-3")
+                        .replace("t_final = 0.02", "t_final = 0.024")
+                        + "\n[sweep]\neps_ladder = 0.25 0.125\n")
+    out = tmp_path / "out"
+    assert cli(["sweep", "--config", str(cfg_path), "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert "lcflow sweep: aborted: member eps=0.25 failed: " in captured.err
+    assert "stability limit" in captured.err
+    assert "eps=0.125" not in captured.err
+    assert not (out / "sweep.csv").exists()
+    report = (out / "rate_report.txt").read_text()
+    assert captured.out == report
+    assert "members run : none" in report
+    assert "ABORTED: eps=0.25: " in report
 
 
 def test_cli_exit_code_for_unwritable_output(tmp_path, capsys):

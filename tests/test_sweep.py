@@ -18,6 +18,7 @@ from lcflow import (
     init_state,
     remainder_norms,
     run_sweep,
+    write_rate_report,
 )
 from lcflow.fields import State, zero_face_field
 from lcflow.grid import make_grid
@@ -188,7 +189,7 @@ def test_sweep_resolution_guard():
     assert res.excluded == (0.03125,)
     assert any("resolution guard" in f for f in res.flags)
     assert res.fit_note == "insufficient-points"
-    assert np.isnan(res.fitted_slope_l2)
+    assert np.isnan(res.fits["l2"].slope)
 
 
 def test_sweep_guard_excluding_every_member_fails_before_any_run(
@@ -236,7 +237,7 @@ def test_sweep_basic_result_shape():
     # smaller eps -> smaller error against the inviscid reference
     l2 = [res.errors_max[e][0] + res.errors_max[e][1] for e in ladder]
     assert l2[0] > l2[1] > l2[2] > 0.0
-    assert np.isfinite(res.fitted_slope_l2)
+    assert np.isfinite(res.fits["l2"].slope)
     assert res.config_hash != ""
     assert res.failed == ()
 
@@ -247,7 +248,7 @@ def test_sweep_is_deterministic_rerun():
     b = run_sweep(cfg)
     assert a.errors_max == b.errors_max
     assert a.errors_by_time == b.errors_by_time
-    assert a.fitted_slope_l2 == b.fitted_slope_l2
+    assert a.fits["l2"].slope == b.fits["l2"].slope
 
 
 def test_sweep_member_failure_aborts_with_partials():
@@ -264,6 +265,51 @@ def test_sweep_member_failure_aborts_with_partials():
     assert pooled.failed == res.failed
     assert pooled.errors_by_time == res.errors_by_time == {}
     assert pooled.flags == res.flags
+
+
+def test_sweep_reports_a_monotonicity_violation_by_family(monkeypatch,
+                                                          tmp_path):
+    # every comparison returns a larger sup error than the one before, and
+    # the members are compared by decreasing eps, so the linf family grows
+    # as eps falls while the l2 family keeps its true values
+    real = sweep.error_norms
+    calls = []
+
+    def growing_linf(*args):
+        calls.append(args)
+        e_l2sq, e_h1sq, _, _ = real(*args)
+        return e_l2sq, e_h1sq, float(len(calls)), 0.0
+
+    monkeypatch.setattr(sweep, "error_norms", growing_linf)
+    # two members and two records (t = 0 and t = 0.01): one comparison
+    res = run_sweep(_sweep_cfg(t_final=0.01, eps_ladder=(0.25, 0.125)))
+    assert [len(rows) for rows in res.errors_by_time.values()] == [2, 2]
+    assert res.monotone == {"l2": True, "linf": False}
+    linf_flags = [f for f in res.flags if "linf" in f]
+    assert linf_flags == ["monotonicity violated at t=0.01 in the linf "
+                          "family: consider under-resolution"]
+    assert not any("l2" in f for f in res.flags)
+    text = write_rate_report(res, tmp_path / "report.txt")
+    assert ("monotone along ladder at every recorded time: l2 yes, linf NO"
+            in text)
+
+
+def test_sweep_zero_family_is_dropped_and_flagged_once(monkeypatch, tmp_path):
+    # a family whose errors are all exactly zero has nothing to fit; it is
+    # named once in the flags, and the other family is still fitted
+    real = sweep.error_norms
+    monkeypatch.setattr(sweep, "error_norms",
+                        lambda *args: (0.0, 0.0) + real(*args)[2:])
+    res = run_sweep(_sweep_cfg(eps_ladder=(0.25, 0.125)))
+    assert [f for f in res.flags if "dropped" in f] == [
+        "fit l2: dropped members with exactly zero error"]
+    assert res.fit_note == "insufficient-points"
+    assert np.isnan(res.fits["l2"].slope)
+    assert np.isfinite(res.fits["linf"].slope)
+    text = write_rate_report(res, tmp_path / "report.txt")
+    assert "l2 family   (err_u_l2sq + err_d_h1sq) : not fitted " \
+           "(insufficient-points)" in text
+    assert "linf family (err_u_linf + err_d_w1inf): slope = " in text
 
 
 def test_member_job_is_spawn_safe(tmp_path):
