@@ -87,9 +87,13 @@ def _cmd_sweep(args):
     try:
         os.makedirs(args.out, exist_ok=True)
         result = run_sweep(cfg, jobs=args.jobs, force=args.force)
-        # a sweep whose first member failed has no rows, only a report
+        csv = os.path.join(args.out, "sweep.csv")
+        # a sweep whose first member failed has no rows, only a report, and
+        # an earlier sweep's rows must not stand beside that report
         if result.errors_max:
-            write_sweep_csv(result, os.path.join(args.out, "sweep.csv"))
+            write_sweep_csv(result, csv)
+        elif os.path.exists(csv):
+            os.remove(csv)
         text = write_rate_report(result, os.path.join(args.out,
                                                       "rate_report.txt"))
     except ConfigError:

@@ -21,9 +21,11 @@ the arithmetic of np.sum over the leading axes, so they are bit-identical
 to the whole-stack form.  A record is the one assembly of the per-state
 diagnostics: make_record derives each field of the state once (centered u,
 grad d, |grad d|^2, grad u, lap d, vorticity, momentum forcing F), walks
-each once, and computes the functional (_functional), the sup norm of grad
-u and the slip trace from them.  F serves both the pressure split and the
-time derivatives of the functional.
+each once, and computes the functional, the budget rates (_budget_rates),
+the sup norm of grad u and the slip trace from them.  The functional is a
+sum over one list of walked terms (_functional_terms) plus |d|_0^2 and the
+grad u walk that the sup norm shares.  F serves both the pressure split and
+the time derivatives of the functional.
 
 The energy budget pairs the quantities the scheme actually conserves:
 kinetic energy on faces (the quadrature in which advection is exactly
@@ -84,7 +86,7 @@ def _conormal_sums(f: np.ndarray, m: int, grid: ChannelGrid, sup: int = -1):
 
     l2[k] is the squared L2 conormal norm of order k, the value of
     conormal_norm_sq(f, k, grid).  linf[k], for k <= sup <= m, is the sum of
-    squared sup norms whose square root (_linf) is the order-k sup norm;
+    squared sup norms whose square root is the order-k sup norm;
     vector input (leading axes) takes the pointwise Euclidean magnitude first.
 
     Stacked leading axes are walked one component at a time, in C order, so
@@ -124,10 +126,6 @@ def _conormal_sums(f: np.ndarray, m: int, grid: ChannelGrid, sup: int = -1):
     return l2, linf
 
 
-def _linf(linf, k: int) -> float:
-    return float(np.sqrt(linf[k]))
-
-
 def conormal_norm_sq(f: np.ndarray, m: int, grid: ChannelGrid) -> float:
     """Sum over |alpha| <= m of the squared L2 norm of Z^alpha f; stacked
     leading axes are treated as extra components and summed."""
@@ -156,36 +154,6 @@ def elastic_energy(d: np.ndarray, grid: ChannelGrid) -> float:
     return 0.5 * vol * float(np.sum(gx * gx) + np.sum(gy * gy) + np.sum(gz * gz))
 
 
-def _viscous_dissipation(w: np.ndarray, eps: float, grid: ChannelGrid) -> float:
-    """eps |omega|^2 from the centered vorticity w."""
-    return eps * grid.cell_volume * float(np.sum(w * w))
-
-
-def viscous_dissipation(u: FaceField, eps: float, B: SlipMatrixB,
-                        grid: ChannelGrid) -> float:
-    if eps == 0.0:
-        return 0.0
-    return _viscous_dissipation(curl_center(u, B, grid), eps, grid)
-
-
-def _director_dissipation(lap: np.ndarray, grid: ChannelGrid) -> float:
-    """|lap d|^2 from the centered Laplacian of d."""
-    return grid.cell_volume * float(np.sum(lap * lap))
-
-
-def director_dissipation(d: np.ndarray, grid: ChannelGrid) -> float:
-    return _director_dissipation(laplacian_center(d, grid), grid)
-
-
-def _quartic_production(grad_sq: np.ndarray, grid: ChannelGrid) -> float:
-    """| |grad d|^2 |^2 from the pointwise |grad d|^2."""
-    return grid.cell_volume * float(np.sum(grad_sq * grad_sq))
-
-
-def quartic_production(d: np.ndarray, grid: ChannelGrid) -> float:
-    return _quartic_production(grad_sq_director(d, grid), grid)
-
-
 def boundary_work(u: FaceField, eps: float, B: SlipMatrixB,
                   grid: ChannelGrid) -> float:
     """eps * integral over both walls of (B u)_tau . u_tau.
@@ -208,6 +176,19 @@ def boundary_work(u: FaceField, eps: float, B: SlipMatrixB,
     return eps * da * total
 
 
+def _budget_rates(u: FaceField, w: np.ndarray, ld: np.ndarray,
+                  grad_sq: np.ndarray, eps: float, B: SlipMatrixB,
+                  grid: ChannelGrid):
+    """(visc, dir, quartic, wall work) of the energy identity: eps |omega|^2,
+    |lap d|^2 and | |grad d|^2 |^2 from the centered vorticity w of u, lap d
+    (ld) and the pointwise |grad d|^2 (grad_sq), and boundary_work of u."""
+    vol = grid.cell_volume
+    return (eps * vol * float(np.sum(w * w)),
+            vol * float(np.sum(ld * ld)),
+            vol * float(np.sum(grad_sq * grad_sq)),
+            boundary_work(u, eps, B, grid))
+
+
 def energy_balance_residual(prev: State, nxt: State, dt: float, eps: float,
                             B: SlipMatrixB, grid: ChannelGrid) -> float:
     """Rate-form residual of the energy identity across one step:
@@ -222,11 +203,12 @@ def energy_balance_residual(prev: State, nxt: State, dt: float, eps: float,
     um = FaceField(0.5 * (prev.u.x + nxt.u.x), 0.5 * (prev.u.y + nxt.u.y),
                    0.5 * (prev.u.z + nxt.u.z))
     dm = 0.5 * (prev.d + nxt.d)
-    return (de
-            + viscous_dissipation(um, eps, B, grid)
-            + director_dissipation(dm, grid)
-            - quartic_production(dm, grid)
-            + boundary_work(um, eps, B, grid))
+    # |grad d|^2 first: its temporaries are gone before the curl and lap d
+    grad_sq = grad_sq_director(dm, grid)
+    visc, dir_, quartic, wall = _budget_rates(
+        um, curl_center(um, B, grid), laplacian_center(dm, grid), grad_sq,
+        eps, B, grid)
+    return de + visc + dir_ - quartic + wall
 
 
 # ---------------------------------------------------------------------------
@@ -268,34 +250,28 @@ def _time_derivatives(state: State, F: FaceField, ld: np.ndarray,
     return face_to_center(ut), dt_d
 
 
-def _functional(state: State, eps: float, B: SlipMatrixB, grid: ChannelGrid,
-                m: int, time_derivs: int, u_sq: float, gd_sq: float, gu_sums,
-                ld: np.ndarray, grad_sq: np.ndarray, F: FaceField) -> float:
-    """The functional tracked for uniform boundedness, |u|_m^2 + |d|_0^2
+def _functional_terms(state: State, uc: np.ndarray, gd: np.ndarray,
+                      ld: np.ndarray, grad_sq: np.ndarray, F: FaceField,
+                      eps: float, B: SlipMatrixB, grid: ChannelGrid, m: int,
+                      time_derivs: int):
+    """Yield (field, L2 order, sup order or -1) for each walked term of the
+    functional tracked for uniform boundedness, |u|_m^2 + |d|_0^2
     + |grad d|_m^2 + |grad u|_{m-1}^2 + |lap d|_{m-1}^2 + |grad u|_{1,inf}^2,
-    from |u|_m^2, |grad d|_m^2, the sums of one walk of grad u, lap d (ld)
-    and, for time_derivs=1, |grad d|^2 and the forcing F: each Sobolev-type
-    term then also counts one time derivative (by substituting the
-    evolution equations), one tangential order lower."""
-    gu_l2, gu_linf = gu_sums
-    total = u_sq
-    total += float(np.sum(state.d**2)) * grid.cell_volume
-    total += gd_sq
-    total += gu_l2[m - 1]
-    total += conormal_norm_sq(ld, m - 1, grid)
-    total += _linf(gu_linf, 1) ** 2
-
+    all but |d|_0^2 and the grad u walk, which make_record adds.  For
+    time_derivs=1 each Sobolev-type term also counts one time derivative (by
+    substituting the evolution equations, from F, ld and grad_sq), one
+    tangential order lower.  Each field is built when the sum asks for it.
+    """
+    yield uc, m, -1
+    yield gd, m, -1
+    yield ld, m - 1, -1
     if time_derivs:
         ut_c, dt_d = _time_derivatives(state, F, ld, grad_sq, eps, B, grid)
-        total += conormal_norm_sq(ut_c, m - 1, grid)
-        total += conormal_norm_sq(director_gradient(dt_d, grid), m - 1, grid)
+        yield ut_c, m - 1, -1
+        yield director_gradient(dt_d, grid), m - 1, -1
         if m >= 2:
-            l2, linf = _conormal_sums(center_gradient(ut_c, grid), m - 2,
-                                      grid, sup=0)
-            total += l2[m - 2]
-            total += conormal_norm_sq(laplacian_center(dt_d, grid), m - 2, grid)
-            total += _linf(linf, 0) ** 2
-    return float(total)
+            yield center_gradient(ut_c, grid), m - 2, 0
+            yield laplacian_center(dt_d, grid), m - 2, -1
 
 
 # ---------------------------------------------------------------------------
@@ -328,10 +304,8 @@ def make_record(state: State, cfg: SimConfig, grid: ChannelGrid,
     at this state (0.0 for the initial record or offline recomputation).
 
     The derived fields are built once and each field is walked through the
-    tangential family once.  The dissipation and production terms are the
-    private forms of their public functions, applied to those shared
-    arrays; the functional, the sup norm of grad u and the slip trace are
-    computed here only.
+    tangential family once; the budget rates, the functional, the sup norm
+    of grad u and the slip trace are computed here only.
     """
     eps, m = cfg.eps, cfg.conormal_m
     vol = grid.cell_volume
@@ -346,27 +320,31 @@ def make_record(state: State, cfg: SimConfig, grid: ChannelGrid,
     uc = face_to_center(state.u)
     grad_sq = np.sum(gd * gd, axis=(0, 1))
     w = curl_center(state.u, B, grid)
-    u_sq = _conormal_sums(uc, m, grid)[0][m]
-    gd_sq = _conormal_sums(gd, m, grid)[0][m]
-    gu_sums = _conormal_sums(center_gradient(uc, grid), max(m - 1, 1), grid,
-                             sup=1)
+    visc, dir_, quartic, wall = _budget_rates(state.u, w, ld, grad_sq, eps,
+                                              B, grid)
+    gu_l2, gu_linf = _conormal_sums(center_gradient(uc, grid), max(m - 1, 1),
+                                    grid, sup=1)
+    nm = float(np.sum(state.d**2)) * vol + gu_l2[m - 1] + gu_linf[1]
+    for f, k, sup in _functional_terms(state, uc, gd, ld, grad_sq, F, eps, B,
+                                       grid, m, cfg.time_derivs):
+        l2, linf = _conormal_sums(f, k, grid, sup)
+        del f      # so this field is freed before the next one is built
+        nm += l2[k] + (linf[sup] if sup >= 0 else 0.0)
 
     return DiagnosticsRecord(
         t=state.t,
         kinetic=kinetic_energy(state.u, grid),
         elastic=elastic_energy(state.d, grid),
-        # 0.0 at eps == 0, as viscous_dissipation returns without a curl
-        visc_diss=_viscous_dissipation(w, eps, grid),
-        dir_diss=_director_dissipation(ld, grid),
-        quartic=_quartic_production(grad_sq, grid),
-        boundary_work=boundary_work(state.u, eps, B, grid),
+        visc_diss=visc,
+        dir_diss=dir_,
+        quartic=quartic,
+        boundary_work=wall,
         energy_residual=er,
         unit_dev=unit_deviation(state.d),
         div_res=float(np.max(np.abs(discrete_divergence(state.u, grid)))),
-        nm_value=_functional(state, eps, B, grid, m, cfg.time_derivs, u_sq,
-                             gd_sq, gu_sums, ld, grad_sq, F),
+        nm_value=nm,
         eta_trace=_slip_mismatch_trace(w, uc, B, grid),
-        linf_grad_u=_linf(gu_sums[1], 1),
+        linf_grad_u=float(np.sqrt(gu_linf[1])),
         p1_norm=float(np.sqrt(np.sum(p1 * p1) * vol)),
         p2_norm=float(np.sqrt(np.sum(p2 * p2) * vol)),
     )

@@ -135,7 +135,8 @@ def write_checkpoint(path, state: State, cfg: SimConfig, grid: ChannelGrid,
 
 def read_checkpoint(path, grid: ChannelGrid):
     """Returns (state, config_sha256, step_count); dims must match grid,
-    and a block (u, v, w, p or d) holding NaN or inf is a ConfigError."""
+    and a time or a block (u, v, w, p or d) holding NaN or inf, or a
+    negative time, is a ConfigError."""
     try:
         with open(path, "rb") as f:
             raw = f.read()
@@ -146,6 +147,9 @@ def read_checkpoint(path, grid: ChannelGrid):
     magic, sha, nx, ny, nz, t, steps = _HEADER.unpack_from(raw)
     if magic != CHECKPOINT_MAGIC:
         raise ConfigError(f"{path}: not a checkpoint (bad magic {magic!r})")
+    if not 0.0 <= t < math.inf:
+        raise ConfigError(f"{path}: checkpoint time {t!r} is not finite and "
+                          f"non-negative")
     if (nx, ny, nz) != (grid.nx, grid.ny, grid.nz):
         raise ConfigError(
             f"{path}: checkpoint dims {(nx, ny, nz)} do not match the "

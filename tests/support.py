@@ -6,7 +6,9 @@ fields from their definitions without touching the package's vectorized
 kernels, so agreement is evidence and not tautology.  Only use on small
 grids.  full_pressure is the superposition oracle of the pressure split:
 one solve with the combined data of both split problems.  grids, seeds and
-face_field generate the inputs of the property tests.
+face_field generate the inputs of the property tests.  viscous_dissipation,
+director_dissipation and quartic_production are the reference forms of the
+record's budget rates, each built from the state with its own operator.
 """
 
 import math
@@ -16,7 +18,8 @@ from hypothesis import strategies as hst
 
 from lcflow.fields import FaceField, discrete_divergence
 from lcflow.grid import ChannelGrid
-from lcflow.operators import director_gradient, laplacian_center, momentum_forcing
+from lcflow.operators import (curl_center, director_gradient, grad_sq_director,
+                              laplacian_center, momentum_forcing)
 from lcflow.pressure import _wall_dzz_w, solve_poisson_neumann
 
 
@@ -41,6 +44,26 @@ def grad_and_lap(d, grid):
     """(grad d, lap d) of a centered director: the inputs elastic_stress and
     momentum_forcing take."""
     return director_gradient(d, grid), laplacian_center(d, grid)
+
+
+def viscous_dissipation(u, eps, B, grid):
+    """eps |curl u|^2, midpoint quadrature at centers; 0.0 at eps = 0."""
+    if eps == 0.0:
+        return 0.0
+    w = curl_center(u, B, grid)
+    return eps * grid.cell_volume * float(np.sum(w * w))
+
+
+def director_dissipation(d, grid):
+    """|lap d|^2 of the centered Laplacian of d."""
+    lap = laplacian_center(d, grid)
+    return grid.cell_volume * float(np.sum(lap * lap))
+
+
+def quartic_production(d, grid):
+    """| |grad d|^2 |^2 of the pointwise |grad d|^2."""
+    g = grad_sq_director(d, grid)
+    return grid.cell_volume * float(np.sum(g * g))
 
 
 def full_pressure(state, eps, grid):

@@ -9,18 +9,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as hst
 
-from lcflow import SimConfig, diagnostics, operators, pressure, run
-from lcflow.diagnostics import (_conormal_sums, _linf, _walk, conormal_norm_sq,
-                                director_dissipation, elastic_energy,
-                                kinetic_energy, make_record,
-                                quartic_production, viscous_dissipation)
+from lcflow import SimConfig, diagnostics, operators, pressure, run, step
+from lcflow.diagnostics import (_conormal_sums, _walk, boundary_work,
+                                conormal_norm_sq, elastic_energy,
+                                energy_balance_residual, kinetic_energy,
+                                make_record)
 from lcflow.errors import ConfigError
-from lcflow.fields import (InitialConditionSpec, State, init_state,
-                           zero_face_field)
+from lcflow.fields import (FaceField, InitialConditionSpec, State,
+                           face_to_center, init_state, zero_face_field)
 from lcflow.grid import ChannelGrid, conormal_derivative, make_grid
-from lcflow.operators import SlipMatrixB, director_gradient
+from lcflow.operators import (SlipMatrixB, center_gradient, director_gradient,
+                              laplacian_center, momentum_forcing)
 
-from support import grids
+from support import (director_dissipation, grids, quartic_production,
+                     viscous_dissipation)
 
 
 def _grid(nx=8, ny=8, nz=16, **kw):
@@ -33,11 +35,11 @@ def _zfield(grid, profile):
     return np.broadcast_to(profile[None, None, :], grid.shape).copy()
 
 
-def _record(st, grid, B, m=2, time_derivs=0):
-    """The record of st on grid, eps = 0.1: the one place the functional,
-    the sup norm of grad u and the slip trace are computed."""
+def _record(st, grid, B, m=2, time_derivs=0, eps=0.1):
+    """The record of st on grid: the one place the functional, the sup
+    norm of grad u and the slip trace are computed."""
     cfg = SimConfig(nx=grid.nx, ny=grid.ny, nz=grid.nz, lx=grid.lx,
-                    ly=grid.ly, lz=grid.lz, eps=0.1, b11=B.b11, b12=B.b12,
+                    ly=grid.ly, lz=grid.lz, eps=eps, b11=B.b11, b12=B.b12,
                     b22=B.b22, dt=1e-3, t_final=1e-3, conormal_m=m,
                     time_derivs=time_derivs)
     return make_record(st, cfg, grid, B)
@@ -117,12 +119,12 @@ def test_norm_families_reject_bad_orders():
 def test_sup_norm_family_values():
     grid = _grid()
     c = np.full(grid.shape, -2.5)
-    assert _linf(_conormal_sums(c, 0, grid, sup=0)[1], 0) == 2.5
+    assert math.sqrt(_conormal_sums(c, 0, grid, sup=0)[1][0]) == 2.5
 
     vec = np.zeros((3,) + grid.shape)
     vec[0] = 3.0
     vec[1] = 4.0                                   # Euclidean before the sup
-    assert _linf(_conormal_sums(vec, 0, grid, sup=0)[1], 0) == 5.0
+    assert math.sqrt(_conormal_sums(vec, 0, grid, sup=0)[1][0]) == 5.0
 
 
 def test_sup_norm_of_sine_converges_to_closed_form():
@@ -133,7 +135,7 @@ def test_sup_norm_of_sine_converges_to_closed_form():
         grid = _grid(nx=nx)
         f = np.broadcast_to(np.sin(2 * np.pi * grid.x_centers())[:, None, None],
                             grid.shape).copy()
-        v = _linf(_conormal_sums(f, 1, grid, sup=1)[1], 1)
+        v = math.sqrt(_conormal_sums(f, 1, grid, sup=1)[1][1])
         assert v < target                          # discrete sups undershoot
         deficit[nx] = target - v
     assert deficit[32] <= 0.015 * target
@@ -245,8 +247,9 @@ def test_elastic_energy_of_uniform_director_is_zero():
 def test_viscous_dissipation_vanishes_without_viscosity():
     grid = _grid()
     st = init_state(grid, InitialConditionSpec("random-solenoidal", seed=2))
-    assert viscous_dissipation(st.u, 0.0, SlipMatrixB(1, 0, 1), grid) == 0.0
-    assert viscous_dissipation(st.u, 0.3, SlipMatrixB(1, 0, 1), grid) > 0.0
+    B = SlipMatrixB(1, 0, 1)
+    assert _record(st, grid, B, eps=0.0).visc_diss == 0.0
+    assert _record(st, grid, B, eps=0.3).visc_diss > 0.0
 
 
 def test_energy_residual_is_first_order_in_dt():
@@ -396,19 +399,115 @@ def test_record_builds_momentum_forcing_once(monkeypatch, time_derivs):
     assert len(grads) == 1 + time_derivs
 
 
-@pytest.mark.parametrize("m", [1, 2, 3])
-@pytest.mark.parametrize("time_derivs", [0, 1])
-def test_record_fields_are_their_public_functions(m, time_derivs):
-    # the record builds its derived fields once and shares them; every
-    # field must still be, bit for bit, the value of its public function
+def _record_case(m, time_derivs):
+    """(cfg, grid, state, B) of a random 3-D state with b12 != 0."""
     cfg = SimConfig(nx=8, ny=6, nz=12, eps=0.05, b11=1.0, b12=0.4, b22=2.0,
                     dt=1e-3, t_final=1e-3, ic_name="random-solenoidal",
                     amplitude=0.2, seed=4, conormal_m=m,
                     time_derivs=time_derivs).validate()
     grid = make_grid(cfg)
-    st = init_state(grid, cfg.ic)
-    B = SlipMatrixB(cfg.b11, cfg.b12, cfg.b22)
+    return (cfg, grid, init_state(grid, cfg.ic),
+            SlipMatrixB(cfg.b11, cfg.b12, cfg.b22))
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+@pytest.mark.parametrize("time_derivs", [0, 1])
+def test_record_fields_are_their_public_functions(m, time_derivs):
+    # the record builds its derived fields once and shares them; every
+    # budget rate must still be, bit for bit, its reference form, which
+    # builds its own field from the state
+    cfg, grid, st, B = _record_case(m, time_derivs)
     rec = make_record(st, cfg, grid, B)
     assert rec.visc_diss == viscous_dissipation(st.u, cfg.eps, B, grid)
     assert rec.dir_diss == director_dissipation(st.d, grid)
     assert rec.quartic == quartic_production(st.d, grid)
+    assert rec.boundary_work == boundary_work(st.u, cfg.eps, B, grid)
+
+
+def test_energy_residual_is_the_reference_rates():
+    # the residual's rates are, bit for bit, the reference forms applied to
+    # the midpoint-in-time fields, summed in the order of the identity
+    cfg, grid, prev, B = _record_case(2, 0)
+    nxt = step(prev, cfg, grid, B, cfg.dt)
+    de = (kinetic_energy(nxt.u, grid) + elastic_energy(nxt.d, grid)
+          - kinetic_energy(prev.u, grid) - elastic_energy(prev.d, grid)) / cfg.dt
+    um = FaceField(0.5 * (prev.u.x + nxt.u.x), 0.5 * (prev.u.y + nxt.u.y),
+                   0.5 * (prev.u.z + nxt.u.z))
+    dm = 0.5 * (prev.d + nxt.d)
+    want = (de + viscous_dissipation(um, cfg.eps, B, grid)
+            + director_dissipation(dm, grid) - quartic_production(dm, grid)
+            + boundary_work(um, cfg.eps, B, grid))
+    assert energy_balance_residual(prev, nxt, cfg.dt, cfg.eps, B, grid) == want
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+@pytest.mark.parametrize("time_derivs", [0, 1])
+def test_nm_value_is_the_sum_of_its_terms(m, time_derivs):
+    # the functional written out term by term: |u|_m, |d|_0, |grad d|_m,
+    # |grad u|_{m-1}, |lap d|_{m-1} and |grad u|_{1,inf}, then one time
+    # derivative of each Sobolev-type term one order lower
+    cfg, grid, st, B = _record_case(m, time_derivs)
+    uc = face_to_center(st.u)
+    gd = director_gradient(st.d, grid)
+    ld = laplacian_center(st.d, grid)
+    gu = center_gradient(uc, grid)
+    want = (conormal_norm_sq(uc, m, grid) + conormal_norm_sq(st.d, 0, grid)
+            + conormal_norm_sq(gd, m, grid) + conormal_norm_sq(gu, m - 1, grid)
+            + conormal_norm_sq(ld, m - 1, grid)
+            + _conormal_sums(gu, 1, grid, sup=1)[1][1])
+    if time_derivs:
+        F = momentum_forcing(st.u, gd, ld, grid)
+        ut, dt_d = diagnostics._time_derivatives(
+            st, F, ld, np.sum(gd * gd, axis=(0, 1)), cfg.eps, B, grid)
+        want += (conormal_norm_sq(ut, m - 1, grid)
+                 + conormal_norm_sq(director_gradient(dt_d, grid), m - 1, grid))
+        if m >= 2:
+            gut = center_gradient(ut, grid)
+            want += (conormal_norm_sq(gut, m - 2, grid)
+                     + conormal_norm_sq(laplacian_center(dt_d, grid), m - 2,
+                                        grid)
+                     + _conormal_sums(gut, 0, grid, sup=0)[1][0])
+    assert make_record(st, cfg, grid, B).nm_value == pytest.approx(want,
+                                                                   rel=1e-13)
+
+
+@pytest.mark.parametrize("m, time_derivs, walks",
+                         [(1, 0, 4), (2, 0, 4), (3, 0, 4),
+                          (1, 1, 6), (2, 1, 8), (3, 1, 8)])
+def test_record_walks_each_term_once(monkeypatch, m, time_derivs, walks):
+    # u, grad d, lap d and grad u; with time derivatives also u_t and
+    # grad d_t, and from m = 2 on grad u_t and lap d_t
+    calls = []
+
+    def counting(*args, **kw):
+        calls.append(1)
+        return _conormal_sums(*args, **kw)
+
+    monkeypatch.setattr(diagnostics, "_conormal_sums", counting)
+    cfg, grid, st, B = _record_case(m, time_derivs)
+    make_record(st, cfg, grid, B)
+    assert len(calls) == walks
+
+
+@pytest.mark.parametrize("m", [2, 3])
+def test_record_working_set(m):
+    # One time_derivs = 1 record on 16x16x64, in units of one scalar field
+    # (128 KiB).  The record before the functional became a list of terms
+    # peaked at 55.02 fields at m = 2 and 3; the bound is that plus 10%.
+    # Each term's field is built when the sum reaches it: building the
+    # list eagerly peaks at 60.65 fields.
+    cfg = SimConfig(nx=16, ny=16, nz=64, eps=0.05, b11=1.0, b12=0.4, b22=2.0,
+                    dt=1e-3, t_final=1e-3, ic_name="random-solenoidal",
+                    amplitude=0.2, seed=4, conormal_m=m,
+                    time_derivs=1).validate()
+    grid = make_grid(cfg)
+    st = init_state(grid, cfg.ic)
+    B = SlipMatrixB(cfg.b11, cfg.b12, cfg.b22)
+    make_record(st, cfg, grid, B)
+    tracemalloc.start()
+    try:
+        make_record(st, cfg, grid, B)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.10 * 55.02 * st.p.nbytes

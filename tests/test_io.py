@@ -1,6 +1,7 @@
 """File formats (diagnostics CSV, sweep CSV, binary checkpoint) and the CLI."""
 
 import ast
+import math
 import re
 import types
 from pathlib import Path
@@ -357,6 +358,28 @@ def test_cli_diagnose_rejects_non_finite_checkpoint(tmp_path, capsys):
         assert not out.exists()
 
 
+@pytest.mark.parametrize("bad", [math.inf, math.nan, -1.0])
+def test_cli_diagnose_rejects_bad_checkpoint_time(tmp_path, capsys, bad):
+    cfg_path = tmp_path / "run.cfg"
+    cfg_path.write_text(CFG_TEXT)
+    ckpt = tmp_path / "state.ckpt"
+    assert cli(["simulate", "--config", str(cfg_path),
+                "--checkpoint-out", str(ckpt)]) == 0
+    raw = ckpt.read_bytes()
+    header = list(_HEADER.unpack_from(raw))
+    header[5] = bad                               # magic, sha, 3 dims, t
+    ckpt.write_bytes(_HEADER.pack(*header) + raw[_HEADER.size:])
+    with pytest.raises(ConfigError, match="checkpoint time"):
+        read_checkpoint(ckpt, make_grid(_tiny_cfg()))
+    capsys.readouterr()
+    out = tmp_path / "diag.csv"
+    assert cli(["diagnose", "--checkpoint", str(ckpt),
+                "--config", str(cfg_path), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert str(ckpt) in err and "checkpoint time" in err
+    assert not out.exists()
+
+
 def test_cli_sweep_and_rate_fit(tmp_path, capsys):
     cfg_path = tmp_path / "run.cfg"
     cfg_path.write_text(CFG_TEXT + "\n[sweep]\neps_ladder = 0.25 0.125 0.0625\n")
@@ -405,14 +428,19 @@ def test_cli_exit_code_for_runtime_failure(tmp_path, capsys):
 def test_cli_sweep_whose_first_member_fails(tmp_path, capsys):
     # the config of test_sweep_member_failure_aborts_with_partials: explicit
     # viscosity at dt = 6e-3 breaks the first member's stability limit, so
-    # no member completes; the report and stderr still say why
+    # no member completes; the report and stderr still say why, and the CSV
+    # a completed sweep left in the same directory is gone
+    out = tmp_path / "out"
     cfg_path = tmp_path / "run.cfg"
+    cfg_path.write_text(CFG_TEXT + "\n[sweep]\neps_ladder = 0.25\n")
+    assert cli(["sweep", "--config", str(cfg_path), "--out", str(out)]) == 0
+    assert (out / "sweep.csv").exists()
+    capsys.readouterr()
     cfg_path.write_text(CFG_TEXT
                         .replace("visc_implicit = yes", "visc_implicit = no")
                         .replace("dt = 2e-3", "dt = 6e-3")
                         .replace("t_final = 0.02", "t_final = 0.024")
                         + "\n[sweep]\neps_ladder = 0.25 0.125\n")
-    out = tmp_path / "out"
     assert cli(["sweep", "--config", str(cfg_path), "--out", str(out)]) == 2
     captured = capsys.readouterr()
     assert "lcflow sweep: aborted: member eps=0.25 failed: " in captured.err

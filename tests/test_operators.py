@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as hst
 
 from lcflow import ChannelGrid, InitialConditionSpec, SimConfig, SlipMatrixB, init_state
-from lcflow.diagnostics import kinetic_energy, viscous_dissipation
+from lcflow.diagnostics import kinetic_energy
 from lcflow.fields import FaceField, State, face_to_center, zero_face_field
 from lcflow.integrator import step
 from lcflow.operators import (
@@ -29,7 +29,7 @@ from lcflow.operators import (
     pad_neumann,
 )
 
-from support import face_field, grids, seeds
+from support import face_field, grids, seeds, viscous_dissipation
 
 B0 = SlipMatrixB(0.0, 0.0, 0.0)
 
