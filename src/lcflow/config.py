@@ -101,6 +101,9 @@ class SimConfig:
             v = getattr(self, name)
             if not (math.isfinite(v) and v > 0):
                 raise ConfigError(f"{name} must be positive and finite, got {v}")
+        if self.renorm_floor >= 1.0:    # would refuse the unit director
+            raise ConfigError(
+                f"renorm_floor must be in (0, 1), got {self.renorm_floor}")
         if not (math.isfinite(self.t_final) and self.t_final >= 0):
             raise ConfigError(
                 f"t_final must be >= 0 and finite, got {self.t_final}")

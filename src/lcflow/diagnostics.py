@@ -46,11 +46,11 @@ from .errors import ConfigError
 from .fields import (FaceField, State, discrete_divergence, discrete_gradient,
                      face_to_center, unit_deviation)
 from .grid import M_MAX, ChannelGrid, _shift_diff, conormal_derivative
-from .operators import (SlipMatrixB, _u_on_v_points, _v_on_u_points,
-                        _wall_tangential, advect_center, center_gradient,
-                        curl_center, director_gradient,
-                        fill_ghosts_navier_slip, grad_sq_director,
-                        laplacian_center, laplacian_face, momentum_forcing)
+from .operators import (SlipMatrixB, _slip_ghost_rows, _u_on_v_points,
+                        _v_on_u_points, _wall_tangential, advect_center,
+                        center_gradient, curl_center, director_gradient,
+                        grad_sq_director, laplacian_center, laplacian_face,
+                        momentum_forcing)
 from .pressure import pressure_split
 
 
@@ -163,12 +163,11 @@ def boundary_work(u: FaceField, eps: float, B: SlipMatrixB,
     """
     if eps == 0.0 or B.is_zero:
         return 0.0
-    x_ext, y_ext = fill_ghosts_navier_slip(u, B, grid)
     da = grid.hx * grid.hy
     total = 0.0
-    for sl_g, sl_i in (((0,), (1,)), ((-1,), (-2,))):
-        uw = 0.5 * (x_ext[:, :, sl_g[0]] + x_ext[:, :, sl_i[0]])
-        vw = 0.5 * (y_ext[:, :, sl_g[0]] + y_ext[:, :, sl_i[0]])
+    for k, (ug, vg) in zip((0, -1), _slip_ghost_rows(u, B, grid)):
+        uw = 0.5 * (ug + u.x[:, :, k])
+        vw = 0.5 * (vg + u.y[:, :, k])
         vw_on_u = _v_on_u_points(vw[:, :, None])[:, :, 0]
         uw_on_v = _u_on_v_points(uw[:, :, None])[:, :, 0]
         total += float(np.sum(B.b11 * uw**2 + B.b12 * uw * vw_on_u))

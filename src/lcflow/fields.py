@@ -57,7 +57,7 @@ def renormalize_director(d: np.ndarray, floor: float = 1e-8) -> np.ndarray:
     """
     mag = np.sqrt(np.sum(d * d, axis=0))
     if np.any(mag <= floor):
-        idx = np.unravel_index(int(np.argmin(mag)), mag.shape)
+        idx = tuple(int(i) for i in np.unravel_index(np.argmin(mag), mag.shape))
         raise SimulationError(
             f"degenerate director: magnitude {mag[idx]:.3e} <= floor "
             f"{floor:.1e} at cell {idx}")

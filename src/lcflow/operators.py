@@ -14,7 +14,9 @@ Boundary handling happens through ghost layers in z (x and y wrap):
 Advection uses the divergence form with half the discrete velocity
 divergence subtracted, which makes <f, advect(u, f)> telescope to zero
 exactly (periodic wrap in x/y, zero mass flux through the walls), without
-assuming the advecting field is divergence-free.
+assuming the advecting field is divergence-free.  One kernel, _split_form,
+writes it on the cells and on each face family; its callers supply the
+field's end layers in z and the velocity on the volumes' faces.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fields import FaceField, discrete_divergence, face_to_center
+from .fields import FaceField, face_to_center
 from .grid import (ChannelGrid, _ddx, _ddy, _dz_centered, _shift_diff,
                    _shift_mean, _shift_op)
 
@@ -59,17 +61,11 @@ def _wall_tangential(f4, which):
 
 def _v_on_u_points(v):
     # four-point average of y-face data onto x-face positions
-    t = _shift_op(np.add, v, 0, v, 1, 0)
-    out = _shift_op(np.add, t, 0, t, -1, 1)
-    out *= 0.25
-    return out
+    return _shift_mean(_shift_mean(v, 1, 0), -1, 1)
 
 
 def _u_on_v_points(u):
-    t = _shift_op(np.add, u, 0, u, -1, 0)
-    out = _shift_op(np.add, t, 0, t, 1, 1)
-    out *= 0.25
-    return out
+    return _shift_mean(_shift_mean(u, -1, 0), 1, 1)
 
 
 def slip_closure(u: FaceField, B: SlipMatrixB, grid: ChannelGrid):
@@ -105,15 +101,17 @@ def slip_closure(u: FaceField, B: SlipMatrixB, grid: ChannelGrid):
     return a11, a22, cu, cv, vw_b, vw_t, uw_b, uw_t
 
 
+def _slip_ghost_rows(u: FaceField, B: SlipMatrixB, grid: ChannelGrid):
+    """The ghost rows of slip_closure: ((ug, vg) bottom, (ug, vg) top)."""
+    a11, a22, cu, cv, vw_b, vw_t, uw_b, uw_t = slip_closure(u, B, grid)
+    return tuple((a11 * u.x[:, :, k] - cu * vw, a22 * u.y[:, :, k] - cv * uw)
+                 for k, vw, uw in ((0, vw_b, uw_b), (-1, vw_t, uw_t)))
+
+
 def fill_ghosts_navier_slip(u: FaceField, B: SlipMatrixB, grid: ChannelGrid):
     """Ghost-extended tangential velocities (each (nx, ny, nz+2)), with the
     ghost rows of slip_closure."""
-    a11, a22, cu, cv, vw_b, vw_t, uw_b, uw_t = slip_closure(u, B, grid)
-    ug_b = a11 * u.x[:, :, 0] - cu * vw_b
-    ug_t = a11 * u.x[:, :, -1] - cu * vw_t
-    vg_b = a22 * u.y[:, :, 0] - cv * uw_b
-    vg_t = a22 * u.y[:, :, -1] - cv * uw_t
-
+    (ug_b, vg_b), (ug_t, vg_t) = _slip_ghost_rows(u, B, grid)
     x_ext = np.concatenate([ug_b[:, :, None], u.x, ug_t[:, :, None]], axis=2)
     y_ext = np.concatenate([vg_b[:, :, None], u.y, vg_t[:, :, None]], axis=2)
     return x_ext, y_ext
@@ -195,84 +193,64 @@ def curl_center(u: FaceField, B: SlipMatrixB, grid: ChannelGrid) -> np.ndarray:
 # advection (energy-conserving split form)
 # ---------------------------------------------------------------------------
 
+def _split_form(f, ends, periodic, vz, grid: ChannelGrid):
+    """Split-form u . grad f on one family of control volumes: the flux
+    differences (upper face minus lower, over h) minus f/2 times the same
+    differences of the velocity.
+
+    ends holds the layers of f just beyond it in z (below, above); periodic
+    holds (axis 0 or 1, velocity v on the volumes' faces normal to it,
+    offset s: face i of v lies between volumes i - s and i) for x and y in
+    summation order, own axis first for a face family, which is x + y bit
+    for bit as two terms commute; vz is the velocity on every z face.
+    """
+    diffs = []
+    for a, v, s in periodic:
+        ax, h, lo = a - 3, (grid.hx, grid.hy)[a], (1 - s) // 2
+        flux = _shift_mean(f, s, ax)
+        flux *= v
+        diffs.append((_shift_diff(flux, lo - 1, lo, ax, h),
+                      _shift_diff(v, lo - 1, lo, ax, h)))
+    (out, div), (flux_diff, v_diff) = diffs
+    out += flux_diff
+    div += v_diff
+    flux = np.empty(f.shape[:-1] + (f.shape[-1] + 1,))   # on the z faces
+    np.add(ends[0], f[..., 0], out=flux[..., 0])
+    np.add(f[..., :-1], f[..., 1:], out=flux[..., 1:-1])
+    np.add(f[..., -1], ends[1], out=flux[..., -1])
+    flux *= 0.5
+    flux *= vz
+    out += (flux[..., 1:] - flux[..., :-1]) / grid.hz
+    div += (vz[..., 1:] - vz[..., :-1]) / grid.hz
+    out -= 0.5 * f * div
+    return out
+
+
 def advect_center(u: FaceField, f: np.ndarray, grid: ChannelGrid) -> np.ndarray:
     """u . grad f for cell-centered f (scalar or stacked components).
 
     Divergence form with -(f/2) div u correction; exactly antisymmetric in
     the L2 pairing with f.  Transport of a constant returns (c/2) div u,
-    bounded by the divergence residual.
+    bounded by the divergence residual.  The cell faces carry u itself, so
+    the wall faces carry exactly zero mass flux.
     """
-    flux_x = _shift_mean(f, 1, -3)                       # at x-faces
-    flux_x *= u.x
-    flux_y = _shift_mean(f, 1, -2)                       # at y-faces
-    flux_y *= u.y
-    fz = 0.5 * (f[..., :-1] + f[..., 1:])                # at interior z-faces
-
-    term = _shift_diff(flux_x, -1, 0, -3, grid.hx)
-    term += _shift_diff(flux_y, -1, 0, -2, grid.hy, flux_x)
-
-    # interior z-face fluxes; wall faces carry exactly zero mass flux, so
-    # cell k picks up +flux at its top face (k+1) and -flux at its bottom (k)
-    flux_z = u.z[:, :, 1:-1] * fz
-    term[..., :-1] += flux_z / grid.hz
-    term[..., 1:] -= flux_z / grid.hz
-    return term - 0.5 * f * discrete_divergence(u, grid)
-
-
-def _advect_tangential(u_own, u_other, w, f, a, grid: ChannelGrid):
-    """Split-form u . grad f on the control volumes of the x (a = 0) or
-    y (a = 1) faces: u_own is the velocity normal to those faces, u_other
-    the other tangential one, w the normal velocity.  Fluxes are summed
-    own axis, other periodic axis, z; the divergence (own + other) + z,
-    which is (x + y) + z bit for bit: a sum of two floats commutes."""
-    b = 1 - a
-    h = (grid.hx, grid.hy)
-    Uc = _shift_mean(u_own, -1, a)          # at centers
-    Von = _shift_mean(u_other, 1, a)        # at (xf, yf, zc)
-    Won = _shift_mean(w, 1, a)              # at (own face, zf)
-    flux = _shift_mean(f, -1, a)
-    flux *= Uc
-    out = _shift_diff(flux, 0, 1, a, h[a])
-    flux_o = _shift_mean(f, 1, b)
-    flux_o *= Von
-    out += _shift_diff(flux_o, -1, 0, b, h[b], flux)
-    flux = Won[:, :, 1:-1] * (0.5 * (f[:, :, :-1] + f[:, :, 1:]))
-    out[:, :, :-1] += flux / grid.hz
-    out[:, :, 1:] -= flux / grid.hz
-    div = _shift_diff(Uc, 0, 1, a, h[a])
-    div += _shift_diff(Von, -1, 0, b, h[b], flux_o)
-    div += (Won[:, :, 1:] - Won[:, :, :-1]) / grid.hz
-    out -= 0.5 * f * div
-    return out
+    return _split_form(f, (f[..., 0], f[..., -1]), ((0, u.x, 1), (1, u.y, 1)),
+                       u.z, grid)
 
 
 def advect_face(u: FaceField, f: FaceField, grid: ChannelGrid) -> FaceField:
     """u . grad f for a staggered vector f (velocity self-advection when
-    f is u).  Same split form per component on its own control volume."""
-    hx, hy, hz = grid.hx, grid.hy, grid.hz
-    ax = _advect_tangential(u.x, u.y, u.z, f.x, 0, grid)
-    ay = _advect_tangential(u.y, u.x, u.z, f.y, 1, grid)
-
-    # --- z component (interior faces only) --------------------------------
+    f is u): the split form on each component's own control volumes, whose
+    faces carry the two-point means of u; w's wall rows of the result are 0."""
+    ax, ay = (_split_form(g, (g[..., 0], g[..., -1]),
+                          ((a, _shift_mean(own, -1, a), -1),
+                           (1 - a, _shift_mean(other, 1, a), 1)),
+                          _shift_mean(u.z, 1, a), grid)
+              for a, g, own, other in ((0, f.x, u.x, u.y), (1, f.y, u.y, u.x)))
+    xm, ym, zm = (0.5 * (g[:, :, :-1] + g[:, :, 1:]) for g in u.components())
     az = np.zeros_like(f.z)
-    Wc = 0.5 * (u.z[:, :, :-1] + u.z[:, :, 1:])          # at centers
-    Uon = 0.5 * (u.x[:, :, :-1] + u.x[:, :, 1:])         # at (xf, yc, zf int)
-    Von = 0.5 * (u.y[:, :, :-1] + u.y[:, :, 1:])         # at (xc, yf, zf int)
-    fzi = f.z[:, :, 1:-1]
-    azi = az[:, :, 1:-1]
-    flux_x = _shift_mean(fzi, 1, 0)
-    flux_x *= Uon
-    _shift_diff(flux_x, -1, 0, 0, hx, azi)
-    flux_y = _shift_mean(fzi, 1, 1)
-    flux_y *= Von
-    azi += _shift_diff(flux_y, -1, 0, 1, hy, flux_x)
-    flux = Wc * (0.5 * (f.z[:, :, :-1] + f.z[:, :, 1:]))  # at centers
-    azi += (flux[:, :, 1:] - flux[:, :, :-1]) / hz
-    divw = _shift_diff(Uon, -1, 0, 0, hx)
-    divw += _shift_diff(Von, -1, 0, 1, hy, flux_y)
-    divw += (Wc[:, :, 1:] - Wc[:, :, :-1]) / hz
-    azi -= 0.5 * fzi * divw
-
+    az[:, :, 1:-1] = _split_form(f.z[:, :, 1:-1], (f.z[:, :, 0], f.z[:, :, -1]),
+                                 ((0, xm, 1), (1, ym, 1)), zm, grid)
     return FaceField(ax, ay, az)
 
 

@@ -106,6 +106,7 @@ def test_validation_ranges():
     ("dt", "inf"), ("dt", "nan"), ("dt", "-inf"),
     ("t_final", "inf"), ("t_final", "nan"),
     ("cfl_safety", "nan"), ("solver_tol", "nan"), ("renorm_floor", "nan"),
+    ("renorm_floor", "1.0"),
     ("lx", "nan"), ("lx", "inf"), ("amplitude", "nan"), ("twist", "inf"),
     ("seed", "-1"),
 ])
@@ -115,7 +116,8 @@ def test_non_finite_times_are_rejected(tmp_path, capsys, key, value):
     # cfl_safety = nan switches the CFL check off, solver_tol = nan the
     # Poisson residual check; amplitude = nan and twist = inf would fail
     # later as a non-finite state; seed = -1 would escape init_state as an
-    # uncaught numpy error
+    # uncaught numpy error; renorm_floor = 1 would refuse the unit director
+    # at the first step
     if key in ("dt", "t_final"):
         line = {"dt": "dt = 1e-3", "t_final": "t_final = 0.1"}[key]
         text = MINIMAL.replace(line, f"{key} = {value}")

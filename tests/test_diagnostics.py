@@ -489,6 +489,28 @@ def test_record_walks_each_term_once(monkeypatch, m, time_derivs, walks):
     assert len(calls) == walks
 
 
+@pytest.mark.parametrize("time_derivs, with_prev, fills",
+                         [(0, False, 1), (0, True, 2), (1, False, 2),
+                          (1, True, 3)])
+def test_record_fills_ghosts_once_per_curl(monkeypatch, time_derivs,
+                                           with_prev, fills):
+    # one fill for the curl of u, one for the curl of the midpoint velocity
+    # of the energy residual and one for the face Laplacian of u_t; the
+    # wall work takes its wall rows from slip_closure
+    calls = []
+    fill = operators.fill_ghosts_navier_slip
+
+    def counting(*args, **kw):
+        calls.append(1)
+        return fill(*args, **kw)
+
+    monkeypatch.setattr(operators, "fill_ghosts_navier_slip", counting)
+    cfg, grid, st, B = _record_case(1, time_derivs)
+    prev = st.copy() if with_prev else None
+    make_record(st, cfg, grid, B, prev=prev, dt=cfg.dt)
+    assert len(calls) == fills
+
+
 @pytest.mark.parametrize("m", [2, 3])
 def test_record_working_set(m):
     # One time_derivs = 1 record on 16x16x64, in units of one scalar field

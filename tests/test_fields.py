@@ -127,7 +127,8 @@ def test_renormalize_simple_vectors():
 
 def test_renormalize_rejects_degenerate():
     d = np.zeros((3, 2, 2, 2))
-    with pytest.raises(SimulationError, match="degenerate director"):
+    with pytest.raises(SimulationError,
+                       match=r"degenerate director: .* at cell \(0, 0, 0\)$"):
         renormalize_director(d)
     # a magnitude sitting below the floor is degenerate too
     d[2] = 1e-9

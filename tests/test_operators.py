@@ -304,6 +304,52 @@ def test_advect_face_skew_symmetry():
     assert abs(ip) <= 1e-10 * norm
 
 
+_XYZ = sp.symbols("x y z")
+_X, _Y, _Z = _XYZ
+_ADV_U = (sp.sin(2 * sp.pi * _X) * sp.cos(2 * sp.pi * _Y) * sp.cos(sp.pi * _Z),
+          sp.cos(2 * sp.pi * _X) * sp.sin(4 * sp.pi * _Y) * sp.cos(sp.pi * _Z)
+          + 0.3,
+          sp.cos(2 * sp.pi * _X) * sp.cos(2 * sp.pi * _Y) * sp.sin(sp.pi * _Z))
+_ADV_F = (sp.cos(2 * sp.pi * _X) * sp.sin(2 * sp.pi * _Y) * sp.cos(sp.pi * _Z),
+          sp.sin(4 * sp.pi * _X) * sp.cos(2 * sp.pi * _Y)
+          * sp.cos(2 * sp.pi * _Z),
+          sp.sin(2 * sp.pi * _X) * sp.cos(2 * sp.pi * _Y) * sp.sin(sp.pi * _Z),
+          sp.cos(2 * sp.pi * _X + 0.6) * sp.sin(2 * sp.pi * _Y)
+          * sp.cos(sp.pi * _Z))
+
+
+def _sample(expr, x, y, z):
+    vals = sp.lambdify(_XYZ, expr, "numpy")(x[:, None, None], y[None, :, None],
+                                            z[None, None, :])
+    return np.broadcast_to(vals, (len(x), len(y), len(z))).astype(float)
+
+
+def _advection_errors(n):
+    """Max errors of advect_face on the x, y and interior w faces and of
+    advect_center, against u . grad f + (f/2) div u, which the split form
+    approximates for any u."""
+    grid = _grid(n, n, n)
+    xc, yc, zc = grid.x_centers(), grid.y_centers(), grid.z_centers()
+    xf, yf, zf = grid.x_faces(), grid.y_faces(), grid.z_faces()
+    pos = ((xf, yc, zc), (xc, yf, zc), (xc, yc, zf), (xc, yc, zc))
+    div = sum(sp.diff(c, v) for c, v in zip(_ADV_U, _XYZ))
+    want = [_sample(sum(c * sp.diff(f, v) for c, v in zip(_ADV_U, _XYZ))
+                    + f * div / 2, *p) for f, p in zip(_ADV_F, pos)]
+    u = FaceField(*(_sample(c, *p) for c, p in zip(_ADV_U, pos)))
+    a = advect_face(u, FaceField(*(_sample(f, *p) for f, p
+                                   in zip(_ADV_F[:3], pos))), grid)
+    got = [a.x, a.y, a.z, advect_center(u, _sample(_ADV_F[3], *pos[3]), grid)]
+    got[2], want[2] = got[2][:, :, 1:-1], want[2][:, :, 1:-1]
+    return np.array([np.max(np.abs(g - w)) for g, w in zip(got, want)])
+
+
+def test_advection_converges_at_second_order():
+    # the antisymmetry and transposition properties hold for any face
+    # offsets applied alike to both axes; a wrong one is first order here
+    ratio = _advection_errors(16) / _advection_errors(32)
+    assert np.all(ratio >= 3.0), ratio
+
+
 # ------------------------------------- properties on generated grids/fields
 
 def _swap_xy(f):
@@ -319,25 +365,35 @@ def _swapped_grid(g):
 
 @settings(max_examples=40, deadline=None)
 @given(grid=grids, seed=seeds)
-def test_advect_face_skew_symmetric_per_component(grid, seed):
-    # each component's split form telescopes on its own control volumes,
-    # whatever the divergence of u, once the wall normal values vanish
+def test_advection_skew_symmetric_per_component(grid, seed):
+    # each family's split form telescopes on its own control volumes,
+    # whatever the divergence of u, once the wall normal values vanish: the
+    # faces' components and a scalar and a stacked field on the cells
     rng = np.random.default_rng(seed)
     u, g = face_field(rng, grid), face_field(rng, grid)
-    a = advect_face(u, g, grid)
-    for gc, ac in zip(g.components(), a.components()):
+    s = rng.standard_normal(grid.shape)
+    d = rng.standard_normal((3,) + grid.shape)
+    pairs = list(zip(g.components(), advect_face(u, g, grid).components()))
+    pairs.append((s, advect_center(u, s, grid)))
+    pairs.extend(zip(d, advect_center(u, d, grid)))
+    for gc, ac in pairs:
         assert abs(np.sum(gc * ac)) <= 1e-13 * np.sum(np.abs(gc * ac))
 
 
 @settings(max_examples=40, deadline=None)
 @given(grid=grids, seed=seeds)
-def test_advect_face_transposes_under_xy_swap(grid, seed):
+def test_advection_transposes_under_xy_swap(grid, seed):
     rng = np.random.default_rng(seed)
     u, f = face_field(rng, grid), face_field(rng, grid)
+    d = rng.standard_normal((3,) + grid.shape)
+    su, sgrid = _swap_xy(u), _swapped_grid(grid)
     want = _swap_xy(advect_face(u, f, grid))
-    got = advect_face(_swap_xy(u), _swap_xy(f), _swapped_grid(grid))
+    got = advect_face(su, _swap_xy(f), sgrid)
     for g_c, w_c in zip(got.components(), want.components()):
         assert np.array_equal(g_c, w_c)
+    for c in (d[0], d):
+        assert np.array_equal(advect_center(su, _swap_xy(c), sgrid),
+                              _swap_xy(advect_center(u, c, grid)))
 
 
 @settings(max_examples=40, deadline=None)
