@@ -13,8 +13,8 @@ every order 0..m (and the sup-type sums up to a requested order).  A
 stacked field is walked one component at a time, in C order of its leading
 axes, so every walked member is one single-component array and the working
 set of a walk is a few of them.  The L2 sums add member by member, in walk
-order and then component order, so a walk to order m gives
-conormal_norm_sq(f, k) for every k <= m bit for bit; for a stack they may
+order and then component order, so a walk to order m holds the order-k
+sums of a walk to k, for every k <= m, bit for bit; for a stack they may
 differ at round-off from summing the squares of whole-stack members.  The
 sup sums add each member's squares across components in component order,
 the arithmetic of np.sum over the leading axes, so they are bit-identical
@@ -45,7 +45,7 @@ from .config import SimConfig
 from .errors import ConfigError
 from .fields import (FaceField, State, discrete_divergence, discrete_gradient,
                      face_to_center, unit_deviation)
-from .grid import M_MAX, ChannelGrid, _shift_diff, conormal_derivative
+from .grid import ChannelGrid, _shift_diff, conormal_derivative
 from .operators import (SlipMatrixB, _slip_ghost_rows, _u_on_v_points,
                         _v_on_u_points, _wall_tangential, advect_center,
                         center_gradient, curl_center, director_gradient,
@@ -84,8 +84,9 @@ def _walk(f: np.ndarray, m: int, grid: ChannelGrid):
 def _conormal_sums(f: np.ndarray, m: int, grid: ChannelGrid, sup: int = -1):
     """One walk of f to order m; returns (l2, linf) cumulative per order.
 
-    l2[k] is the squared L2 conormal norm of order k, the value of
-    conormal_norm_sq(f, k, grid).  linf[k], for k <= sup <= m, is the sum of
+    l2[k] is the squared L2 conormal norm of order k: the sum over
+    |alpha| <= k of the squared L2 norm of Z^alpha f, stacked leading axes
+    summed as extra components.  linf[k], for k <= sup <= m, is the sum of
     squared sup norms whose square root is the order-k sup norm;
     vector input (leading axes) takes the pointwise Euclidean magnitude first.
 
@@ -124,14 +125,6 @@ def _conormal_sums(f: np.ndarray, m: int, grid: ChannelGrid, sup: int = -1):
         sup_total += float(np.max(mag)) ** 2
         linf[k] = sup_total
     return l2, linf
-
-
-def conormal_norm_sq(f: np.ndarray, m: int, grid: ChannelGrid) -> float:
-    """Sum over |alpha| <= m of the squared L2 norm of Z^alpha f; stacked
-    leading axes are treated as extra components and summed."""
-    if not (0 <= m <= M_MAX):
-        raise ConfigError(f"conormal order must be in 0..{M_MAX}, got {m}")
-    return _conormal_sums(f, m, grid)[0][m]
 
 
 # ---------------------------------------------------------------------------

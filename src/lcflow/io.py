@@ -216,9 +216,10 @@ def write_rate_report(result, path):
     mono = ", ".join(f"{name} {'yes' if ok else 'NO'}"
                      for name, ok in result.monotone.items())
     add(f"monotone along ladder at every recorded time: {mono}")
-    nm_members = {e: v for e, v in result.nm_max.items() if e > 0.0}
-    if len(nm_members) >= 2:
-        lo, hi = min(nm_members.values()), max(nm_members.values())
+    nm = [max(r.nm_value for r in recs)
+          for e, recs in result.records.items() if e > 0.0]
+    if len(nm) >= 2:
+        lo, hi = min(nm), max(nm)
         add(f"nm_value max-over-time spread across members: "
             f"[{lo:.6g}, {hi:.6g}]  (hi/lo = {hi / lo:.4f})")
     if result.failed:

@@ -19,6 +19,7 @@ the H1 and W1inf parts.
 
 from __future__ import annotations
 
+import itertools
 import math
 import os
 import tempfile
@@ -161,9 +162,8 @@ class SweepResult:
     eps_min: float               # the guard threshold (4 hz)^2
     errors_max: dict             # eps -> 4-tuple, max over recorded times
     errors_by_time: dict         # eps -> list of (t, 4-tuple)
-    nm_max: dict                 # eps -> max-over-time nm_value (0.0 = ref)
-    linf_grad_u_max: dict        # eps -> max-over-time linf_grad_u
-    wall_times: dict             # eps -> measured seconds (0.0 = ref);
+    records: dict                # eps -> DiagnosticsRecord list (0.0 = ref)
+    wall_times: dict             # eps -> measured seconds, same keys;
                                  # members are timed while they share the
                                  # cores with the reference
     fits: dict                   # family -> Fit, all nan when not fitted
@@ -185,49 +185,47 @@ def _member_job(cfg, eps, workdir):
 
     The sweep runs every ladder member and the eps = 0 reference through
     this job.  Everything comes in as arguments, so any process start
-    method works.  Returns (record times, nm_max, linf_max, seconds).
+    method works.  Returns (records, seconds): the run's DiagnosticsRecord
+    list, one per checkpoint, and its measured wall time.
     """
     cfg = replace(cfg, eps=eps)
     grid = make_grid(cfg)
-    times = []
+    index = itertools.count()
 
     def save(state, rec):
         # the sweep steps with a fixed dt, so the step count follows from t
         # (only the last step may be short)
         steps = math.ceil(state.t / cfg.dt - 1e-6)
-        write_checkpoint(_record_path(workdir, eps, len(times)), state, cfg,
+        write_checkpoint(_record_path(workdir, eps, next(index)), state, cfg,
                          grid, steps)
-        times.append(state.t)
 
     t0 = time.perf_counter()
     _, records, _ = run(cfg, on_record=save)
-    seconds = time.perf_counter() - t0
-    nm_max = max(r.nm_value for r in records)
-    linf_max = max(r.linf_grad_u for r in records)
-    return times, nm_max, linf_max, seconds
+    return records, time.perf_counter() - t0
 
 
-def _compare_member(eps, times, ref_times, workdir, grid):
+def _compare_member(eps, records, ref_records, workdir, grid):
     """Per-record (t, error_norms) of member eps against the reference,
     from the checkpoints _member_job left in workdir for both; each member
     checkpoint is deleted once it is read, and the reference's are kept
     for the next member.  A member whose records do not match the
     reference's in number or time raises SimulationError."""
-    if len(times) != len(ref_times):
+    if len(records) != len(ref_records):
         raise SimulationError(
-            f"member eps={eps:g} produced {len(times)} records, "
-            f"reference has {len(ref_times)}")
+            f"member eps={eps:g} produced {len(records)} records, "
+            f"reference has {len(ref_records)}")
     per_time = []
-    for i, (t, t_ref) in enumerate(zip(times, ref_times)):
-        if abs(t - t_ref) > RECORD_TIME_TOL:
+    for i, (r, r_ref) in enumerate(zip(records, ref_records)):
+        if abs(r.t - r_ref.t) > RECORD_TIME_TOL:
             raise SimulationError(
-                f"record times diverged: member eps={eps:g} at t={t!r}, "
-                f"reference at t={t_ref!r}")
+                f"record times diverged: member eps={eps:g} at t={r.t!r}, "
+                f"reference at t={r_ref.t!r}")
         path = _record_path(workdir, eps, i)
         state, _, _ = read_checkpoint(path, grid)
         os.remove(path)
         ref, _, _ = read_checkpoint(_record_path(workdir, 0.0, i), grid)
-        per_time.append((t, error_norms(state.u, state.d, ref.u, ref.d, grid)))
+        per_time.append((r.t, error_norms(state.u, state.d, ref.u, ref.d,
+                                          grid)))
     return per_time
 
 
@@ -238,18 +236,25 @@ def run_sweep(cfg: SimConfig, jobs: int = 1, force: bool = False) -> SweepResult
     and the reference (eps = 0) runs in this process beside them; with
     jobs = 1 the members run inline after the reference.  Every run goes
     through _member_job and leaves one checkpoint per record in a directory
-    under the system temp dir, 8*nx*ny*(6*nz + 1) bytes plus the header
-    each.  This process compares each member checkpoint with the
-    reference's and deletes it; the reference's stay until the sweep ends.
-    A ladder that the resolution guard empties raises ConfigError before
-    any run.  Adaptive stepping is disabled so every run takes the
-    identical step sequence; a member whose fixed dt violates its
-    stability bound fails loudly and the sweep aborts with the completed
-    members flagged.  A failing reference raises its SimulationError.
+    under the system temp dir, 8*nx*ny*(7*nz + 1) bytes plus the header
+    each, and returns its records, which SweepResult.records keeps by eps
+    (the reference under 0.0) for every run that completed.  This process
+    compares each member checkpoint with the reference's and deletes it;
+    the reference's stay until the sweep ends.  A t_final at which a run
+    takes no step, or a ladder that the resolution guard empties, raises
+    ConfigError before any run.  Adaptive stepping is disabled so every
+    run takes the identical step sequence; a member whose fixed dt violates
+    its stability bound fails loudly and the sweep aborts with the
+    completed members flagged.  A failing reference raises its
+    SimulationError.
     """
     ladder = tuple(cfg.validate().eps_ladder)
     if jobs < 1:
         raise ConfigError(f"jobs must be >= 1, got {jobs}")
+    # the end test of integrator.run's step loop: no step, nothing to compare
+    if cfg.t_final <= 1e-12 * max(cfg.t_final, 1.0):
+        raise ConfigError(f"t_final = {cfg.t_final:g} takes no step; a sweep "
+                          f"needs t_final > 0")
 
     grid = make_grid(cfg)
     eps_min = (4.0 * grid.hz) ** 2
@@ -277,14 +282,13 @@ def run_sweep(cfg: SimConfig, jobs: int = 1, force: bool = False) -> SweepResult
                    forcing_u=None, forcing_d=None)
 
     wall_times = {}
-    nm_max = {}
-    linf_max = {}
+    records = {}
     results = {}
     failed = []
     pool = None
     with tempfile.TemporaryDirectory(prefix="lcflow-sweep-") as workdir:
         try:
-            if jobs > 1 and included:
+            if jobs > 1:
                 pool = ProcessPoolExecutor(
                     max_workers=min(jobs, len(included)),
                     mp_context=mp.get_context("fork"))
@@ -293,18 +297,17 @@ def run_sweep(cfg: SimConfig, jobs: int = 1, force: bool = False) -> SweepResult
             else:
                 calls = [partial(_member_job, base, e, workdir)
                          for e in included]
-            (ref_times, nm_max[0.0], linf_max[0.0],
-             wall_times[0.0]) = _member_job(base, 0.0, workdir)
+            records[0.0], wall_times[0.0] = _member_job(base, 0.0, workdir)
             # the first failure ends the sweep: no later member starts
             for e, call in zip(included, calls):
                 try:
-                    times, nm, lg, secs = call()
-                    results[e] = _compare_member(e, times, ref_times, workdir,
-                                                 grid)
+                    recs, secs = call()
+                    results[e] = _compare_member(e, recs, records[0.0],
+                                                 workdir, grid)
                 except SimulationError as exc:
                     failed.append((e, str(exc)))
                     break
-                nm_max[e], linf_max[e], wall_times[e] = nm, lg, secs
+                records[e], wall_times[e] = recs, secs
         finally:
             if pool is not None:
                 pool.shutdown(cancel_futures=True)
@@ -351,8 +354,7 @@ def run_sweep(cfg: SimConfig, jobs: int = 1, force: bool = False) -> SweepResult
         eps_min=eps_min,
         errors_max=errors_max,
         errors_by_time={e: results[e] for e in completed},
-        nm_max=nm_max,
-        linf_grad_u_max=linf_max,
+        records=records,
         wall_times=wall_times,
         fits=fits,
         fit_note=fit_note,

@@ -9,6 +9,8 @@ one solve with the combined data of both split problems.  grids, seeds and
 face_field generate the inputs of the property tests.  viscous_dissipation,
 director_dissipation and quartic_production are the reference forms of the
 record's budget rates, each built from the state with its own operator.
+conormal_norm_sq is the order-m squared L2 conormal norm, read off one
+walk of diagnostics._conormal_sums.
 """
 
 import math
@@ -16,6 +18,7 @@ import math
 import numpy as np
 from hypothesis import strategies as hst
 
+from lcflow.diagnostics import _conormal_sums
 from lcflow.fields import FaceField, discrete_divergence
 from lcflow.grid import ChannelGrid
 from lcflow.operators import (curl_center, director_gradient, grad_sq_director,
@@ -38,6 +41,12 @@ def face_field(rng, grid):
     z[:, :, 0] = z[:, :, -1] = 0.0
     return FaceField(rng.standard_normal(grid.shape),
                      rng.standard_normal(grid.shape), z)
+
+
+def conormal_norm_sq(f, m, grid):
+    """Sum over |alpha| <= m of the squared L2 norm of Z^alpha f; stacked
+    leading axes are treated as extra components and summed."""
+    return _conormal_sums(f, m, grid)[0][m]
 
 
 def grad_and_lap(d, grid):

@@ -160,9 +160,9 @@ def test_criterion_05_pressure_split_superposition():
 def test_criterion_06_uniform_regularity_trend(viscosity_sweep):
     res = viscosity_sweep
     members = list(res.included)
-    nm = [res.nm_max[e] for e in members]
+    nm = [max(r.nm_value for r in res.records[e]) for e in members]
     spread = (max(nm) - min(nm)) / min(nm)
-    lg = [res.linf_grad_u_max[e] for e in members]
+    lg = [max(r.linf_grad_u for r in res.records[e]) for e in members]
     slope = float(np.polyfit(np.log(members), np.log(lg), 1)[0])
     _verdict(6, "regularity functional uniform in eps; no gradient blowup",
              spread < 0.20 and abs(slope) <= 0.15,

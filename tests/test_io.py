@@ -14,6 +14,7 @@ from lcflow import (
     ChannelGrid,
     ConfigError,
     SimConfig,
+    init_state,
     make_grid,
     read_checkpoint,
     read_diag_csv,
@@ -205,6 +206,19 @@ def test_checkpoint_rejects_truncation(tmp_path):
     path.write_bytes(raw[:10])
     with pytest.raises(ConfigError, match="truncated checkpoint header"):
         read_checkpoint(path, grid)
+
+
+@pytest.mark.parametrize("dims", [(8, 6, 16), (5, 4, 7)])
+def test_checkpoint_size(tmp_path, dims):
+    # u, v, p and the three director components hold nz layers each, w
+    # holds nz + 1: 8 nx ny (7 nz + 1) bytes after the header
+    nx, ny, nz = dims
+    cfg = _tiny_cfg(nx=nx, ny=ny, nz=nz)
+    grid = make_grid(cfg)
+    path = tmp_path / "state.ckpt"
+    write_checkpoint(path, init_state(grid, cfg.ic), cfg, grid, 0)
+    assert _HEADER.size == 68
+    assert path.stat().st_size == 8 * nx * ny * (7 * nz + 1) + 68
 
 
 def test_checkpoint_magic_is_versioned():

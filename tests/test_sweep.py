@@ -1,5 +1,6 @@
 """Rate fitting, error norms, remainders, and the sweep driver itself."""
 
+import dataclasses
 import multiprocessing as mp
 import tempfile
 from concurrent.futures import ProcessPoolExecutor
@@ -215,6 +216,28 @@ def test_sweep_guard_excluding_every_member_fails_before_any_run(
     assert ran == [] and not (out / "sweep.csv").exists()
 
 
+@pytest.mark.parametrize("t_final", ["0", "1e-13"])
+def test_sweep_without_a_step_fails_before_any_run(tmp_path, monkeypatch,
+                                                   capsys, t_final):
+    # no run would take a step, so every member would match the reference
+    # at t = 0 only: zero errors and nothing to fit
+    ran = []
+    monkeypatch.setattr(sweep, "_member_job",
+                        lambda *args: ran.append(args) or _member_job(*args))
+    with pytest.raises(ConfigError, match="t_final"):
+        run_sweep(_sweep_cfg(t_final=float(t_final), eps_ladder=(0.25, 0.125)))
+    assert ran == []
+    cfg_path = tmp_path / "run.cfg"
+    cfg_path.write_text("[grid]\nnx = 8\nny = 8\nnz = 16\n"
+                        "[physics]\neps = 0.05\n"
+                        f"[time]\ndt = 2e-3\nt_final = {t_final}\n"
+                        "[sweep]\neps_ladder = 0.25 0.125\n")
+    out = tmp_path / "out"
+    assert cli(["sweep", "--config", str(cfg_path), "--out", str(out)]) == 1
+    assert "t_final" in capsys.readouterr().err
+    assert ran == [] and not (out / "sweep.csv").exists()
+
+
 def test_sweep_force_overrides_guard():
     res = run_sweep(_sweep_cfg(eps_ladder=(0.25, 0.03125)), force=True)
     assert res.included == (0.25, 0.03125)
@@ -265,6 +288,24 @@ def test_sweep_member_failure_aborts_with_partials():
     assert pooled.failed == res.failed
     assert pooled.errors_by_time == res.errors_by_time == {}
     assert pooled.flags == res.flags
+    # only the reference completed, so only its records are kept
+    assert set(pooled.records) == set(res.records) == {0.0}
+    assert pooled.records[0.0] == res.records[0.0]
+
+
+def test_sweep_keeps_the_records_of_every_run():
+    # every completed run, the reference under 0.0, hands back its records;
+    # the pooled path pickles them across the process boundary unchanged
+    ladder = (0.25, 0.125)
+    res = run_sweep(_sweep_cfg(eps_ladder=ladder))
+    pooled = run_sweep(_sweep_cfg(eps_ladder=ladder), jobs=2)
+    completed = [e for e in res.included if e in res.errors_max]
+    assert completed == list(ladder)
+    assert set(res.records) == set(res.wall_times) == {0.0, *completed}
+    assert pooled.records == res.records
+    for e in completed:
+        assert ([r.t for r in res.records[e]]
+                == [t for t, _ in res.errors_by_time[e]])
 
 
 def test_sweep_reports_a_monotonicity_violation_by_family(monkeypatch,
@@ -324,7 +365,7 @@ def test_member_job_is_spawn_safe(tmp_path):
     with ProcessPoolExecutor(max_workers=1,
                              mp_context=mp.get_context("spawn")) as pool:
         b = pool.submit(_member_job, cfg, 0.25, str(spawned)).result()
-    assert a[:3] == b[:3]
+    assert a[0] == b[0]
     names = sorted(p.name for p in inline.iterdir())
     assert len(names) == len(a[0]) >= 2
     assert sorted(p.name for p in spawned.iterdir()) == names
@@ -335,32 +376,34 @@ def test_member_job_is_spawn_safe(tmp_path):
 def test_compare_member_checks_record_count_and_times(tmp_path):
     cfg = _sweep_cfg()
     grid = make_grid(cfg)
-    ref_times = _member_job(cfg, 0.0, str(tmp_path))[0]
-    times = _member_job(cfg, 0.25, str(tmp_path))[0]
-    assert len(times) == len(ref_times) >= 3
+    ref_records = _member_job(cfg, 0.0, str(tmp_path))[0]
+    records = _member_job(cfg, 0.25, str(tmp_path))[0]
+    assert len(records) == len(ref_records) >= 3
+    n = len(ref_records)
     with pytest.raises(SimulationError,
-                       match=f"member eps=0.25 produced {len(ref_times) - 1} "
-                             f"records, reference has {len(ref_times)}"):
-        _compare_member(0.25, times[:-1], ref_times, str(tmp_path), grid)
-    off = times[:-1] + [times[-1] + 1e-6]
+                       match=f"member eps=0.25 produced {n - 1} records, "
+                             f"reference has {n}"):
+        _compare_member(0.25, records[:-1], ref_records, str(tmp_path), grid)
+    last = records[-1]
+    off = records[:-1] + [dataclasses.replace(last, t=last.t + 1e-6)]
     with pytest.raises(SimulationError, match="record times diverged: "
                                               "member eps=0.25"):
-        _compare_member(0.25, off, ref_times, str(tmp_path), grid)
+        _compare_member(0.25, off, ref_records, str(tmp_path), grid)
 
 
 def test_compare_member_deletes_what_it_reads(tmp_path):
     # the member's checkpoints go as they are compared; the reference's
     # stay for the next member
     cfg = _sweep_cfg()
-    ref_times = _member_job(cfg, 0.0, str(tmp_path))[0]
+    ref_records = _member_job(cfg, 0.0, str(tmp_path))[0]
     ref_files = sorted(p.name for p in tmp_path.iterdir())
-    times = _member_job(cfg, 0.25, str(tmp_path))[0]
+    records = _member_job(cfg, 0.25, str(tmp_path))[0]
     assert len(list(tmp_path.iterdir())) == 2 * len(ref_files)
-    per_time = _compare_member(0.25, times, ref_times, str(tmp_path),
+    per_time = _compare_member(0.25, records, ref_records, str(tmp_path),
                                make_grid(cfg))
-    assert [t for t, _ in per_time] == times
+    assert [t for t, _ in per_time] == [r.t for r in records]
     assert sorted(p.name for p in tmp_path.iterdir()) == ref_files
-    assert len(ref_files) == len(ref_times)
+    assert len(ref_files) == len(ref_records)
 
 
 @pytest.mark.parametrize("jobs", [1, 2])
