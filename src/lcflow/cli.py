@@ -84,9 +84,20 @@ def _cmd_sweep(args):
     cfg = load_config(args.config)
     if args.jobs < 1:
         raise ConfigError(f"--jobs must be >= 1, got {args.jobs}")
+    # the directories that makedirs creates, innermost first
+    made, path = [], os.path.abspath(args.out)
+    while not os.path.exists(path):
+        made.append(path)
+        path = os.path.dirname(path)
     try:
         os.makedirs(args.out, exist_ok=True)
-        result = run_sweep(cfg, jobs=args.jobs, force=args.force)
+        try:
+            result = run_sweep(cfg, jobs=args.jobs, force=args.force)
+        except ConfigError:
+            # refused before any run: leave no directory of this call behind
+            for made_dir in made:
+                os.rmdir(made_dir)
+            raise
         csv = os.path.join(args.out, "sweep.csv")
         # a sweep whose first member failed has no rows, only a report, and
         # an earlier sweep's rows must not stand beside that report

@@ -151,14 +151,14 @@ def boundary_work(u: FaceField, eps: float, B: SlipMatrixB,
                   grid: ChannelGrid) -> float:
     """eps * integral over both walls of (B u)_tau . u_tau.
 
-    Wall values are the ghost/interior averages, i.e. exactly the values at
-    which the Robin condition is imposed.
+    Wall values are the means of the slip end rows and the wall layers,
+    i.e. exactly the values at which the Robin condition is imposed.
     """
     if eps == 0.0 or B.is_zero:
         return 0.0
     da = grid.hx * grid.hy
     total = 0.0
-    for k, (ug, vg) in zip((0, -1), _slip_ghost_rows(u, B, grid)):
+    for k, ug, vg in zip((0, -1), *_slip_ghost_rows(u, B, grid)):
         uw = 0.5 * (ug + u.x[:, :, k])
         vw = 0.5 * (vg + u.y[:, :, k])
         vw_on_u = _v_on_u_points(vw[:, :, None])[:, :, 0]

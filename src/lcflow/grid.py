@@ -170,7 +170,7 @@ def _dz_centered(f, hz, out=None):
     """Second-order d/dz on cell-centered data along the last axis.
 
     Central differences inside, one-sided three-point stencils on the first
-    and last interior layers (no ghost values are assumed).  out must not
+    and last interior layers (no end layers are assumed).  out must not
     be f.
 
     When f and out are both C-contiguous the central difference is one

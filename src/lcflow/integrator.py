@@ -12,8 +12,8 @@ Per step, with the state at time t:
       wall rows come from the shared slip closure;
   (c) projection onto discretely divergence-free fields, which also
       furnishes the pressure for this step;
-  (d) boundary closures are never stored -- ghost values are rebuilt from
-      the slip matrix wherever an operator needs them.
+  (d) boundary closures are never stored -- each z stencil reads its end
+      layers, from the slip matrix or by reflection, when it runs.
 
 The advective CFL bound follows the conservative convention
 dt <= safety * min(h) / max(1, |u|_inf); with explicit viscosity the

@@ -1,15 +1,16 @@
 """Discrete spatial operators on the staggered channel grid.
 
-Boundary handling happens through ghost layers in z (x and y wrap):
+x and y wrap; every z stencil sees a wall through the end layers of its
+field, the rows just beyond it in z, passed as (below, above):
 
-  * cell-centered director-type fields get even reflection (zero normal
-    derivative through the wall faces);
-  * tangential velocity components get a Robin ghost implementing the slip
+  * cell-centered director-type fields reflect evenly, taking their own
+    first and last layers (zero normal derivative through the wall faces);
+  * tangential velocity components take the Robin rows of the slip
     condition d(u_tau)/dz = +/- (B u)_tau (+ at the bottom wall, - at the
     top), derived from the vorticity form of the boundary condition with
     outward normals (0,0,-1) and (0,0,1);
-  * the normal velocity needs no ghost: its wall faces hold the exact
-    impermeability zeros.
+  * the interior faces of the normal velocity take its wall faces, which
+    hold the exact impermeability zeros.
 
 Advection uses the divergence form with half the discrete velocity
 divergence subtracted, which makes <f, advect(u, f)> telescope to zero
@@ -47,11 +48,6 @@ class SlipMatrixB:
                 self.b12 * ut + self.b22 * vt)
 
 
-def pad_neumann(f: np.ndarray) -> np.ndarray:
-    """Even reflection ghost layer on both walls (last axis -> nz+2)."""
-    return np.concatenate([f[..., :1], f, f[..., -1:]], axis=-1)
-
-
 def _wall_tangential(f4, which):
     """Second-order extrapolation of a centered field onto a wall plane."""
     if which == "bottom":
@@ -69,10 +65,10 @@ def _u_on_v_points(u):
 
 
 def slip_closure(u: FaceField, B: SlipMatrixB, grid: ChannelGrid):
-    """Coefficients of the discrete Robin ghost row on both walls.
+    """Coefficients of the discrete Robin end rows on both walls.
 
     The relation is discretized at the wall face with the wall value taken
-    as the ghost/interior average, e.g. at the bottom for u:
+    as the mean of the end row and the wall layer, e.g. at the bottom for u:
 
         (u0 - ug)/hz = b11*(u0 + ug)/2 + b12 * v_wall
 
@@ -80,55 +76,55 @@ def slip_closure(u: FaceField, B: SlipMatrixB, grid: ChannelGrid):
     cross coupling uses the other component of u extrapolated to the wall
     at the matching staggered position, so b12 != 0 stays second order.
 
-    Returns (a11, a22, cu, cv, vw_b, vw_t, uw_b, uw_t): the wall values of
-    v on u points and of u on v points at the bottom/top, all 0.0 when
-    b12 == 0.
+    Returns ((a11, a22), lags): lags holds the (bottom, top) rows
+    cu*v_wall and cv*u_wall of u and of v, with v_wall the four-point mean
+    of v on u points (u_wall of u on v points), all 0.0 when b12 == 0.
     """
     hz = grid.hz
     a11 = (1.0 - 0.5 * hz * B.b11) / (1.0 + 0.5 * hz * B.b11)
     a22 = (1.0 - 0.5 * hz * B.b22) / (1.0 + 0.5 * hz * B.b22)
+    if B.b12 == 0.0:
+        return (a11, a22), ((0.0, 0.0), (0.0, 0.0))
     cu = hz * B.b12 / (1.0 + 0.5 * hz * B.b11)
     cv = hz * B.b12 / (1.0 + 0.5 * hz * B.b22)
-    if B.b12 != 0.0:
-        v4 = _v_on_u_points(u.y)
-        u4 = _u_on_v_points(u.x)
-        vw_b = _wall_tangential(v4, "bottom")
-        vw_t = _wall_tangential(v4, "top")
-        uw_b = _wall_tangential(u4, "bottom")
-        uw_t = _wall_tangential(u4, "top")
-    else:
-        vw_b = vw_t = uw_b = uw_t = 0.0
-    return a11, a22, cu, cv, vw_b, vw_t, uw_b, uw_t
+    walls = [0, 1, -2, -1]   # the means are pointwise per layer
+    return (a11, a22), tuple(
+        (c * _wall_tangential(g, "bottom"), c * _wall_tangential(g, "top"))
+        for c, g in ((cu, _v_on_u_points(u.y[:, :, walls])),
+                     (cv, _u_on_v_points(u.x[:, :, walls]))))
 
 
 def _slip_ghost_rows(u: FaceField, B: SlipMatrixB, grid: ChannelGrid):
-    """The ghost rows of slip_closure: ((ug, vg) bottom, (ug, vg) top)."""
-    a11, a22, cu, cv, vw_b, vw_t, uw_b, uw_t = slip_closure(u, B, grid)
-    return tuple((a11 * u.x[:, :, k] - cu * vw, a22 * u.y[:, :, k] - cv * uw)
-                 for k, vw, uw in ((0, vw_b, uw_b), (-1, vw_t, uw_t)))
-
-
-def fill_ghosts_navier_slip(u: FaceField, B: SlipMatrixB, grid: ChannelGrid):
-    """Ghost-extended tangential velocities (each (nx, ny, nz+2)), with the
-    ghost rows of slip_closure."""
-    (ug_b, vg_b), (ug_t, vg_t) = _slip_ghost_rows(u, B, grid)
-    x_ext = np.concatenate([ug_b[:, :, None], u.x, ug_t[:, :, None]], axis=2)
-    y_ext = np.concatenate([vg_b[:, :, None], u.y, vg_t[:, :, None]], axis=2)
-    return x_ext, y_ext
+    """The end layers of the tangential velocities under slip_closure,
+    ((u below, u above), (v below, v above)), each alpha*f[wall] - lag."""
+    alphas, lags = slip_closure(u, B, grid)
+    return tuple((a * f[:, :, 0] - lag[0], a * f[:, :, -1] - lag[1])
+                 for f, a, lag in zip((u.x, u.y), alphas, lags))
 
 
 # ---------------------------------------------------------------------------
 # differential operators
 # ---------------------------------------------------------------------------
 
-def _dz_ghost(f_ext, hz, out=None):
-    out = np.subtract(f_ext[..., 2:], f_ext[..., :-2], out=out)
+def _dz_ends(f, ends, hz, out=None):
+    """Central z difference of f with end layers ends = (below, above)."""
+    out = np.empty(f.shape) if out is None else out
+    np.subtract(f[..., 2:], f[..., :-2], out=out[..., 1:-1])
+    np.subtract(f[..., 1], ends[0], out=out[..., 0])
+    np.subtract(ends[1], f[..., -2], out=out[..., -1])
     out /= 2.0 * hz
     return out
 
 
-def _dzz_ghost(f_ext, hz):
-    return (f_ext[..., 2:] - 2.0 * f_ext[..., 1:-1] + f_ext[..., :-2]) / hz**2
+def _dzz_ends(f, ends, hz):
+    """Second z difference of f with end layers ends = (below, above)."""
+    out = -2.0 * f
+    out[..., :-1] += f[..., 1:]
+    out[..., -1] += ends[1]
+    out[..., 1:] += f[..., :-1]
+    out[..., 0] += ends[0]
+    out /= hz**2
+    return out
 
 
 def _lap_xy(f, grid: ChannelGrid):
@@ -153,24 +149,23 @@ def laplacian_center(f: np.ndarray, grid: ChannelGrid) -> np.ndarray:
     round-off.
     """
     out = _lap_xy(f, grid)
-    out += _dzz_ghost(pad_neumann(f), grid.hz)
+    out += _dzz_ends(f, (f[..., 0], f[..., -1]), grid.hz)
     return out
 
 
 def laplacian_face(u: FaceField, B: SlipMatrixB, grid: ChannelGrid) -> FaceField:
     """Componentwise Laplacian of a velocity field.
 
-    Tangential components close with the slip ghosts; the normal component
-    uses its exact wall zeros (result on wall faces is set to zero -- those
-    faces are constrained, not evolved).
+    Tangential components close with the slip end rows; the normal
+    component uses its exact wall zeros (result on wall faces is set to
+    zero -- those faces are constrained, not evolved).
     """
-    x_ext, y_ext = fill_ghosts_navier_slip(u, B, grid)
-    lu = _lap_xy(u.x, grid)
-    lu += _dzz_ghost(x_ext, grid.hz)
-    lv = _lap_xy(u.y, grid)
-    lv += _dzz_ghost(y_ext, grid.hz)
+    lu, lv = (_lap_xy(f, grid) for f in (u.x, u.y))
+    for lf, f, ends in zip((lu, lv), (u.x, u.y), _slip_ghost_rows(u, B, grid)):
+        lf += _dzz_ends(f, ends, grid.hz)
     lw = np.zeros_like(u.z)
-    lw[:, :, 1:-1] = _lap_xy(u.z, grid)[:, :, 1:-1] + _dzz_ghost(u.z, grid.hz)
+    lw[:, :, 1:-1] = _lap_xy(u.z, grid)[:, :, 1:-1] + _dzz_ends(
+        u.z[:, :, 1:-1], (u.z[:, :, 0], u.z[:, :, -1]), grid.hz)
     return FaceField(lu, lv, lw)
 
 
@@ -181,10 +176,10 @@ def curl_center(u: FaceField, B: SlipMatrixB, grid: ChannelGrid) -> np.ndarray:
     the centers: the first stack holds (du/dz, dv/dx, dw/dy), the second
     (du/dy, dv/dz, dw/dx), and the curl is their crosswise difference.
     """
-    x_ext, y_ext = fill_ghosts_navier_slip(u, B, grid)
-    p = face_to_center(FaceField(_dz_ghost(x_ext, grid.hz), _ddx(u.y, grid.hx),
+    xe, ye = _slip_ghost_rows(u, B, grid)
+    p = face_to_center(FaceField(_dz_ends(u.x, xe, grid.hz), _ddx(u.y, grid.hx),
                                  _ddy(u.z, grid.hy)))
-    q = face_to_center(FaceField(_ddy(u.x, grid.hy), _dz_ghost(y_ext, grid.hz),
+    q = face_to_center(FaceField(_ddy(u.x, grid.hy), _dz_ends(u.y, ye, grid.hz),
                                  _ddx(u.z, grid.hx)))
     return np.stack([p[2] - q[1], p[0] - q[2], p[1] - q[0]])
 
@@ -264,7 +259,7 @@ def director_gradient(d: np.ndarray, grid: ChannelGrid) -> np.ndarray:
     out = np.empty((3,) + d.shape)
     _ddx(d, grid.hx, out[0])
     _ddy(d, grid.hy, out[1])
-    _dz_ghost(pad_neumann(d), grid.hz, out[2])
+    _dz_ends(d, (d[..., 0], d[..., -1]), grid.hz, out[2])
     return out
 
 

@@ -181,12 +181,12 @@ def solve_viscous_helmholtz(b: FaceField, coef: float, B: SlipMatrixB,
     """(I - coef * lap) u = b with slip closure for the tangential
     components and exact wall zeros for the normal one.
 
-    The diagonal of B is implicit through the Robin ghost row; the b12
+    The diagonal of B is implicit through the Robin end row; the b12
     cross coupling is evaluated from b (lagged), which keeps first-order
     time accuracy and unconditional stability for diagonal-dominant B.
 
     A tangential column is the zero-flux operator A_N of
-    solve_helmholtz_neumann (ghost = interior) plus delta on its two wall
+    solve_helmholtz_neumann (reflected end layers) plus delta on its two wall
     rows, delta = coef*(1 - alpha)/hz^2 >= 0 with alpha = a11 or a22 of
     slip_closure.  The rank-2 correction (capacitance matrix) is taken in
     cosine space: the channel's reflection symmetry makes the 2x2 wall
@@ -199,15 +199,14 @@ def solve_viscous_helmholtz(b: FaceField, coef: float, B: SlipMatrixB,
     its interior faces diagonalizes exactly.
     """
     nz, hz2 = grid.nz, grid.hz**2
-    a11, a22, cu, cv, vw_b, vw_t, uw_b, uw_t = slip_closure(b, B, grid)
+    alphas, lags = slip_closure(b, B, grid)
     rhs = np.stack([b.x, b.y])
-    rhs[0, :, :, 0] -= coef * cu * vw_b / hz2
-    rhs[0, :, :, -1] -= coef * cu * vw_t / hz2
-    rhs[1, :, :, 0] -= coef * cv * uw_b / hz2
-    rhs[1, :, :, -1] -= coef * cv * uw_t / hz2
+    for r, (lag_b, lag_t) in zip(rhs, lags):
+        r[:, :, 0] -= coef * lag_b / hz2
+        r[:, :, -1] -= coef * lag_t / hz2
 
     denom = 1.0 - coef * _eig_sum(grid)
-    delta = coef * (1.0 - np.array([a11, a22]))[:, None, None] / hz2
+    delta = coef * (1.0 - np.array(alphas))[:, None, None] / hz2
     # the cosine coefficients of e_0 (those of e_{n-1} alternate in sign)
     # and the idct weights that read a column's wall value off them
     e = 2.0 * np.cos(np.pi * np.arange(nz) / (2 * nz))

@@ -13,8 +13,8 @@ compared, which makes the emitted CSV independent of the job count.
 
 Error norms follow the convention: velocity differences are measured in
 the face quadrature (L2) and as the sup of the centered magnitude (Linf);
-director differences use the centered gradient with zero-flux ghosts for
-the H1 and W1inf parts.
+director differences use the centered gradient with reflected end layers
+for the H1 and W1inf parts.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ import os
 import tempfile
 import time
 from collections import namedtuple
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import BrokenExecutor, ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 from functools import partial
 
@@ -83,7 +83,7 @@ def remainder_norms(state_eps: State, state_0: State, eps: float,
 
     Everything is assembled at cell centers: velocities through the
     second-order face average, velocity gradients one-sided at the walls,
-    director gradients with zero-flux ghosts, Laplacians with the
+    director gradients with reflected end layers, Laplacians with the
     zero-flux centered stencil.
     """
     uc_e = face_to_center(state_eps.u)
@@ -244,9 +244,9 @@ def run_sweep(cfg: SimConfig, jobs: int = 1, force: bool = False) -> SweepResult
     takes no step, or a ladder that the resolution guard empties, raises
     ConfigError before any run.  Adaptive stepping is disabled so every
     run takes the identical step sequence; a member whose fixed dt violates
-    its stability bound fails loudly and the sweep aborts with the
-    completed members flagged.  A failing reference raises its
-    SimulationError.
+    its stability bound, or whose worker process ends, fails loudly and
+    the sweep aborts with the completed members flagged.  A failing
+    reference raises its SimulationError.
     """
     ladder = tuple(cfg.validate().eps_ladder)
     if jobs < 1:
@@ -306,6 +306,9 @@ def run_sweep(cfg: SimConfig, jobs: int = 1, force: bool = False) -> SweepResult
                                                  workdir, grid)
                 except SimulationError as exc:
                     failed.append((e, str(exc)))
+                    break
+                except BrokenExecutor as exc:
+                    failed.append((e, f"its worker process ended: {exc}"))
                     break
                 records[e], wall_times[e] = recs, secs
         finally:

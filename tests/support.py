@@ -10,7 +10,9 @@ face_field generate the inputs of the property tests.  viscous_dissipation,
 director_dissipation and quartic_production are the reference forms of the
 record's budget rates, each built from the state with its own operator.
 conormal_norm_sq is the order-m squared L2 conormal norm, read off one
-walk of diagnostics._conormal_sums.
+walk of diagnostics._conormal_sums.  padded, padded_dz and padded_dzz are
+the oracle of the end-layer z stencils: the same formulas on an (nz+2)
+copy that holds the end layers as its first and last layers.
 """
 
 import math
@@ -41,6 +43,23 @@ def face_field(rng, grid):
     z[:, :, 0] = z[:, :, -1] = 0.0
     return FaceField(rng.standard_normal(grid.shape),
                      rng.standard_normal(grid.shape), z)
+
+
+def padded(f, ends):
+    """f with its end layers (below, above) as extra layers in z."""
+    return np.concatenate([ends[0][..., None], f, ends[1][..., None]], axis=-1)
+
+
+def padded_dz(f_ext, hz):
+    """Central z difference of a padded copy on its interior layers."""
+    out = np.subtract(f_ext[..., 2:], f_ext[..., :-2])
+    out /= 2.0 * hz
+    return out
+
+
+def padded_dzz(f_ext, hz):
+    """Second z difference of a padded copy on its interior layers."""
+    return (f_ext[..., 2:] - 2.0 * f_ext[..., 1:-1] + f_ext[..., :-2]) / hz**2
 
 
 def conormal_norm_sq(f, m, grid):
@@ -118,8 +137,8 @@ def _ddz_onesided(f, i, j, k, grid):
 
 
 def _ddz_reflect(f, i, j, k, grid):
-    """Central difference with even reflection at the walls (zero-flux
-    ghosts, matching the director gradient)."""
+    """Central difference with even reflection at the walls (reflected
+    end layers, matching the director gradient)."""
     nz, hz = grid.nz, grid.hz
     lo = f[i, j, k - 1] if k > 0 else f[i, j, 0]
     hi = f[i, j, k + 1] if k < nz - 1 else f[i, j, nz - 1]

@@ -488,21 +488,24 @@ def test_record_walks_each_term_once(monkeypatch, m, time_derivs, walks):
                           (1, True, 3)])
 def test_record_fills_ghosts_once_per_curl(monkeypatch, time_derivs,
                                            with_prev, fills):
-    # one fill for the curl of u, one for the curl of the midpoint velocity
-    # of the energy residual and one for the face Laplacian of u_t; the
-    # wall work takes its wall rows from slip_closure
+    # the slip end rows are built once for the curl of u, once for the curl
+    # of the midpoint velocity of the energy residual and once for the face
+    # Laplacian of u_t (fills), and once more for the wall work beside each
+    # curl
+    curls = 1 + with_prev
     calls = []
-    fill = operators.fill_ghosts_navier_slip
+    rows = operators._slip_ghost_rows
 
     def counting(*args, **kw):
         calls.append(1)
-        return fill(*args, **kw)
+        return rows(*args, **kw)
 
-    monkeypatch.setattr(operators, "fill_ghosts_navier_slip", counting)
+    monkeypatch.setattr(operators, "_slip_ghost_rows", counting)
+    monkeypatch.setattr(diagnostics, "_slip_ghost_rows", counting)
     cfg, grid, st, B = _record_case(1, time_derivs)
     prev = st.copy() if with_prev else None
     make_record(st, cfg, grid, B, prev=prev, dt=cfg.dt)
-    assert len(calls) == fills
+    assert len(calls) == fills + curls
 
 
 @pytest.mark.parametrize("m", [2, 3])

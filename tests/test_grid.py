@@ -260,32 +260,54 @@ def test_dz_centered_is_the_slice_formula(grid, stack, layout, out, seed):
     assert np.array_equal(got, want)
 
 
-def _roll_uses(tree):
-    """Lines of the module that name numpy.roll, as an attribute or an
-    import."""
+def _numpy_uses(tree, names):
+    """Lines of the module that name one of numpy's names, as an attribute
+    or an import."""
     lines = []
     for node in ast.walk(tree):
-        if (isinstance(node, ast.Attribute) and node.attr == "roll"
+        if (isinstance(node, ast.Attribute) and node.attr in names
                 and isinstance(node.value, ast.Name)
                 and node.value.id in ("np", "numpy")):
             lines.append(node.lineno)
         if (isinstance(node, ast.ImportFrom) and node.module == "numpy"
-                and any(alias.name == "roll" for alias in node.names)):
+                and any(alias.name in names for alias in node.names)):
             lines.append(node.lineno)
     return lines
+
+
+def _package_hits(scan):
+    """{module file: lines} of every package module in which scan, which
+    maps a module's syntax tree to lines, finds any."""
+    sources = sorted(Path(lcflow.__file__).parent.glob("*.py"))
+    assert sources
+    found = {path.name: scan(ast.parse(path.read_text())) for path in sources}
+    return {name: lines for name, lines in found.items() if lines}
 
 
 def test_package_makes_no_rolled_copies():
     # every periodic stencil goes through grid._shift_op; a np.roll in the
     # package would bring back one full copy of its operand per call
-    sources = sorted(Path(lcflow.__file__).parent.glob("*.py"))
-    assert sources
-    found = {path.name: _roll_uses(ast.parse(path.read_text()))
-             for path in sources}
-    assert {name: lines for name, lines in found.items() if lines} == {}
+    assert _package_hits(lambda tree: _numpy_uses(tree, {"roll"})) == {}
     # the scan itself sees both spellings
-    assert _roll_uses(ast.parse("import numpy as np\nnp.roll(a, 1)")) == [2]
-    assert _roll_uses(ast.parse("from numpy import roll")) == [1]
+    assert _numpy_uses(ast.parse("import numpy as np\nnp.roll(a, 1)"),
+                       {"roll"}) == [2]
+    assert _numpy_uses(ast.parse("from numpy import roll"), {"roll"}) == [1]
+
+
+_PADDING = {"concatenate", "pad", "hstack", "vstack", "dstack", "append"}
+
+
+def test_package_makes_no_padded_copies():
+    # every z stencil reads its wall closure from end layers; a padded copy
+    # in the package would bring back one full copy of its operand per call
+    assert _package_hits(lambda tree: _numpy_uses(tree, _PADDING)) == {}
+    # the scan itself sees every spelling
+    for name in sorted(_PADDING):
+        assert _numpy_uses(ast.parse(f"x = 1\nnp.{name}(a)"), _PADDING) == [2]
+        assert _numpy_uses(ast.parse(f"x = 1\nnumpy.{name}(a)"),
+                           _PADDING) == [2]
+        assert _numpy_uses(ast.parse(f"from numpy import {name}"),
+                           _PADDING) == [1]
 
 
 # numpy/scipy spellings that may hand work to a BLAS library
@@ -322,11 +344,7 @@ def test_package_makes_no_blas_calls():
     # the sweep forks its workers, and a BLAS call in each would start one
     # BLAS thread pool per worker on the same cores; every solve is a
     # transform and every contraction an unoptimized einsum instead
-    sources = sorted(Path(lcflow.__file__).parent.glob("*.py"))
-    assert sources
-    found = {path.name: _blas_uses(ast.parse(path.read_text()))
-             for path in sources}
-    assert {name: lines for name, lines in found.items() if lines} == {}
+    assert _package_hits(_blas_uses) == {}
     # the scan itself sees every spelling, and passes a plain einsum
     for line in ("a @ b", "a @= b", "np.dot(a, b)", "a.dot(b)", "np.vdot(a, b)",
                  "np.matmul(a, b)", "np.tensordot(a, b)", "np.inner(a, b)",

@@ -1,4 +1,4 @@
-"""Spatial operators: ghost fills, curl, Laplacians, advection, director terms.
+"""Spatial operators: wall end layers, curl, Laplacians, advection, director terms.
 
 Analytic targets are manufactured trigonometric profiles; the elastic stress
 is cross-checked against a symbolically computed reference (sympy), built
@@ -16,20 +16,23 @@ from lcflow.diagnostics import kinetic_energy
 from lcflow.fields import FaceField, State, face_to_center, zero_face_field
 from lcflow.integrator import step
 from lcflow.operators import (
+    _dz_ends,
+    _dzz_ends,
+    _lap_xy,
+    _slip_ghost_rows,
     advect_center,
     advect_face,
     center_gradient,
     curl_center,
     director_gradient,
     elastic_stress,
-    fill_ghosts_navier_slip,
     grad_sq_director,
     laplacian_center,
     laplacian_face,
-    pad_neumann,
 )
 
-from support import face_field, grids, seeds, viscous_dissipation
+from support import (face_field, grids, padded, padded_dz, padded_dzz, seeds,
+                     viscous_dissipation)
 
 B0 = SlipMatrixB(0.0, 0.0, 0.0)
 
@@ -52,7 +55,7 @@ def _shear_state(grid, profile):
     return State(u, np.zeros(grid.shape), d, 0.0)
 
 
-# ------------------------------------------------------------- ghost fills
+# -------------------------------------------------------------- end layers
 
 
 def test_slip_matrix_basics():
@@ -67,17 +70,17 @@ def test_slip_matrix_basics():
 def test_free_slip_ghosts_reflect():
     grid = _grid()
     u = _random_solenoidal(grid)
-    xg, yg = fill_ghosts_navier_slip(u, B0, grid)
-    assert np.array_equal(xg[..., 0], u.x[..., 0])
-    assert np.array_equal(xg[..., -1], u.x[..., -1])
-    assert np.array_equal(yg[..., 0], u.y[..., 0])
+    (xb, xt), (yb, _) = _slip_ghost_rows(u, B0, grid)
+    assert np.array_equal(xb, u.x[..., 0])
+    assert np.array_equal(xt, u.x[..., -1])
+    assert np.array_equal(yb, u.y[..., 0])
 
 
 def test_zero_field_keeps_zero_ghosts():
     grid = _grid()
     u = zero_face_field(grid)
-    xg, yg = fill_ghosts_navier_slip(u, SlipMatrixB(1.0, 0.3, 2.0), grid)
-    assert np.max(np.abs(xg)) == 0.0 and np.max(np.abs(yg)) == 0.0
+    xe, ye = _slip_ghost_rows(u, SlipMatrixB(1.0, 0.3, 2.0), grid)
+    assert np.max(np.abs(xe)) == 0.0 and np.max(np.abs(ye)) == 0.0
 
 
 def test_robin_ghost_satisfies_discrete_condition():
@@ -86,8 +89,8 @@ def test_robin_ghost_satisfies_discrete_condition():
     grid = _grid(nz=12)
     b = 0.8
     u = _random_solenoidal(grid, seed=5)
-    xg, _ = fill_ghosts_navier_slip(u, SlipMatrixB(b, 0.0, b), grid)
-    ug, u0 = xg[..., 0], u.x[..., 0]
+    (ug, _), _ = _slip_ghost_rows(u, SlipMatrixB(b, 0.0, b), grid)
+    u0 = u.x[..., 0]
     lhs = (u0 - ug) / grid.hz
     rhs = b * (u0 + ug) / 2.0
     assert np.max(np.abs(lhs - rhs)) <= 1e-12 * max(1.0, np.max(np.abs(rhs)))
@@ -112,17 +115,17 @@ def test_robin_ghost_satisfies_slip_relation_on_both_walls(grid, seed, B):
     # normal flips the sign of both sides, so the same relation holds with
     # the top layer.  v mirrors it with b22 and u_wall.
     u = face_field(np.random.default_rng(seed), grid)
-    xg, yg = fill_ghosts_navier_slip(u, B, grid)
+    xe, ye = _slip_ghost_rows(u, B, grid)
     # u.x[i, j] sits at x = i hx, y = (j + 1/2) hy; u.y[i, j] at
     # x = (i + 1/2) hx, y = j hy; np.roll(f, s, axis)[i] = f[i - s]
     v_on_u = 0.25 * (u.y + np.roll(u.y, 1, 0) + np.roll(u.y, -1, 1)
                      + np.roll(u.y, (1, -1), (0, 1)))
     u_on_v = 0.25 * (u.x + np.roll(u.x, -1, 0) + np.roll(u.x, 1, 1)
                      + np.roll(u.x, (-1, 1), (0, 1)))
-    for inner, ghost, near in ((0, 0, 1), (-1, -1, -2)):
-        for f, g, other, b in ((u.x, xg, v_on_u, B.b11),
-                               (u.y, yg, u_on_v, B.b22)):
-            f0, fg = f[:, :, inner], g[:, :, ghost]
+    for inner, end, near in ((0, 0, 1), (-1, 1, -2)):
+        for f, g, other, b in ((u.x, xe, v_on_u, B.b11),
+                               (u.y, ye, u_on_v, B.b22)):
+            f0, fg = f[:, :, inner], g[end]
             wall = 1.5 * other[:, :, inner] - 0.5 * other[:, :, near]
             res = (f0 - fg) / grid.hz - (b * (f0 + fg) / 2.0 + B.b12 * wall)
             scale = ((np.max(np.abs(f0)) + np.max(np.abs(fg))) / grid.hz
@@ -141,22 +144,55 @@ def test_robin_ghost_tracks_smooth_extension():
         U = lambda z: np.sin(np.pi * z / grid.lz) + np.pi / (b * grid.lz)
         u = zero_face_field(grid)
         u.x[:] = U(grid.z_centers())
-        xg, _ = fill_ghosts_navier_slip(u, SlipMatrixB(b, 0.0, b), grid)
-        errs.append(max(np.max(np.abs(xg[..., 0] - U(-grid.hz / 2))),
-                        np.max(np.abs(xg[..., -1] - U(grid.lz + grid.hz / 2)))))
+        (xb, xt), _ = _slip_ghost_rows(u, SlipMatrixB(b, 0.0, b), grid)
+        errs.append(max(np.max(np.abs(xb - U(-grid.hz / 2))),
+                        np.max(np.abs(xt - U(grid.lz + grid.hz / 2)))))
     assert errs[0] / errs[1] > 6.0
     assert errs[1] / errs[2] > 6.0
     assert errs[2] < 1e-5
 
 
 def test_neumann_ghosts_reflect():
+    # the director operators close z by even reflection: their z parts are
+    # the padded formulas on f with its own wall layers copied beyond it
     grid = _grid()
     rng = np.random.default_rng(0)
-    f = rng.standard_normal(grid.shape)
-    ext = pad_neumann(f)
-    assert ext.shape == grid.shape[:2] + (grid.nz + 2,)
+    f = rng.standard_normal((3,) + grid.shape)
+    ext = padded(f, (f[..., 0], f[..., -1]))
+    assert ext.shape == f.shape[:-1] + (grid.nz + 2,)
     assert np.array_equal(ext[..., 0], f[..., 0])
     assert np.array_equal(ext[..., -1], f[..., -1])
+    assert np.array_equal(director_gradient(f, grid)[2],
+                          padded_dz(ext, grid.hz))
+    assert np.array_equal(laplacian_center(f, grid),
+                          _lap_xy(f, grid) + padded_dzz(ext, grid.hz))
+
+
+@settings(max_examples=40, deadline=None)
+@given(grid=grids, seed=seeds, B=_psd_slip, stacked=hst.booleans())
+def test_end_layer_stencils_match_padded_copies(grid, seed, B, stacked):
+    # the z stencils read their wall closure from end layers; on reflected
+    # and on Robin ends (b12 != 0 included) they give bit for bit what the
+    # same formula gives on an (nz+2) padded copy
+    rng = np.random.default_rng(seed)
+    u = face_field(rng, grid)
+    robin = _slip_ghost_rows(u, B, grid)
+    if stacked:
+        d = rng.standard_normal((3,) + grid.shape)
+        f = np.stack([u.x, u.y, u.x])
+        ends = tuple(np.stack([xe, ye, xe]) for xe, ye in zip(*robin))
+        cases = [(d, (d[..., 0], d[..., -1])), (f, ends)]
+    else:
+        cases = [(u.x, (u.x[..., 0], u.x[..., -1])), (u.x, robin[0]),
+                 (u.y, robin[1])]
+    for f, ends in cases:
+        ext = padded(f, ends)
+        assert np.array_equal(_dz_ends(f, ends, grid.hz), padded_dz(ext, grid.hz))
+        out = np.empty(f.shape)
+        assert _dz_ends(f, ends, grid.hz, out) is out
+        assert np.array_equal(out, padded_dz(ext, grid.hz))
+        assert np.array_equal(_dzz_ends(f, ends, grid.hz),
+                              padded_dzz(ext, grid.hz))
 
 
 # -------------------------------------------------------------------- curl

@@ -2,6 +2,7 @@
 
 import dataclasses
 import multiprocessing as mp
+import os
 import tempfile
 from concurrent.futures import ProcessPoolExecutor
 
@@ -236,6 +237,76 @@ def test_sweep_without_a_step_fails_before_any_run(tmp_path, monkeypatch,
     assert cli(["sweep", "--config", str(cfg_path), "--out", str(out)]) == 1
     assert "t_final" in capsys.readouterr().err
     assert ran == [] and not (out / "sweep.csv").exists()
+
+
+_CLI_SWEEP_CFG = ("[grid]\nnx = 8\nny = 8\nnz = 16\n"
+                  "[physics]\neps = 0.05\nb11 = 1.0\nb22 = 1.0\n"
+                  "[time]\ndt = 2e-3\nt_final = {t_final}\nadaptive_dt = no\n"
+                  "visc_implicit = yes\n"
+                  "[ic]\nname = shear+twist\namplitude = 0.1\ntwist = 0.5\n"
+                  "[diag]\ndiag_every = 5\n"
+                  "[sweep]\neps_ladder = {ladder}\n")
+
+
+@pytest.mark.parametrize("t_final, ladder", [("0", "0.25 0.125"),
+                                             ("0.02", "0.03 0.01")])
+def test_refused_sweep_leaves_no_output_directory(tmp_path, monkeypatch,
+                                                  capsys, t_final, ladder):
+    # no step at this t_final, or a ladder the resolution guard empties:
+    # run_sweep refuses before any run, and the --out this call created
+    # (with its parents) goes again; an existing --out stays as it was
+    ran = []
+    monkeypatch.setattr(sweep, "_member_job",
+                        lambda *args: ran.append(args) or _member_job(*args))
+    cfg_path = tmp_path / "run.cfg"
+    cfg_path.write_text(_CLI_SWEEP_CFG.format(t_final=t_final, ladder=ladder))
+    out = tmp_path / "fresh" / "out"
+    assert cli(["sweep", "--config", str(cfg_path), "--out", str(out)]) == 1
+    assert not (tmp_path / "fresh").exists()
+    out.mkdir(parents=True)
+    assert cli(["sweep", "--config", str(cfg_path), "--out", str(out)]) == 1
+    assert out.is_dir() and list(out.iterdir()) == []
+    assert ran == []
+    capsys.readouterr()
+
+
+def test_sweep_into_an_unwritable_out_fails_before_any_run(tmp_path,
+                                                          monkeypatch, capsys):
+    ran = []
+    monkeypatch.setattr(sweep, "_member_job",
+                        lambda *args: ran.append(args) or _member_job(*args))
+    cfg_path = tmp_path / "run.cfg"
+    cfg_path.write_text(_CLI_SWEEP_CFG.format(t_final="0.02",
+                                              ladder="0.25 0.125"))
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    assert cli(["sweep", "--config", str(cfg_path),
+                "--out", str(blocker / "out")]) == 2
+    assert ran == [] and "lcflow sweep:" in capsys.readouterr().err
+
+
+def _dying_member_job(base, eps, workdir):
+    """_member_job whose worker process ends at once (as under the OOM
+    killer) for every member; the reference runs as usual."""
+    if eps != 0.0:
+        os._exit(9)
+    return _member_job(base, eps, workdir)
+
+
+def test_sweep_dead_worker_is_a_member_failure(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(sweep, "_member_job", _dying_member_job)
+    cfg_path = tmp_path / "run.cfg"
+    cfg_path.write_text(_CLI_SWEEP_CFG.format(t_final="0.02",
+                                              ladder="0.25 0.125"))
+    out = tmp_path / "out"
+    assert cli(["sweep", "--config", str(cfg_path), "--out", str(out),
+                "--jobs", "2"]) == 2
+    captured = capsys.readouterr()
+    assert "aborted: member eps=0.25 failed: its worker process ended" \
+        in captured.err
+    report = (out / "rate_report.txt").read_text()
+    assert captured.out == report and "ABORTED: eps=0.25: " in report
+    assert not (out / "sweep.csv").exists()
 
 
 def test_sweep_force_overrides_guard():
