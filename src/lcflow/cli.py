@@ -24,7 +24,7 @@ from .io import (FAMILY_LABELS, SWEEP_COLUMNS, read_checkpoint,
                  read_sweep_csv, write_checkpoint, write_diag_csv,
                  write_rate_report, write_sweep_csv)
 from .operators import SlipMatrixB
-from .sweep import FAMILIES, fit_rate, run_sweep
+from .sweep import FAMILIES, _plan, fit_rate, run_sweep
 
 
 class _Parser(argparse.ArgumentParser):
@@ -40,11 +40,13 @@ def _build_parser():
     sub = p.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
     s = sub.add_parser("simulate", help="run one simulation")
+    s.set_defaults(func=_cmd_simulate)
     s.add_argument("--config", required=True)
     s.add_argument("--checkpoint-out", default=None)
     s.add_argument("--diag-out", default=None)
 
     s = sub.add_parser("sweep", help="run the viscosity ladder experiment")
+    s.set_defaults(func=_cmd_sweep)
     s.add_argument("--config", required=True)
     s.add_argument("--out", required=True, help="output directory")
     s.add_argument("--jobs", type=int, default=1)
@@ -52,11 +54,13 @@ def _build_parser():
                    help="run ladder members below the resolution guard")
 
     s = sub.add_parser("diagnose", help="recompute diagnostics offline")
+    s.set_defaults(func=_cmd_diagnose)
     s.add_argument("--checkpoint", required=True)
     s.add_argument("--config", required=True)
     s.add_argument("--out", required=True)
 
     s = sub.add_parser("rate-fit", help="fit slopes from an existing sweep CSV")
+    s.set_defaults(func=_cmd_rate_fit)
     s.add_argument("--csv", required=True)
     return p
 
@@ -64,6 +68,12 @@ def _build_parser():
 def _cmd_simulate(args):
     cfg = load_config(args.config)
     try:
+        for path in (args.diag_out, args.checkpoint_out):
+            # refused before the first step, creating and truncating nothing
+            if path and (os.path.isdir(path)
+                         or not os.path.isdir(os.path.dirname(path) or ".")):
+                raise OSError(f"cannot write {path}: it is a directory or "
+                              f"its directory does not exist")
         state, records, nsteps = run(cfg)
         grid = make_grid(cfg)
         if args.diag_out:
@@ -82,22 +92,10 @@ def _cmd_simulate(args):
 
 def _cmd_sweep(args):
     cfg = load_config(args.config)
-    if args.jobs < 1:
-        raise ConfigError(f"--jobs must be >= 1, got {args.jobs}")
-    # the directories that makedirs creates, innermost first
-    made, path = [], os.path.abspath(args.out)
-    while not os.path.exists(path):
-        made.append(path)
-        path = os.path.dirname(path)
+    _plan(cfg, args.jobs, args.force)   # a refusal creates nothing
     try:
         os.makedirs(args.out, exist_ok=True)
-        try:
-            result = run_sweep(cfg, jobs=args.jobs, force=args.force)
-        except ConfigError:
-            # refused before any run: leave no directory of this call behind
-            for made_dir in made:
-                os.rmdir(made_dir)
-            raise
+        result = run_sweep(cfg, jobs=args.jobs, force=args.force)
         csv = os.path.join(args.out, "sweep.csv")
         # a sweep whose first member failed has no rows, only a report, and
         # an earlier sweep's rows must not stand beside that report
@@ -107,8 +105,6 @@ def _cmd_sweep(args):
             os.remove(csv)
         text = write_rate_report(result, os.path.join(args.out,
                                                       "rate_report.txt"))
-    except ConfigError:
-        raise   # a validation error, exit 1 (ConfigError is a ValueError)
     except (SimulationError, OSError, ValueError) as exc:
         print(f"lcflow sweep: {exc}", file=sys.stderr)
         return 2
@@ -158,15 +154,7 @@ def cli(argv=None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-        if args.command == "simulate":
-            return _cmd_simulate(args)
-        if args.command == "sweep":
-            return _cmd_sweep(args)
-        if args.command == "diagnose":
-            return _cmd_diagnose(args)
-        if args.command == "rate-fit":
-            return _cmd_rate_fit(args)
-        raise ConfigError(f"unknown command {args.command!r}")
+        return args.func(args)
     except (ConfigError, OSError) as exc:
         # everything reaching here failed before any real work started
         print(f"lcflow: {exc}", file=sys.stderr)

@@ -132,7 +132,6 @@ class SimConfig:
         return self
 
 
-# section -> {key: (attr, converter)}
 def _to_bool(s: str) -> bool:
     t = s.strip().lower()
     if t in ("true", "yes", "on", "1"):
@@ -149,33 +148,16 @@ def _to_ladder(s: str) -> tuple:
     return vals
 
 
+# section -> its keys; each sets the SimConfig field of its name ([ic] name
+# sets ic_name) and parses as that field's default does
 _SCHEMA = {
-    "grid": {
-        "nx": ("nx", int), "ny": ("ny", int), "nz": ("nz", int),
-        "lx": ("lx", float), "ly": ("ly", float), "lz": ("lz", float),
-    },
-    "physics": {
-        "eps": ("eps", float),
-        "b11": ("b11", float), "b12": ("b12", float), "b22": ("b22", float),
-    },
-    "time": {
-        "dt": ("dt", float), "t_final": ("t_final", float),
-        "cfl_safety": ("cfl_safety", float),
-        "adaptive_dt": ("adaptive_dt", _to_bool),
-        "visc_implicit": ("visc_implicit", _to_bool),
-    },
-    "ic": {
-        "name": ("ic_name", str), "amplitude": ("amplitude", float),
-        "twist": ("twist", float), "seed": ("seed", int),
-    },
-    "diag": {
-        "diag_every": ("diag_every", int), "conormal_m": ("conormal_m", int),
-        "time_derivs": ("time_derivs", int),
-        "renorm_floor": ("renorm_floor", float), "solver_tol": ("solver_tol", float),
-    },
-    "sweep": {
-        "eps_ladder": ("eps_ladder", _to_ladder),
-    },
+    "grid": ("nx", "ny", "nz", "lx", "ly", "lz"),
+    "physics": ("eps", "b11", "b12", "b22"),
+    "time": ("dt", "t_final", "cfl_safety", "adaptive_dt", "visc_implicit"),
+    "ic": ("name", "amplitude", "twist", "seed"),
+    "diag": ("diag_every", "conormal_m", "time_derivs", "renorm_floor",
+             "solver_tol"),
+    "sweep": ("eps_ladder",),
 }
 
 _REQUIRED = [("grid", "nx"), ("grid", "ny"), ("grid", "nz"),
@@ -214,7 +196,9 @@ def parse_config(text: str) -> SimConfig:
             if key not in keys:
                 raise ConfigError(
                     f"unknown key '{key}' in [{section}]{_suggest(key, keys)}")
-            attr, conv = keys[key]
+            attr = "ic_name" if key == "name" else key
+            kind = type(getattr(SimConfig, attr))
+            conv = {bool: _to_bool, tuple: _to_ladder}.get(kind, kind)
             try:
                 setattr(cfg, attr, conv(raw))
             except ValueError as e:

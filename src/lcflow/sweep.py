@@ -229,24 +229,11 @@ def _compare_member(eps, records, ref_records, workdir, grid):
     return per_time
 
 
-def run_sweep(cfg: SimConfig, jobs: int = 1, force: bool = False) -> SweepResult:
-    """Run the ladder experiment.  See SweepResult for what comes back.
-
-    With jobs > 1 the members start first, in up to `jobs` forked workers,
-    and the reference (eps = 0) runs in this process beside them; with
-    jobs = 1 the members run inline after the reference.  Every run goes
-    through _member_job and leaves one checkpoint per record in a directory
-    under the system temp dir, 8*nx*ny*(7*nz + 1) bytes plus the header
-    each, and returns its records, which SweepResult.records keeps by eps
-    (the reference under 0.0) for every run that completed.  This process
-    compares each member checkpoint with the reference's and deletes it;
-    the reference's stay until the sweep ends.  A t_final at which a run
-    takes no step, or a ladder that the resolution guard empties, raises
-    ConfigError before any run.  Adaptive stepping is disabled so every
-    run takes the identical step sequence; a member whose fixed dt violates
-    its stability bound, or whose worker process ends, fails loudly and
-    the sweep aborts with the completed members flagged.  A failing
-    reference raises its SimulationError.
+def _plan(cfg, jobs, force):
+    """(ladder, included, excluded, eps_min, flags) of a sweep, or the
+    ConfigError refusing it: an invalid config, jobs < 1, a t_final at
+    which a run takes no step, or a ladder that the resolution guard
+    (members below eps_min = (4 hz)^2, kept and flagged with force) empties.
     """
     ladder = tuple(cfg.validate().eps_ladder)
     if jobs < 1:
@@ -256,28 +243,45 @@ def run_sweep(cfg: SimConfig, jobs: int = 1, force: bool = False) -> SweepResult
         raise ConfigError(f"t_final = {cfg.t_final:g} takes no step; a sweep "
                           f"needs t_final > 0")
 
-    grid = make_grid(cfg)
-    eps_min = (4.0 * grid.hz) ** 2
+    eps_min = (4.0 * make_grid(cfg).hz) ** 2
+    below = tuple(e for e in ladder if e < eps_min)
+    excluded = () if force else below
+    included = tuple(e for e in ladder if e not in excluded)
+    if not included:
+        raise ConfigError(
+            f"resolution guard excludes every member: eps {list(excluded)} "
+            f"below eps_min = {eps_min:g}; --force runs them anyway")
     flags = []
-    if force:
-        included = ladder
-        excluded = ()
-        if any(e < eps_min for e in ladder):
-            flags.append(
-                f"under-resolution: forced members below eps_min = {eps_min:g} "
-                f"(boundary layer thinner than 4 cells)")
-    else:
-        included = tuple(e for e in ladder if e >= eps_min)
-        excluded = tuple(e for e in ladder if e < eps_min)
-        if not included:
-            raise ConfigError(
-                f"resolution guard excludes every member: eps {list(excluded)} "
-                f"below eps_min = {eps_min:g}; --force runs them anyway")
-        if excluded:
-            flags.append(
-                f"resolution guard: excluded eps {list(excluded)} below "
-                f"eps_min = {eps_min:g}")
+    if excluded:
+        flags.append(f"resolution guard: excluded eps {list(excluded)} below "
+                     f"eps_min = {eps_min:g}")
+    elif below:
+        flags.append(
+            f"under-resolution: forced members below eps_min = {eps_min:g} "
+            f"(boundary layer thinner than 4 cells)")
+    return ladder, included, excluded, eps_min, flags
 
+
+def run_sweep(cfg: SimConfig, jobs: int = 1, force: bool = False) -> SweepResult:
+    """Run the ladder experiment.  See SweepResult for what comes back.
+
+    _plan decides the members, and raises every refusal before any run.
+    With jobs > 1 the members start first, in up to `jobs` forked workers,
+    and the reference (eps = 0) runs in this process beside them; with
+    jobs = 1 the members run inline after the reference.  Every run goes
+    through _member_job and leaves one checkpoint per record in a directory
+    under the system temp dir, 8*nx*ny*(7*nz + 1) bytes plus the header
+    each, and returns its records, which SweepResult.records keeps by eps
+    (the reference under 0.0) for every run that completed.  This process
+    compares each member checkpoint with the reference's and deletes it;
+    the reference's stay until the sweep ends.  Adaptive stepping is
+    disabled so every run takes the identical step sequence; a member whose
+    fixed dt violates its stability bound, or whose worker process ends,
+    fails loudly and the sweep aborts with the completed members flagged.
+    A failing reference raises its SimulationError.
+    """
+    ladder, included, excluded, eps_min, flags = _plan(cfg, jobs, force)
+    grid = make_grid(cfg)
     base = replace(cfg, eps=0.0, adaptive_dt=False,
                    forcing_u=None, forcing_d=None)
 

@@ -7,7 +7,8 @@ import pytest
 
 from lcflow import ConfigError, SimConfig, load_config
 from lcflow.cli import cli
-from lcflow.config import DEFAULT_EPS_LADDER, config_hash, parse_config
+from lcflow.config import (_SCHEMA, DEFAULT_EPS_LADDER, config_hash,
+                           parse_config)
 
 MINIMAL = """\
 [grid]
@@ -189,6 +190,50 @@ def test_diagnostic_knob_ranges():
         _parse(MINIMAL + "\n[diag]\ntime_derivs = 2\n")
     with pytest.raises(ConfigError, match="diag_every must be >= 1"):
         _parse(MINIMAL + "\n[diag]\ndiag_every = 0\n")
+
+
+# every key of the grammar: (section, key) -> (text, the field's value)
+_EVERY_KEY = {
+    ("grid", "nx"): ("12", 12), ("grid", "ny"): ("10", 10),
+    ("grid", "nz"): ("20", 20), ("grid", "lx"): ("2.5", 2.5),
+    ("grid", "ly"): ("1.5", 1.5), ("grid", "lz"): ("0.75", 0.75),
+    ("physics", "eps"): ("0.02", 0.02), ("physics", "b11"): ("0.5", 0.5),
+    ("physics", "b12"): ("0.25", 0.25), ("physics", "b22"): ("0.75", 0.75),
+    ("time", "dt"): ("2e-3", 2e-3), ("time", "t_final"): ("0.3", 0.3),
+    ("time", "cfl_safety"): ("0.3", 0.3),
+    ("time", "adaptive_dt"): ("no", False),
+    ("time", "visc_implicit"): ("yes", True),
+    ("ic", "name"): ("shear+twist", "shear+twist"),
+    ("ic", "amplitude"): ("0.2", 0.2), ("ic", "twist"): ("0.7", 0.7),
+    ("ic", "seed"): ("3", 3),
+    ("diag", "diag_every"): ("5", 5), ("diag", "conormal_m"): ("1", 1),
+    ("diag", "time_derivs"): ("1", 1), ("diag", "renorm_floor"): ("1e-6", 1e-6),
+    ("diag", "solver_tol"): ("1e-10", 1e-10),
+    ("sweep", "eps_ladder"): ("0.5, 0.25 0.125", (0.5, 0.25, 0.125)),
+}
+
+
+def _field(key):
+    return "ic_name" if key == "name" else key
+
+
+def test_every_key_round_trips_with_its_field_type():
+    # the grammar is exactly the SimConfig fields less the forcing hooks
+    assert {(s, k) for s, keys in _SCHEMA.items() for k in keys} \
+        == set(_EVERY_KEY)
+    assert {_field(k) for _, k in _EVERY_KEY} == \
+        {f.name for f in dataclasses.fields(SimConfig)} - {"forcing_u",
+                                                           "forcing_d"}
+    text = ""
+    for section in _SCHEMA:
+        text += f"[{section}]\n"
+        text += "".join(f"{k} = {raw}\n" for (s, k), (raw, _)
+                        in _EVERY_KEY.items() if s == section)
+    cfg = _parse(text)
+    for (_, key), (_, value) in _EVERY_KEY.items():
+        got = getattr(cfg, _field(key))
+        assert got == value and type(got) is type(value), key
+        assert value != getattr(SimConfig(), _field(key)), key
 
 
 def test_ladder_parsing_commas_and_spaces():

@@ -476,6 +476,32 @@ def test_cli_exit_code_for_unwritable_output(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("bad", ["missing/out", "adir"])
+@pytest.mark.parametrize("flag, other", [("--diag-out", "--checkpoint-out"),
+                                         ("--checkpoint-out", "--diag-out")])
+def test_cli_simulate_checks_its_outputs_before_the_first_step(
+        tmp_path, monkeypatch, capsys, bad, flag, other):
+    # an output path in a missing directory, or naming a directory, fails
+    # before any step, and the other output (an earlier run's) stays as it was
+    steps = []
+    step = lcflow.integrator.step
+    monkeypatch.setattr(lcflow.integrator, "step",
+                        lambda *args: steps.append(args) or step(*args))
+    cfg_path = tmp_path / "run.cfg"
+    cfg_path.write_text(CFG_TEXT)
+    (tmp_path / "adir").mkdir()
+    previous = tmp_path / "previous"
+    previous.write_bytes(b"an earlier run")
+    before = sorted(tmp_path.rglob("*"))
+    rc = cli(["simulate", "--config", str(cfg_path),
+              flag, str(tmp_path / bad), other, str(previous)])
+    assert rc == 2 and steps == []
+    assert (f"lcflow simulate: cannot write {tmp_path / bad}"
+            in capsys.readouterr().err)
+    assert sorted(tmp_path.rglob("*")) == before
+    assert previous.read_bytes() == b"an earlier run"
+
+
 def test_cli_rate_fit_insufficient_rows(tmp_path, capsys):
     path = tmp_path / "sweep.csv"
     res = types.SimpleNamespace(included=(0.25,),

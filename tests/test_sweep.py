@@ -28,7 +28,7 @@ from lcflow.operators import laplacian_center
 from lcflow.fields import face_to_center
 from lcflow import sweep
 from lcflow.cli import cli
-from lcflow.sweep import _compare_member, _member_job
+from lcflow.sweep import _compare_member, _member_job, _plan
 
 from support import loop_remainder_norms
 
@@ -307,6 +307,52 @@ def test_sweep_dead_worker_is_a_member_failure(tmp_path, monkeypatch, capsys):
     report = (out / "rate_report.txt").read_text()
     assert captured.out == report and "ABORTED: eps=0.25: " in report
     assert not (out / "sweep.csv").exists()
+
+
+# hz = 1/16 in _sweep_cfg, so eps_min = (4/16)^2 = 0.0625
+_FORCED = ("under-resolution: forced members below eps_min = 0.0625 "
+           "(boundary layer thinner than 4 cells)")
+
+
+@pytest.mark.parametrize("ladder, force, included, excluded, flags", [
+    ((0.5, 0.25), False, (0.5, 0.25), (), []),
+    ((0.5, 0.25), True, (0.5, 0.25), (), []),
+    ((0.25, 0.03125), False, (0.25,), (0.03125,),
+     ["resolution guard: excluded eps [0.03125] below eps_min = 0.0625"]),
+    ((0.25, 0.03125), True, (0.25, 0.03125), (), [_FORCED]),
+    # forced below the guard throughout: run and flagged, not refused
+    ((0.03, 0.01), True, (0.03, 0.01), (), [_FORCED]),
+])
+def test_plan_applies_the_resolution_guard(monkeypatch, ladder, force,
+                                           included, excluded, flags):
+    monkeypatch.setattr(sweep, "run", None)    # the plan runs nothing
+    plan = _plan(_sweep_cfg(eps_ladder=ladder), 2, force)
+    assert plan == (ladder, included, excluded, 0.0625, flags)
+
+
+@pytest.mark.parametrize("changes, jobs, match", [
+    (dict(eps_ladder=()), 1, "eps ladder is empty"),
+    (dict(eps_ladder=(0.25, 0.125)), 0, r"jobs must be >= 1, got 0"),
+    (dict(eps_ladder=(0.25, 0.125), t_final=0.0), 1,
+     r"t_final = 0 takes no step"),
+    (dict(eps_ladder=(0.03, 0.01)), 1,
+     r"resolution guard excludes every member: eps \[0.03, 0.01\]"),
+])
+def test_plan_refusals(monkeypatch, changes, jobs, match):
+    monkeypatch.setattr(sweep, "run", None)
+    with pytest.raises(ConfigError, match=match):
+        _plan(_sweep_cfg(**changes), jobs, False)
+
+
+def test_sweep_with_no_jobs_creates_nothing(tmp_path, capsys):
+    cfg_path = tmp_path / "run.cfg"
+    cfg_path.write_text(_CLI_SWEEP_CFG.format(t_final="0.02",
+                                              ladder="0.25 0.125"))
+    out = tmp_path / "fresh" / "out"
+    assert cli(["sweep", "--config", str(cfg_path), "--out", str(out),
+                "--jobs", "0"]) == 1
+    assert "jobs must be >= 1, got 0" in capsys.readouterr().err
+    assert not (tmp_path / "fresh").exists()
 
 
 def test_sweep_force_overrides_guard():
