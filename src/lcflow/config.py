@@ -13,7 +13,7 @@ import configparser
 import difflib
 import hashlib
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 
 from .errors import ConfigError
 from .grid import M_MAX, make_grid
@@ -35,12 +35,7 @@ class InitialConditionSpec:
 
 @dataclass
 class SimConfig:
-    """Everything a run needs; parsed from file or built directly in tests.
-
-    ``forcing_u`` / ``forcing_d`` are programmatic hooks (callables of
-    ``(grid, t)``) used by manufactured-solution studies; they are not part
-    of the file grammar and are excluded from the config hash.
-    """
+    """Everything a run needs: one field per key of the file grammar."""
 
     # [grid]
     nx: int = 0
@@ -73,9 +68,6 @@ class SimConfig:
     solver_tol: float = 1e-11
     # [sweep]
     eps_ladder: tuple = DEFAULT_EPS_LADDER
-    # test hooks, not persisted
-    forcing_u: object = field(default=None, repr=False, compare=False)
-    forcing_d: object = field(default=None, repr=False, compare=False)
 
     @property
     def ic(self) -> InitialConditionSpec:
@@ -219,9 +211,6 @@ def load_config(path: str) -> SimConfig:
 
 def config_hash(cfg: SimConfig) -> bytes:
     """sha256 over the canonical field listing (stable across sessions)."""
-    parts = []
-    for f in sorted(fields(cfg), key=lambda f: f.name):
-        if f.name in ("forcing_u", "forcing_d"):
-            continue
-        parts.append(f"{f.name}={getattr(cfg, f.name)!r}")
+    parts = [f"{f.name}={getattr(cfg, f.name)!r}"
+             for f in sorted(fields(cfg), key=lambda f: f.name)]
     return hashlib.sha256("\n".join(parts).encode()).digest()

@@ -25,7 +25,8 @@ each once, and computes the functional, the budget rates (_budget_rates),
 the sup norm of grad u and the slip trace from them.  The functional is a
 sum over one list of walked terms (_functional_terms) plus |d|_0^2 and the
 grad u walk that the sup norm shares.  F serves both the pressure split and
-the time derivatives of the functional.
+the time derivatives of the functional, which take their pressure from
+that split, so a record depends on the state's (u, d) alone.
 
 The energy budget pairs the quantities the scheme actually conserves:
 kinetic energy on faces (the quadrature in which advection is exactly
@@ -95,9 +96,11 @@ def _conormal_sums(f: np.ndarray, m: int, grid: ChannelGrid, sup: int = -1):
     sum of squares times the cell volume is added to l2[k] for every k at
     or above its order, in walk order and then component order; a walk to
     m thus holds every shorter walk's l2 bit for bit.  For the sup orders
-    each member's squares are added across components in component order,
-    the arithmetic of np.sum over the leading axes, so linf is bit-identical
-    to the whole-stack form; stacked l2 may differ from a whole-stack sum of
+    each member's squares are added across components in component order
+    (a scalar is one component), the arithmetic of np.sum over the leading
+    axes, and the square root is taken of their max, which equals the max
+    of the pointwise magnitudes, so linf is bit-identical to the
+    whole-stack form; stacked l2 may differ from a whole-stack sum of
     squares at round-off, scalar l2 does not.
     """
     f = np.asarray(f, dtype=float)
@@ -106,7 +109,7 @@ def _conormal_sums(f: np.ndarray, m: int, grid: ChannelGrid, sup: int = -1):
     vol = grid.cell_volume
     l2, linf = [0.0] * (m + 1), [0.0] * (sup + 1)
     buf = np.empty(grid.shape)
-    sups = []          # per member of order <= sup: [order, |g| or sum of g^2]
+    sups = []          # per member of order <= sup: [order, sum of g^2]
     for c, comp in enumerate(f.reshape((-1,) + grid.shape)):
         for i, (k, g) in enumerate(_walk(comp, m, grid)):
             s = float(np.sum(np.multiply(g, g, out=buf))) * vol
@@ -115,14 +118,12 @@ def _conormal_sums(f: np.ndarray, m: int, grid: ChannelGrid, sup: int = -1):
             if k > sup:
                 continue
             if c == 0:
-                sups.append([k, np.abs(g) if f.ndim == 3 else buf.copy()])
+                sups.append([k, buf.copy()])
             else:
                 sups[i][1] += buf
     sup_total = 0.0
-    for k, mag in sups:
-        if f.ndim > 3:
-            np.sqrt(mag, out=mag)
-        sup_total += float(np.max(mag)) ** 2
+    for k, sq in sups:
+        sup_total += float(np.sqrt(np.max(sq))) ** 2
         linf[k] = sup_total
     return l2, linf
 
@@ -227,13 +228,14 @@ def _slip_mismatch_trace(w: np.ndarray, uc: np.ndarray, B: SlipMatrixB,
 # combined regularity functional
 # ---------------------------------------------------------------------------
 
-def _time_derivatives(state: State, F: FaceField, ld: np.ndarray,
-                      grad_sq: np.ndarray, eps: float, B: SlipMatrixB,
-                      grid: ChannelGrid):
+def _time_derivatives(state: State, p: np.ndarray, F: FaceField,
+                      ld: np.ndarray, grad_sq: np.ndarray, eps: float,
+                      B: SlipMatrixB, grid: ChannelGrid):
     """(du/dt at centers, dd/dt at centers) read off the evolution
-    equations, with the stored pressure, from the state's momentum forcing
-    F, lap d (ld) and |grad d|^2 (grad_sq)."""
-    gp = discrete_gradient(state.p, grid)
+    equations from the state's (u, d): the pressure p = p1 + p2 of
+    pressure_split, the momentum forcing F, lap d (ld) and |grad d|^2
+    (grad_sq).  state.p is not read."""
+    gp = discrete_gradient(p, grid)
     lap = laplacian_face(state.u, B, grid)
     ut = FaceField(-F.x - gp.x + eps * lap.x,
                    -F.y - gp.y + eps * lap.y,
@@ -244,21 +246,24 @@ def _time_derivatives(state: State, F: FaceField, ld: np.ndarray,
 
 def _functional_terms(state: State, uc: np.ndarray, gd: np.ndarray,
                       ld: np.ndarray, grad_sq: np.ndarray, F: FaceField,
-                      eps: float, B: SlipMatrixB, grid: ChannelGrid, m: int,
+                      p1: np.ndarray, p2: np.ndarray, eps: float,
+                      B: SlipMatrixB, grid: ChannelGrid, m: int,
                       time_derivs: int):
     """Yield (field, L2 order, sup order or -1) for each walked term of the
     functional tracked for uniform boundedness, |u|_m^2 + |d|_0^2
     + |grad d|_m^2 + |grad u|_{m-1}^2 + |lap d|_{m-1}^2 + |grad u|_{1,inf}^2,
     all but |d|_0^2 and the grad u walk, which make_record adds.  For
     time_derivs=1 each Sobolev-type term also counts one time derivative (by
-    substituting the evolution equations, from F, ld and grad_sq), one
-    tangential order lower.  Each field is built when the sum asks for it.
+    substituting the evolution equations, from F, ld, grad_sq and the
+    pressure p1 + p2), one tangential order lower.  Each field is built
+    when the sum asks for it.
     """
     yield uc, m, -1
     yield gd, m, -1
     yield ld, m - 1, -1
     if time_derivs:
-        ut_c, dt_d = _time_derivatives(state, F, ld, grad_sq, eps, B, grid)
+        ut_c, dt_d = _time_derivatives(state, p1 + p2, F, ld, grad_sq, eps,
+                                       B, grid)
         yield ut_c, m - 1, -1
         yield director_gradient(dt_d, grid), m - 1, -1
         if m >= 2:
@@ -317,8 +322,8 @@ def make_record(state: State, cfg: SimConfig, grid: ChannelGrid,
     gu_l2, gu_linf = _conormal_sums(center_gradient(uc, grid), max(m - 1, 1),
                                     grid, sup=1)
     nm = float(np.sum(state.d**2)) * vol + gu_l2[m - 1] + gu_linf[1]
-    for f, k, sup in _functional_terms(state, uc, gd, ld, grad_sq, F, eps, B,
-                                       grid, m, cfg.time_derivs):
+    for f, k, sup in _functional_terms(state, uc, gd, ld, grad_sq, F, p1, p2,
+                                       eps, B, grid, m, cfg.time_derivs):
         l2, linf = _conormal_sums(f, k, grid, sup)
         del f      # so this field is freed before the next one is built
         nm += l2[k] + (linf[sup] if sup >= 0 else 0.0)

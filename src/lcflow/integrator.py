@@ -51,15 +51,20 @@ def stable_dt(u: FaceField, cfg: SimConfig, grid: ChannelGrid) -> float:
 
 
 def step(state: State, cfg: SimConfig, grid: ChannelGrid, B: SlipMatrixB,
-         dt: float) -> State:
-    """Advance one step of size dt.  Returns a new State."""
+         dt: float, forcing=None) -> State:
+    """Advance one step of size dt.  Returns a new State.
+
+    forcing, if given, is a callable (grid, t) -> (FaceField, director
+    array), called once at the start time t; its parts join the velocity
+    predictor and the director right-hand side.  run never passes it."""
     u, d, t = state.u, state.d, state.t
     eps = cfg.eps
+    g_u, g_d = forcing(grid, t) if forcing is not None else (None, None)
 
     # -- (a) director ------------------------------------------------------
     rhs = d + dt * (-advect_center(u, d, grid) + grad_sq_director(d, grid) * d)
-    if cfg.forcing_d is not None:
-        rhs = rhs + dt * cfg.forcing_d(grid, t)
+    if g_d is not None:
+        rhs = rhs + dt * g_d
     d_new = renormalize_director(solve_helmholtz_neumann(rhs, dt, grid),
                                  cfg.renorm_floor)
 
@@ -69,11 +74,10 @@ def step(state: State, cfg: SimConfig, grid: ChannelGrid, B: SlipMatrixB,
     fx = -F.x
     fy = -F.y
     fz = -F.z
-    if cfg.forcing_u is not None:
-        g = cfg.forcing_u(grid, t)
-        fx = fx + g.x
-        fy = fy + g.y
-        fz = fz + g.z
+    if g_u is not None:
+        fx = fx + g_u.x
+        fy = fy + g_u.y
+        fz = fz + g_u.z
     if eps > 0.0 and not cfg.visc_implicit:
         lap = laplacian_face(u, B, grid)
         fx = fx + eps * lap.x

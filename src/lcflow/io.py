@@ -12,17 +12,17 @@ from __future__ import annotations
 import csv
 import math
 import struct
+from dataclasses import fields
 
 import numpy as np
 
 from .config import SimConfig, config_hash
+from .diagnostics import DiagnosticsRecord
 from .errors import ConfigError
 from .fields import FaceField, State
 from .grid import ChannelGrid
 
-DIAG_COLUMNS = ("t", "kinetic", "elastic", "visc_diss", "dir_diss", "quartic",
-                "boundary_work", "energy_residual", "unit_dev", "div_res",
-                "nm_value", "eta_trace", "linf_grad_u", "p1_norm", "p2_norm")
+DIAG_COLUMNS = tuple(f.name for f in fields(DiagnosticsRecord))
 
 SWEEP_COLUMNS = ("eps", "err_u_l2sq", "err_d_h1sq", "err_u_linf",
                  "err_d_w1inf", "wall_time_s")
@@ -102,7 +102,7 @@ def write_sweep_csv(result, path):
     file is byte-identical across job counts and machines; measured times
     live in the rate report and in SweepResult.wall_times.
     """
-    rows = [e for e in result.included if e in result.errors_max]
+    rows = list(result.errors_max)
     if not rows:
         raise ValueError(f"nothing to write: no completed members for {path}")
     _write_csv(path, "sweep", SWEEP_COLUMNS,
@@ -195,7 +195,7 @@ def write_rate_report(result, path):
     if result.excluded:
         add(f"excluded    : {', '.join(f'{e:g}' for e in result.excluded)} "
             f"(below eps_min; rerun with --force to include)")
-    completed = [e for e in result.included if e in result.errors_max]
+    completed = list(result.errors_max)
     add(f"members run : {', '.join(f'{e:g}' for e in completed) or 'none'}")
     add("")
     add("max-over-recorded-times errors")

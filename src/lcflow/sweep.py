@@ -160,7 +160,8 @@ class SweepResult:
     included: tuple              # members actually run (guard applied)
     excluded: tuple              # members refused by the resolution guard
     eps_min: float               # the guard threshold (4 hz)^2
-    errors_max: dict             # eps -> 4-tuple, max over recorded times
+    errors_max: dict             # eps -> 4-tuple, max over recorded times,
+                                 # completed members only, in ladder order
     errors_by_time: dict         # eps -> list of (t, 4-tuple)
     records: dict                # eps -> DiagnosticsRecord list (0.0 = ref)
     wall_times: dict             # eps -> measured seconds, same keys;
@@ -282,8 +283,7 @@ def run_sweep(cfg: SimConfig, jobs: int = 1, force: bool = False) -> SweepResult
     """
     ladder, included, excluded, eps_min, flags = _plan(cfg, jobs, force)
     grid = make_grid(cfg)
-    base = replace(cfg, eps=0.0, adaptive_dt=False,
-                   forcing_u=None, forcing_d=None)
+    base = replace(cfg, eps=0.0, adaptive_dt=False)
 
     wall_times = {}
     records = {}

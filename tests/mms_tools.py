@@ -49,8 +49,9 @@ def _lap(f, x, y, z):
     return sp.diff(f, x, 2) + sp.diff(f, y, 2) + sp.diff(f, z, 2)
 
 
-def build_forcings(eps):
-    """Return (forcing_u, forcing_d) callables for SimConfig hooks."""
+def build_forcing(eps):
+    """Return the forcing callable integrator.step takes: (grid, t) ->
+    (velocity forcing FaceField, director forcing array)."""
     x, y, z = _symbols()
     u, p, d = _exact_symbolic()
     lap_u = [_lap(ui, x, y, z) for ui in u]
@@ -89,7 +90,10 @@ def build_forcings(eps):
         shape = (grid.nx, grid.ny, grid.nz)
         return np.stack([_sample(f, xc, yc, zc, shape) for f in fd])
 
-    return forcing_u, forcing_d
+    def forcing(grid, t):
+        return forcing_u(grid, t), forcing_d(grid, t)
+
+    return forcing
 
 
 def exact_state_fields(grid):

@@ -257,7 +257,7 @@ def test_criterion_10_synthetic_rate_recovery(tmp_path, capsys):
     ladder = tuple(2.0**-k for k in range(4, 11))
     injected = {e: (0.3 * e**1.5, 0.7 * e**1.5, 0.6 * e**0.3, 0.4 * e**0.3)
                 for e in ladder}
-    fake = SimpleNamespace(included=ladder, errors_max=injected)
+    fake = SimpleNamespace(errors_max=injected)
     path = tmp_path / "synthetic.csv"
     write_sweep_csv(fake, path)
 

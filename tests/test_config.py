@@ -218,12 +218,11 @@ def _field(key):
 
 
 def test_every_key_round_trips_with_its_field_type():
-    # the grammar is exactly the SimConfig fields less the forcing hooks
+    # the grammar is exactly the SimConfig fields
     assert {(s, k) for s, keys in _SCHEMA.items() for k in keys} \
         == set(_EVERY_KEY)
     assert {_field(k) for _, k in _EVERY_KEY} == \
-        {f.name for f in dataclasses.fields(SimConfig)} - {"forcing_u",
-                                                           "forcing_d"}
+        {f.name for f in dataclasses.fields(SimConfig)}
     text = ""
     for section in _SCHEMA:
         text += f"[{section}]\n"
@@ -290,11 +289,19 @@ def test_config_hash_stability_and_sensitivity():
     assert len(config_hash(a)) == 32  # sha256 digest
 
 
-def test_config_hash_ignores_forcing_hooks():
-    a = _parse(MINIMAL)
-    b = dataclasses.replace(a, forcing_u=lambda grid, t: None)
-    assert config_hash(a) == config_hash(b)
-    assert a == b  # hooks are compare-excluded as well
+def test_config_hash_digest_is_pinned():
+    # the criterion 1-2 energy-budget config cut to 50 steps; checkpoints
+    # carry this digest, and `lcflow diagnose` refuses a checkpoint whose
+    # digest differs from its config's, so the hashed listing must not move
+    cfg = _parse("[grid]\nnx = 32\nny = 32\nnz = 64\n"
+                 "[physics]\neps = 0.01\n"
+                 "[time]\ndt = 1e-3\nt_final = 0.05\nadaptive_dt = no\n"
+                 "[ic]\nname = shear+twist\namplitude = 0.1\ntwist = 0.5\n"
+                 "[diag]\ndiag_every = 25\n")
+    assert config_hash(cfg).hex() == (
+        "6ba144c405b56713c9e457e893f77ba6e013066273dfd75dad0621b439bac938")
+
+
 
 
 def test_direct_construction_validates():

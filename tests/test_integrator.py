@@ -167,12 +167,16 @@ def test_non_finite_state_raises():
     def bad_forcing(grid, t):
         g = np.zeros((grid.nx, grid.ny, grid.nz))
         g[0, 0, 0] = np.nan
-        return FaceField(g.copy(), g.copy(),
-                         np.zeros((grid.nx, grid.ny, grid.nz + 1)))
+        return (FaceField(g.copy(), g.copy(),
+                          np.zeros((grid.nx, grid.ny, grid.nz + 1))),
+                np.zeros((3,) + grid.shape))
 
-    cfg = _cfg(forcing_u=bad_forcing)
+    cfg = _cfg()
+    grid = make_grid(cfg)
+    B = SlipMatrixB(cfg.b11, cfg.b12, cfg.b22)
+    state = init_state(grid, cfg.ic)
     with pytest.raises(SimulationError, match="non-finite state"):
-        run(cfg)
+        step(state, cfg, grid, B, cfg.dt, forcing=bad_forcing)
 
 
 # -- convergence ---------------------------------------------------------

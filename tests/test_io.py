@@ -28,6 +28,7 @@ from lcflow import (
 )
 from lcflow.cli import cli
 from lcflow.config import config_hash
+from lcflow.diagnostics import DiagnosticsRecord
 from lcflow.io import (_HEADER, CHECKPOINT_MAGIC, DIAG_COLUMNS, FAMILY_LABELS,
                        SWEEP_COLUMNS)
 from lcflow.sweep import FAMILIES
@@ -89,6 +90,17 @@ def test_diag_csv_roundtrip_bit_exact():
             assert row[col] == getattr(rec, col), col  # 17 digits round-trip
 
 
+def test_diag_csv_header_is_pinned(tmp_path):
+    # the header is the file's contract with its readers: the record's
+    # fields in declaration order
+    path = tmp_path / "diag.csv"
+    write_diag_csv([DiagnosticsRecord(*map(float, range(15)))], path)
+    assert path.read_text().splitlines()[0] == (
+        "t,kinetic,elastic,visc_diss,dir_diss,quartic,boundary_work,"
+        "energy_residual,unit_dev,div_res,nm_value,eta_trace,linf_grad_u,"
+        "p1_norm,p2_norm")
+
+
 def test_diag_csv_refuses_empty(tmp_path):
     with pytest.raises(ValueError, match="nothing to write"):
         write_diag_csv([], tmp_path / "diag.csv")
@@ -125,7 +137,7 @@ def test_sweep_csv_roundtrip(tmp_path):
 
 
 def test_sweep_csv_refuses_empty(tmp_path):
-    res = types.SimpleNamespace(included=(), errors_max={})
+    res = types.SimpleNamespace(errors_max={})
     with pytest.raises(ValueError, match="nothing to write"):
         write_sweep_csv(res, tmp_path / "sweep.csv")
 
@@ -141,7 +153,7 @@ def test_sweep_csv_accepts_duck_typed_results(tmp_path):
     # synthetic errors through the same writer the sweep uses
     ladder = (0.25, 0.125, 0.0625)
     errors = {e: (e ** 1.5, 0.0, e ** 0.75, 0.0) for e in ladder}
-    res = types.SimpleNamespace(included=ladder, errors_max=errors)
+    res = types.SimpleNamespace(errors_max=errors)
     path = tmp_path / "sweep.csv"
     write_sweep_csv(res, path)
     rows = read_sweep_csv(path)
@@ -504,8 +516,7 @@ def test_cli_simulate_checks_its_outputs_before_the_first_step(
 
 def test_cli_rate_fit_insufficient_rows(tmp_path, capsys):
     path = tmp_path / "sweep.csv"
-    res = types.SimpleNamespace(included=(0.25,),
-                                errors_max={0.25: (1e-3, 1e-4, 1e-2, 1e-2)})
+    res = types.SimpleNamespace(errors_max={0.25: (1e-3, 1e-4, 1e-2, 1e-2)})
     write_sweep_csv(res, path)
     rc = cli(["rate-fit", "--csv", str(path)])
     assert rc == 1
@@ -550,7 +561,6 @@ def test_diag_csv_malformed_row(tmp_path):
 def test_cli_rate_fit_rejects_nan(tmp_path, capsys):
     path = tmp_path / "sweep.csv"
     res = types.SimpleNamespace(
-        included=(0.25, 0.125),
         errors_max={0.25: (1e-3, 1e-4, 1e-2, 1e-2),
                     0.125: (float("nan"), 1e-4, 1e-2, 1e-2)})
     write_sweep_csv(res, path)
