@@ -8,21 +8,14 @@ taken; all L2 quadrature is the midpoint rule, cell volume per center.
 
 All of them come from one walk (_walk) that builds the derivative tree
 level by level, each multi-index once from its parent, keeping only the
-previous level.  _conormal_sums reduces walks to the cumulative sums of
-every order 0..m (and the sup-type sums up to a requested order).  A
-stacked field is walked one component at a time, in C order of its leading
-axes, so every walked member is one single-component array and the working
-set of a walk is a few of them.  The L2 sums add member by member, in walk
-order and then component order, so a walk to order m holds the order-k
-sums of a walk to k, for every k <= m, bit for bit; for a stack they may
-differ at round-off from summing the squares of whole-stack members.  The
-sup sums add each member's squares across components in component order,
-the arithmetic of np.sum over the leading axes, so they are bit-identical
-to the whole-stack form.  A record is the one assembly of the per-state
-diagnostics: make_record derives each field of the state once (centered u,
-grad d, |grad d|^2, grad u, lap d, vorticity, momentum forcing F), walks
-each once, and computes the functional, the budget rates (_budget_rates),
-the sup norm of grad u and the slip trace from them.  The functional is a
+previous level.  _conormal_sums reduces one walk to the squared L2 norm
+of one order and the sup-type sum of another, walking a stacked field one
+component at a time so the working set is a few single-component arrays.
+A record is the one assembly of the per-state diagnostics: make_record
+derives each field of the state once (centered u, grad d, |grad d|^2,
+grad u, lap d, vorticity, momentum forcing F), walks each once, and
+computes the functional, the budget rates (_budget_rates), the sup norm of
+grad u and the slip trace from them.  The functional is a
 sum over one list of walked terms (_functional_terms) plus |d|_0^2 and the
 grad u walk that the sup norm shares.  F serves both the pressure split and
 the time derivatives of the functional, which take their pressure from
@@ -83,48 +76,45 @@ def _walk(f: np.ndarray, m: int, grid: ChannelGrid):
 
 
 def _conormal_sums(f: np.ndarray, m: int, grid: ChannelGrid, sup: int = -1):
-    """One walk of f to order m; returns (l2, linf) cumulative per order.
+    """One walk of f to order max(m, sup); returns (l2, linf).
 
-    l2[k] is the squared L2 conormal norm of order k: the sum over
-    |alpha| <= k of the squared L2 norm of Z^alpha f, stacked leading axes
-    summed as extra components.  linf[k], for k <= sup <= m, is the sum of
-    squared sup norms whose square root is the order-k sup norm;
-    vector input (leading axes) takes the pointwise Euclidean magnitude first.
+    l2 is the squared L2 conormal norm of order m: the sum over |alpha| <= m
+    of the squared L2 norm of Z^alpha f, stacked leading axes summed as
+    extra components.  linf is the sum over |alpha| <= sup of the squared
+    sup norms of Z^alpha f (0.0 when sup < 0), whose square root is the
+    order-sup sup norm; stacked input takes the pointwise Euclidean
+    magnitude first.
 
-    Stacked leading axes are walked one component at a time, in C order, so
-    the walk's working set is a few single-component arrays.  Each member's
-    sum of squares times the cell volume is added to l2[k] for every k at
-    or above its order, in walk order and then component order; a walk to
-    m thus holds every shorter walk's l2 bit for bit.  For the sup orders
-    each member's squares are added across components in component order
-    (a scalar is one component), the arithmetic of np.sum over the leading
-    axes, and the square root is taken of their max, which equals the max
-    of the pointwise magnitudes, so linf is bit-identical to the
-    whole-stack form; stacked l2 may differ from a whole-stack sum of
-    squares at round-off, scalar l2 does not.
+    Stacked leading axes are walked one component at a time, in C order.
+    l2 adds each member's sum of squares times the cell volume in walk
+    order, then component order: the order of a walk to m alone, so l2 does
+    not depend on sup, bit for bit.  It may differ at round-off from a
+    whole-stack sum of squares.  linf adds each member's squares across
+    components in component order, the arithmetic of np.sum over the
+    leading axes, and takes the square root of their max, so it is
+    bit-identical to the whole-stack form and does not depend on m.
     """
     f = np.asarray(f, dtype=float)
     if f.shape[-3:] != grid.shape:
         raise ConfigError(f"field shape {f.shape} does not end in {grid.shape}")
     vol = grid.cell_volume
-    l2, linf = [0.0] * (m + 1), [0.0] * (sup + 1)
+    l2 = 0.0
     buf = np.empty(grid.shape)
-    sups = []          # per member of order <= sup: [order, sum of g^2]
+    sups = []          # per member of order <= sup: its summed squares
     for c, comp in enumerate(f.reshape((-1,) + grid.shape)):
-        for i, (k, g) in enumerate(_walk(comp, m, grid)):
-            s = float(np.sum(np.multiply(g, g, out=buf))) * vol
-            for j in range(k, m + 1):
-                l2[j] += s
+        for i, (k, g) in enumerate(_walk(comp, max(m, sup), grid)):
+            np.multiply(g, g, out=buf)
+            if k <= m:
+                l2 += float(np.sum(buf)) * vol
             if k > sup:
                 continue
             if c == 0:
-                sups.append([k, buf.copy()])
+                sups.append(buf.copy())
             else:
-                sups[i][1] += buf
-    sup_total = 0.0
-    for k, sq in sups:
-        sup_total += float(np.sqrt(np.max(sq))) ** 2
-        linf[k] = sup_total
+                sups[i] += buf
+    linf = 0.0
+    for sq in sups:
+        linf += float(np.sqrt(np.max(sq))) ** 2
     return l2, linf
 
 
@@ -298,35 +288,39 @@ def make_record(state: State, cfg: SimConfig, grid: ChannelGrid,
                 B: SlipMatrixB, prev: State | None = None,
                 dt: float | None = None) -> DiagnosticsRecord:
     """Assemble one record.  energy_residual spans the step that *ended*
-    at this state (0.0 for the initial record or offline recomputation).
+    at this state, from prev and dt, which come together: one without the
+    other raises TypeError.  Without them (the initial record, offline
+    recomputation) energy_residual is 0.0.
 
     The derived fields are built once and each field is walked through the
     tangential family once; the budget rates, the functional, the sup norm
     of grad u and the slip trace are computed here only.
     """
+    if (prev is None) != (dt is None):
+        raise TypeError(f"make_record: {'dt' if dt is None else 'prev'} is "
+                        "missing; pass both prev and dt or neither")
     eps, m = cfg.eps, cfg.conormal_m
     vol = grid.cell_volume
     gd = director_gradient(state.d, grid)
     ld = laplacian_center(state.d, grid)
     F = momentum_forcing(state.u, gd, ld, grid)
     p1, p2 = pressure_split(state.u, F, eps, grid, cfg.solver_tol)
-    er = 0.0
-    if prev is not None and dt is not None:
-        er = energy_balance_residual(prev, state, dt, eps, B, grid)
+    er = 0.0 if prev is None else energy_balance_residual(prev, state, dt,
+                                                          eps, B, grid)
 
     uc = face_to_center(state.u)
     grad_sq = np.sum(gd * gd, axis=(0, 1))
     w = curl_center(state.u, B, grid)
     visc, dir_, quartic, wall = _budget_rates(state.u, w, ld, grad_sq, eps,
                                               B, grid)
-    gu_l2, gu_linf = _conormal_sums(center_gradient(uc, grid), max(m - 1, 1),
-                                    grid, sup=1)
-    nm = float(np.sum(state.d**2)) * vol + gu_l2[m - 1] + gu_linf[1]
+    gu_l2, gu_linf = _conormal_sums(center_gradient(uc, grid), m - 1, grid,
+                                    sup=1)
+    nm = float(np.sum(state.d**2)) * vol + gu_l2 + gu_linf
     for f, k, sup in _functional_terms(state, uc, gd, ld, grad_sq, F, p1, p2,
                                        eps, B, grid, m, cfg.time_derivs):
         l2, linf = _conormal_sums(f, k, grid, sup)
         del f      # so this field is freed before the next one is built
-        nm += l2[k] + (linf[sup] if sup >= 0 else 0.0)
+        nm += l2 + linf
 
     return DiagnosticsRecord(
         t=state.t,
@@ -341,7 +335,7 @@ def make_record(state: State, cfg: SimConfig, grid: ChannelGrid,
         div_res=float(np.max(np.abs(discrete_divergence(state.u, grid)))),
         nm_value=nm,
         eta_trace=_slip_mismatch_trace(w, uc, B, grid),
-        linf_grad_u=float(np.sqrt(gu_linf[1])),
+        linf_grad_u=float(np.sqrt(gu_linf)),
         p1_norm=float(np.sqrt(np.sum(p1 * p1) * vol)),
         p2_norm=float(np.sqrt(np.sum(p2 * p2) * vol)),
     )

@@ -130,10 +130,10 @@ def init_state(grid: ChannelGrid, ic: InitialConditionSpec) -> State:
                         pi/(b11 lz), degenerating to cos(pi z/lz) when
                         b11 = 0); the twist angle is modulated in x so the
                         director is transported nontrivially.
-      random-solenoidal band-limited random velocity (projected later by
-                        the caller's first step; discretely divergence-free
-                        up to the curl construction) and a smoothly
-                        perturbed director.
+      random-solenoidal band-limited random velocity (discretely
+                        divergence-free up to the curl construction;
+                        integrator.run projects it before the first
+                        record) and a smoothly perturbed director.
     """
     zc = grid.z_centers()
     yc = grid.y_centers()

@@ -54,12 +54,12 @@ def step(state: State, cfg: SimConfig, grid: ChannelGrid, B: SlipMatrixB,
          dt: float, forcing=None) -> State:
     """Advance one step of size dt.  Returns a new State.
 
-    forcing, if given, is a callable (grid, t) -> (FaceField, director
-    array), called once at the start time t; its parts join the velocity
-    predictor and the director right-hand side.  run never passes it."""
+    forcing, if given, is steady data: a (FaceField, director array) pair
+    on this grid whose parts join the velocity predictor and the director
+    right-hand side.  run never passes it."""
     u, d, t = state.u, state.d, state.t
     eps = cfg.eps
-    g_u, g_d = forcing(grid, t) if forcing is not None else (None, None)
+    g_u, g_d = forcing if forcing is not None else (None, None)
 
     # -- (a) director ------------------------------------------------------
     rhs = d + dt * (-advect_center(u, d, grid) + grad_sq_director(d, grid) * d)

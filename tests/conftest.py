@@ -1,10 +1,12 @@
 """Shared fixtures.
 
 The manufactured-solution convergence study needs two full runs (16^3 and
-32^3, 1250 steps each, ~25 s total), so it is computed once per session
-and shared by the integrator tests and the acceptance suite.  The runs
-call integrator.step directly, with the manufactured forcing as its
-forcing argument; run, config files and the CLI have no way to set one.
+32^3, 1250 steps each, 34 s in all on a 2-core Xeon host with
+OPENBLAS_NUM_THREADS=1), so it is computed once per session and shared by
+the integrator tests and the acceptance suite.  The runs call
+integrator.step directly, with the manufactured forcing, sampled once per
+grid, as its forcing argument; run, config files and the CLI have no way
+to set one.
 """
 
 import numpy as np
@@ -24,12 +26,12 @@ MMS_T_FINAL = 2.5
 def _mms_run(n):
     from mms_tools import build_forcing, exact_state_fields
 
-    forcing = build_forcing(MMS_EPS)
     cfg = SimConfig(nx=n, ny=n, nz=n, eps=MMS_EPS, b11=0.0, b12=0.0, b22=0.0,
                     dt=MMS_DT, t_final=MMS_T_FINAL, adaptive_dt=False,
                     visc_implicit=False)
     grid = make_grid(cfg)
     B = SlipMatrixB(0.0, 0.0, 0.0)
+    forcing = build_forcing(MMS_EPS, grid)
     uf, _, dc = exact_state_fields(grid)
     state = State(u=uf, p=np.zeros(grid.shape), d=dc, t=0.0)
     for _ in range(round(MMS_T_FINAL / MMS_DT)):

@@ -18,8 +18,10 @@ on the unit channel.  Every choice is deliberate:
   * the director is a unit vector by construction.
 
 Forcings are F_u = (u.grad)u + grad p + grad(d).lap(d) - eps lap(u) and
-F_d = (u.grad)d - lap d - |grad d|^2 d, lambdified once per epsilon and
-sampled on the staggered locations the integrator expects.
+F_d = (u.grad)d - lap d - |grad d|^2 d.  The forcing and the exact
+solution share one sampler: their expressions are lambdified in one pass
+and sampled once per grid on the staggered locations the integrator
+expects, so the forcing reaches integrator.step as steady data.
 """
 
 import numpy as np
@@ -49,9 +51,33 @@ def _lap(f, x, y, z):
     return sp.diff(f, x, 2) + sp.diff(f, y, 2) + sp.diff(f, z, 2)
 
 
-def build_forcing(eps):
-    """Return the forcing callable integrator.step takes: (grid, t) ->
-    (velocity forcing FaceField, director forcing array)."""
+def _sample(fn, xs, ys, zs, shape):
+    val = fn(xs[:, None, None], ys[None, :, None], zs[None, None, :])
+    return np.broadcast_to(np.asarray(val, dtype=float), shape).copy()
+
+
+def _sample_staggered(grid, u, centered):
+    """Lambdify the velocity triple u and the centered expressions in one
+    pass and sample them where the integrator keeps them: each velocity
+    component on its faces (w zero on the walls) and the rest at the cell
+    centers.  Returns (FaceField, stacked centered samples)."""
+    x, y, z = _symbols()
+    fx, fy, fz, *fc = [sp.lambdify((x, y, z), f, "numpy")
+                       for f in (*u, *centered)]
+    xf, yf, zf = grid.x_faces(), grid.y_faces(), grid.z_faces()
+    xc, yc, zc = grid.x_centers(), grid.y_centers(), grid.z_centers()
+    shape = grid.shape
+    uz = np.zeros((grid.nx, grid.ny, grid.nz + 1))
+    uz[:, :, 1:-1] = _sample(fz, xc, yc, zf[1:-1],
+                             (grid.nx, grid.ny, grid.nz - 1))
+    uf = FaceField(_sample(fx, xf, yc, zc, shape),
+                   _sample(fy, xc, yf, zc, shape), uz)
+    return uf, np.stack([_sample(f, xc, yc, zc, shape) for f in fc])
+
+
+def build_forcing(eps, grid):
+    """The steady forcing integrator.step takes, sampled on grid: (velocity
+    forcing FaceField, director forcing array)."""
     x, y, z = _symbols()
     u, p, d = _exact_symbolic()
     lap_u = [_lap(ui, x, y, z) for ui in u]
@@ -66,58 +92,14 @@ def build_forcing(eps):
         sigma_i = sum(sp.diff(d[j], v) * lap_d[j] for j in range(3))
         fu_sym.append(advect(u[i]) + sp.diff(p, v) + sigma_i - eps * lap_u[i])
     fd_sym = [advect(d[c]) - lap_d[c] - gsq * d[c] for c in range(3)]
-
-    fu = [sp.lambdify((x, y, z), f, "numpy") for f in fu_sym]
-    fd = [sp.lambdify((x, y, z), f, "numpy") for f in fd_sym]
-
-    def _sample(fn, xs, ys, zs, shape):
-        val = fn(xs[:, None, None], ys[None, :, None], zs[None, None, :])
-        return np.broadcast_to(np.asarray(val, dtype=float), shape).copy()
-
-    def forcing_u(grid, t):
-        xf, yf = grid.x_faces(), grid.y_faces()
-        xc, yc, zc = grid.x_centers(), grid.y_centers(), grid.z_centers()
-        zf = grid.z_faces()
-        fx = _sample(fu[0], xf, yc, zc, (grid.nx, grid.ny, grid.nz))
-        fy = _sample(fu[1], xc, yf, zc, (grid.nx, grid.ny, grid.nz))
-        fz = np.zeros((grid.nx, grid.ny, grid.nz + 1))
-        fz[:, :, 1:-1] = _sample(fu[2], xc, yc, zf[1:-1],
-                                 (grid.nx, grid.ny, grid.nz - 1))
-        return FaceField(fx, fy, fz)
-
-    def forcing_d(grid, t):
-        xc, yc, zc = grid.x_centers(), grid.y_centers(), grid.z_centers()
-        shape = (grid.nx, grid.ny, grid.nz)
-        return np.stack([_sample(f, xc, yc, zc, shape) for f in fd])
-
-    def forcing(grid, t):
-        return forcing_u(grid, t), forcing_d(grid, t)
-
-    return forcing
+    return _sample_staggered(grid, fu_sym, fd_sym)
 
 
 def exact_state_fields(grid):
     """Sample (u FaceField, p centers, d centers) on the staggered grid."""
-    x, y, z = _symbols()
     u, p, d = _exact_symbolic()
-    fu = [sp.lambdify((x, y, z), f, "numpy") for f in u]
-    fp = sp.lambdify((x, y, z), p, "numpy")
-    fd = [sp.lambdify((x, y, z), f, "numpy") for f in d]
-
-    def _sample(fn, xs, ys, zs, shape):
-        val = fn(xs[:, None, None], ys[None, :, None], zs[None, None, :])
-        return np.broadcast_to(np.asarray(val, dtype=float), shape).copy()
-
-    xf, yf = grid.x_faces(), grid.y_faces()
-    xc, yc, zc = grid.x_centers(), grid.y_centers(), grid.z_centers()
-    shape = grid.shape
-    ux = _sample(fu[0], xf, yc, zc, shape)
-    uy = _sample(fu[1], xc, yf, zc, shape)
-    uz = np.zeros((grid.nx, grid.ny, grid.nz + 1))
-    uf = FaceField(ux, uy, uz)
-    pc = _sample(fp, xc, yc, zc, shape)
-    dc = np.stack([_sample(f, xc, yc, zc, shape) for f in fd])
-    return uf, pc, dc
+    uf, pd = _sample_staggered(grid, u, (p, *d))
+    return uf, pd[0], pd[1:]
 
 
 def mms_errors(grid, state):

@@ -9,8 +9,8 @@ one solve with the combined data of both split problems.  grids, seeds and
 face_field generate the inputs of the property tests.  viscous_dissipation,
 director_dissipation and quartic_production are the reference forms of the
 record's budget rates, each built from the state with its own operator.
-conormal_norm_sq is the order-m squared L2 conormal norm, read off one
-walk of diagnostics._conormal_sums.  padded, padded_dz and padded_dzz are
+conormal_norm_sq is the order-m squared L2 conormal norm, the l2 sum of
+one diagnostics._conormal_sums walk.  padded, padded_dz and padded_dzz are
 the oracle of the end-layer z stencils: the same formulas on an (nz+2)
 copy that holds the end layers as its first and last layers.
 """
@@ -65,7 +65,7 @@ def padded_dzz(f_ext, hz):
 def conormal_norm_sq(f, m, grid):
     """Sum over |alpha| <= m of the squared L2 norm of Z^alpha f; stacked
     leading axes are treated as extra components and summed."""
-    return _conormal_sums(f, m, grid)[0][m]
+    return _conormal_sums(f, m, grid)[0]
 
 
 def grad_and_lap(d, grid):

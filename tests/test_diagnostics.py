@@ -113,12 +113,12 @@ def test_conormal_sums_reject_bad_shapes():
 def test_sup_norm_family_values():
     grid = _grid()
     c = np.full(grid.shape, -2.5)
-    assert math.sqrt(_conormal_sums(c, 0, grid, sup=0)[1][0]) == 2.5
+    assert math.sqrt(_conormal_sums(c, 0, grid, sup=0)[1]) == 2.5
 
     vec = np.zeros((3,) + grid.shape)
     vec[0] = 3.0
     vec[1] = 4.0                                   # Euclidean before the sup
-    assert math.sqrt(_conormal_sums(vec, 0, grid, sup=0)[1][0]) == 5.0
+    assert math.sqrt(_conormal_sums(vec, 0, grid, sup=0)[1]) == 5.0
 
 
 def test_sup_norm_of_sine_converges_to_closed_form():
@@ -129,7 +129,7 @@ def test_sup_norm_of_sine_converges_to_closed_form():
         grid = _grid(nx=nx)
         f = np.broadcast_to(np.sin(2 * np.pi * grid.x_centers())[:, None, None],
                             grid.shape).copy()
-        v = math.sqrt(_conormal_sums(f, 1, grid, sup=1)[1][1])
+        v = math.sqrt(_conormal_sums(f, 1, grid, sup=1)[1])
         assert v < target                          # discrete sups undershoot
         deficit[nx] = target - v
     assert deficit[32] <= 0.015 * target
@@ -163,15 +163,17 @@ def _multi_index_oracle(f, m, grid):
 def test_walk_sums_are_the_public_norms(grid, lead, m, seed):
     f = np.random.default_rng(seed).standard_normal(lead + grid.shape)
     sup = min(m, 2)
-    l2, linf = _conormal_sums(f, m, grid, sup=sup)
-    assert len(l2) == m + 1 and len(linf) == sup + 1
-    # a walk to m holds the sums of every shorter walk, bit for bit: the
-    # record reads orders below m off one walk
+    l2 = [conormal_norm_sq(f, k, grid) for k in range(m + 1)]
+    linf = [_conormal_sums(f, 0, grid, sup=s)[1] for s in range(sup + 1)]
+    # one walk gives the order-k l2 and the order-s sup sum of the walks to
+    # k and to s alone, bit for bit, whichever of the two it walks past:
+    # the record reads grad u's two sums off one walk
     for k in range(m + 1):
-        assert l2[k] == conormal_norm_sq(f, k, grid)
-    for k in range(sup + 1):
-        assert linf[k] == _conormal_sums(f, k, grid, sup=k)[1][k]
-    # cumulative in k, and equal to the plain enumeration of multi-indices
+        assert _conormal_sums(f, k, grid) == (l2[k], 0.0)
+        for s in range(sup + 1):
+            assert _conormal_sums(f, k, grid, sup=s) == (l2[k], linf[s])
+    # non-decreasing in k, and equal to the plain enumeration of
+    # multi-indices
     assert all(a <= b for a, b in zip(l2, l2[1:]))
     want_l2, want_sup = _multi_index_oracle(f, m, grid)
     assert l2[m] == pytest.approx(want_l2, rel=1e-12)
@@ -184,8 +186,7 @@ def test_walk_sums_are_the_public_norms(grid, lead, m, seed):
        seed=hst.integers(0, 2**32 - 1))
 def test_component_walk_is_layout_free(grid, m, sup, seed):
     # the walk goes one component at a time; how the stack is laid out in
-    # memory must not change a bit of its sums
-    sup = min(sup, m)
+    # memory must not change a bit of its sums.  sup may walk past m.
     rng = np.random.default_rng(seed)
     wide = rng.standard_normal((3, 3, 2 * grid.nx) + grid.shape[1:])
     strided = wide[:, :, ::2]
@@ -195,12 +196,15 @@ def test_component_walk_is_layout_free(grid, m, sup, seed):
     want = _conormal_sums(c_copy, m, grid, sup=sup)
     assert _conormal_sums(strided, m, grid, sup=sup) == want
     assert _conormal_sums(fortran, m, grid, sup=sup) == want
-    # the sup orders are those of the whole-stack members, bit for bit
-    total, linf = 0.0, [0.0] * (sup + 1)
-    for k, g in _walk(c_copy, sup, grid):
-        total += float(np.max(np.sqrt(np.sum(g * g, axis=(0, 1))))) ** 2
-        linf[k] = total
-    assert want[1] == linf
+    # l2 is that of the walk to m alone, for every sup that walks past m
+    assert want[0] == _conormal_sums(c_copy, m, grid)[0]
+    # the sup sum is that of the whole-stack members, bit for bit, for
+    # every L2 order
+    linf = 0.0
+    for _, g in _walk(c_copy, sup, grid):
+        linf += float(np.max(np.sqrt(np.sum(g * g, axis=(0, 1))))) ** 2
+    for k in range(m + 1):
+        assert _conormal_sums(strided, k, grid, sup=sup)[1] == linf
 
 
 def test_component_walk_working_set():
@@ -434,6 +438,16 @@ def test_energy_residual_is_the_reference_rates():
     assert energy_balance_residual(prev, nxt, cfg.dt, cfg.eps, B, grid) == want
 
 
+@pytest.mark.parametrize("given, missing", [("prev", "dt"), ("dt", "prev")])
+def test_record_refuses_half_a_step(given, missing):
+    # the energy residual spans a step, so it needs both prev and dt; one
+    # without the other used to record energy_residual = 0.0 silently
+    cfg, grid, st, B = _record_case(2, 0)
+    step_ends = {"prev": st.copy(), "dt": cfg.dt}
+    with pytest.raises(TypeError, match=f"{missing} is missing"):
+        make_record(st, cfg, grid, B, **{given: step_ends[given]})
+
+
 def test_record_does_not_read_the_stored_pressure():
     # the time derivatives take their pressure from the record's own split,
     # so a record depends on (u, d) alone: state.p is the last projection's
@@ -462,7 +476,7 @@ def test_nm_value_is_the_sum_of_its_terms(m, time_derivs):
     want = (conormal_norm_sq(uc, m, grid) + conormal_norm_sq(st.d, 0, grid)
             + conormal_norm_sq(gd, m, grid) + conormal_norm_sq(gu, m - 1, grid)
             + conormal_norm_sq(ld, m - 1, grid)
-            + _conormal_sums(gu, 1, grid, sup=1)[1][1])
+            + _conormal_sums(gu, 1, grid, sup=1)[1])
     if time_derivs:
         F = momentum_forcing(st.u, gd, ld, grid)
         p1, p2 = pressure.pressure_split(st.u, F, cfg.eps, grid,
@@ -477,7 +491,7 @@ def test_nm_value_is_the_sum_of_its_terms(m, time_derivs):
             want += (conormal_norm_sq(gut, m - 2, grid)
                      + conormal_norm_sq(laplacian_center(dt_d, grid), m - 2,
                                         grid)
-                     + _conormal_sums(gut, 0, grid, sup=0)[1][0])
+                     + _conormal_sums(gut, 0, grid, sup=0)[1])
     assert make_record(st, cfg, grid, B).nm_value == pytest.approx(want,
                                                                    rel=1e-13)
 
@@ -520,8 +534,8 @@ def test_record_fills_ghosts_once_per_curl(monkeypatch, time_derivs,
     monkeypatch.setattr(operators, "_slip_ghost_rows", counting)
     monkeypatch.setattr(diagnostics, "_slip_ghost_rows", counting)
     cfg, grid, st, B = _record_case(1, time_derivs)
-    prev = st.copy() if with_prev else None
-    make_record(st, cfg, grid, B, prev=prev, dt=cfg.dt)
+    prev, dt = (st.copy(), cfg.dt) if with_prev else (None, None)
+    make_record(st, cfg, grid, B, prev=prev, dt=dt)
     assert len(calls) == fills + curls
 
 

@@ -164,15 +164,13 @@ def test_adaptive_underflow_raises():
 
 
 def test_non_finite_state_raises():
-    def bad_forcing(grid, t):
-        g = np.zeros((grid.nx, grid.ny, grid.nz))
-        g[0, 0, 0] = np.nan
-        return (FaceField(g.copy(), g.copy(),
-                          np.zeros((grid.nx, grid.ny, grid.nz + 1))),
-                np.zeros((3,) + grid.shape))
-
     cfg = _cfg()
     grid = make_grid(cfg)
+    g = np.zeros(grid.shape)
+    g[0, 0, 0] = np.nan
+    bad_forcing = (FaceField(g.copy(), g.copy(),
+                             np.zeros((grid.nx, grid.ny, grid.nz + 1))),
+                   np.zeros((3,) + grid.shape))
     B = SlipMatrixB(cfg.b11, cfg.b12, cfg.b22)
     state = init_state(grid, cfg.ic)
     with pytest.raises(SimulationError, match="non-finite state"):
