@@ -40,11 +40,11 @@ from .errors import ConfigError
 from .fields import (FaceField, State, discrete_divergence, discrete_gradient,
                      face_to_center, unit_deviation)
 from .grid import ChannelGrid, _shift_diff, conormal_derivative
-from .operators import (SlipMatrixB, _slip_ghost_rows, _u_on_v_points,
-                        _v_on_u_points, _wall_tangential, advect_center,
-                        center_gradient, curl_center, director_gradient,
-                        grad_sq_director, laplacian_center, laplacian_face,
-                        momentum_forcing)
+from .operators import (SlipMatrixB, _grad_sq, _slip_ghost_rows,
+                        _u_on_v_points, _v_on_u_points, _wall_tangential,
+                        advect_center, center_gradient, curl_center,
+                        director_gradient, grad_sq_director, laplacian_center,
+                        laplacian_face, momentum_forcing)
 from .pressure import pressure_split
 
 
@@ -309,7 +309,7 @@ def make_record(state: State, cfg: SimConfig, grid: ChannelGrid,
                                                           eps, B, grid)
 
     uc = face_to_center(state.u)
-    grad_sq = np.sum(gd * gd, axis=(0, 1))
+    grad_sq = _grad_sq(gd)
     w = curl_center(state.u, B, grid)
     visc, dir_, quartic, wall = _budget_rates(state.u, w, ld, grad_sq, eps,
                                               B, grid)

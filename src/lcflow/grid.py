@@ -121,10 +121,11 @@ def _shift_op(op, a, sa, b, sb, axis, out=None):
     offsets, and only the two one-index slabs wrap.  Every element is op of
     the same two floats as with np.roll, so results are bit-identical.
 
-    op is np.add or np.subtract, sa and sb are -1, 0 or 1, and a and b have
-    the same shape.  out may be a or b only where that operand's shift is
-    0: a slab written first would otherwise be read later as a shifted
-    neighbour.
+    op is np.add, np.subtract or np.multiply, sa and sb are -1, 0 or 1, and
+    a and b have the same shape; either may be a broadcast view of that
+    shape (np.broadcast_to).  out may be a or b only where that operand's
+    shift is 0: a slab written first would otherwise be read later as a
+    shifted neighbour.
     """
     if out is None:
         out = np.empty(a.shape, dtype=np.result_type(a, b))
@@ -146,11 +147,12 @@ def _shift_diff(f, s0, s1, axis, h, out=None):
     return out
 
 
-def _shift_mean(f, s, axis):
-    """0.5 * (f + np.roll(f, s, axis)) by _shift_op: the periodic
-    two-point average."""
+def _shift_mean(f, s, axis, scale=0.5):
+    """scale * (f + np.roll(f, s, axis)) by _shift_op, scaled in place: the
+    periodic two-point average, or with scale = 0.25/h that average over
+    2h in the same two passes."""
     out = _shift_op(np.add, f, 0, f, s, axis)
-    out *= 0.5
+    out *= scale
     return out
 
 

@@ -12,12 +12,17 @@ field, the rows just beyond it in z, passed as (below, above):
   * the interior faces of the normal velocity take its wall faces, which
     hold the exact impermeability zeros.
 
-Advection uses the divergence form with half the discrete velocity
-divergence subtracted, which makes <f, advect(u, f)> telescope to zero
-exactly (periodic wrap in x/y, zero mass flux through the walls), without
-assuming the advecting field is divergence-free.  One kernel, _split_form,
+Advection is the skew-symmetric split form (Morinishi et al., JCP 1998):
+the divergence form with half the discrete velocity divergence
+subtracted, which makes <f, advect(u, f)> telescope to zero exactly
+(periodic wrap in x/y, zero mass flux through the walls), without assuming
+the advecting field is divergence-free.  Its face fluxes and the
+subtracted divergence cancel in the volume's own value of f, which leaves
+the product form (v_R f[i+1] - v_L f[i-1]) / 2h per axis, v_L and v_R the
+velocity on the volume's lower and upper faces.  One kernel, _split_form,
 writes it on the cells and on each face family; its callers supply the
-field's end layers in z and the velocity on the volumes' faces.
+field's end layers in z and the velocity on the volumes' faces.  The
+Laplacians of both field kinds are likewise one 7-point kernel, _lap7.
 """
 
 from __future__ import annotations
@@ -27,8 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fields import FaceField, face_to_center
-from .grid import (ChannelGrid, _ddx, _ddy, _dz_centered, _shift_diff,
-                   _shift_mean, _shift_op)
+from .grid import ChannelGrid, _ddx, _ddy, _dz_centered, _shift_mean, _shift_op
 
 
 @dataclass(frozen=True)
@@ -116,28 +120,23 @@ def _dz_ends(f, ends, hz, out=None):
     return out
 
 
-def _dzz_ends(f, ends, hz):
-    """Second z difference of f with end layers ends = (below, above)."""
-    out = -2.0 * f
-    out[..., :-1] += f[..., 1:]
-    out[..., -1] += ends[1]
-    out[..., 1:] += f[..., :-1]
-    out[..., 0] += ends[0]
-    out /= hz**2
-    return out
-
-
-def _lap_xy(f, grid: ChannelGrid):
-    """Periodic x/y part of the 7-point Laplacian on the (x, y) axes
-    (third- and second-from-last)."""
-    f2 = 2.0 * f
-    out = _shift_op(np.subtract, f, -1, f2, 0, -3)
-    _shift_op(np.add, out, 0, f, 1, -3, out)
+def _lap7(f, ends, grid: ChannelGrid):
+    """7-point Laplacian of f on the (x, y, z) axes (the last three): the
+    two neighbours along each axis summed and divided by that axis' h^2,
+    the z neighbours reading the end layers ends = (below, above), minus
+    2 (hx^-2 + hy^-2 + hz^-2) f."""
+    out = _shift_op(np.add, f, 1, f, -1, -3)
     out /= grid.hx**2
-    t = _shift_op(np.subtract, f, -1, f2, 0, -2, f2)
-    _shift_op(np.add, t, 0, f, 1, -2, t)
+    t = _shift_op(np.add, f, 1, f, -1, -2)
     t /= grid.hy**2
     out += t
+    np.add(f[..., :-2], f[..., 2:], out=t[..., 1:-1])
+    np.add(ends[0], f[..., 1], out=t[..., 0])
+    np.add(f[..., -2], ends[1], out=t[..., -1])
+    t /= grid.hz**2
+    out += t
+    np.multiply(f, 2.0 * (grid.hx**-2 + grid.hy**-2 + grid.hz**-2), out=t)
+    out -= t
     return out
 
 
@@ -148,9 +147,7 @@ def laplacian_center(f: np.ndarray, grid: ChannelGrid) -> np.ndarray:
     single definition here is what makes the projection residual land at
     round-off.
     """
-    out = _lap_xy(f, grid)
-    out += _dzz_ends(f, (f[..., 0], f[..., -1]), grid.hz)
-    return out
+    return _lap7(f, (f[..., 0], f[..., -1]), grid)
 
 
 def laplacian_face(u: FaceField, B: SlipMatrixB, grid: ChannelGrid) -> FaceField:
@@ -160,12 +157,10 @@ def laplacian_face(u: FaceField, B: SlipMatrixB, grid: ChannelGrid) -> FaceField
     component uses its exact wall zeros (result on wall faces is set to
     zero -- those faces are constrained, not evolved).
     """
-    lu, lv = (_lap_xy(f, grid) for f in (u.x, u.y))
-    for lf, f, ends in zip((lu, lv), (u.x, u.y), _slip_ghost_rows(u, B, grid)):
-        lf += _dzz_ends(f, ends, grid.hz)
+    lu, lv = (_lap7(f, ends, grid) for f, ends
+              in zip((u.x, u.y), _slip_ghost_rows(u, B, grid)))
     lw = np.zeros_like(u.z)
-    lw[:, :, 1:-1] = _lap_xy(u.z, grid)[:, :, 1:-1] + _dzz_ends(
-        u.z[:, :, 1:-1], (u.z[:, :, 0], u.z[:, :, -1]), grid.hz)
+    lw[:, :, 1:-1] = _lap7(u.z[:, :, 1:-1], (u.z[:, :, 0], u.z[:, :, -1]), grid)
     return FaceField(lu, lv, lw)
 
 
@@ -188,64 +183,73 @@ def curl_center(u: FaceField, B: SlipMatrixB, grid: ChannelGrid) -> np.ndarray:
 # advection (energy-conserving split form)
 # ---------------------------------------------------------------------------
 
-def _split_form(f, ends, periodic, vz, grid: ChannelGrid):
-    """Split-form u . grad f on one family of control volumes: the flux
-    differences (upper face minus lower, over h) minus f/2 times the same
-    differences of the velocity.
+def _split_form(f, ends, periodic, vz):
+    """Split-form u . grad f on one family of control volumes, in product
+    form: per axis v_R f[i+1] - v_L f[i-1], v_L and v_R the velocity on the
+    volume's lower and upper faces scaled by 1/(2h).  That is the flux
+    difference over h (face values the two-point means of f) minus f/2
+    times the velocity's, whose terms in the volume's own f cancel.
 
     ends holds the layers of f just beyond it in z (below, above); periodic
-    holds (axis 0 or 1, velocity v on the volumes' faces normal to it,
-    offset s: face i of v lies between volumes i - s and i) for x and y in
-    summation order, own axis first for a face family, which is x + y bit
-    for bit as two terms commute; vz is the velocity on every z face.
+    holds (axis 0 or 1, scaled velocity v on the volumes' faces normal to
+    it, offset s: face i of v lies between volumes i - s and i) for x and y
+    in summation order, own axis first for a face family, which is x + y
+    bit for bit as two terms commute; vz is the scaled velocity on every z
+    face.  Per axis the term is shift(f v, -s) - v shift(f, s), which for
+    s = -1 is v_L f[i-1] - v_R f[i+1]: there v is scaled by -1/(2h).  v and
+    vz may be one component for a stacked f.
     """
-    diffs = []
+    q = np.empty(f.shape)
+    terms = []
     for a, v, s in periodic:
-        ax, h, lo = a - 3, (grid.hx, grid.hy)[a], (1 - s) // 2
-        flux = _shift_mean(f, s, ax)
-        flux *= v
-        diffs.append((_shift_diff(flux, lo - 1, lo, ax, h),
-                      _shift_diff(v, lo - 1, lo, ax, h)))
-    (out, div), (flux_diff, v_diff) = diffs
-    out += flux_diff
-    div += v_diff
-    flux = np.empty(f.shape[:-1] + (f.shape[-1] + 1,))   # on the z faces
-    np.add(ends[0], f[..., 0], out=flux[..., 0])
-    np.add(f[..., :-1], f[..., 1:], out=flux[..., 1:-1])
-    np.add(f[..., -1], ends[1], out=flux[..., -1])
-    flux *= 0.5
-    flux *= vz
-    out += (flux[..., 1:] - flux[..., :-1]) / grid.hz
-    div += (vz[..., 1:] - vz[..., :-1]) / grid.hz
-    out -= 0.5 * f * div
+        v = np.broadcast_to(v, f.shape)
+        np.multiply(f, v, out=q)
+        t = _shift_op(np.multiply, v, 0, f, s, a - 3)
+        terms.append(_shift_op(np.subtract, q, -s, t, 0, a - 3, t))
+    out, t = terms
+    out += t
+    np.multiply(f[..., 1:], vz[..., 1:-1], out=q[..., :-1])
+    np.multiply(ends[1], vz[..., -1], out=q[..., -1])
+    np.multiply(f[..., :-1], vz[..., 1:-1], out=t[..., 1:])
+    np.multiply(ends[0], vz[..., 0], out=t[..., 0])
+    q -= t
+    out += q
     return out
 
 
 def advect_center(u: FaceField, f: np.ndarray, grid: ChannelGrid) -> np.ndarray:
     """u . grad f for cell-centered f (scalar or stacked components).
 
-    Divergence form with -(f/2) div u correction; exactly antisymmetric in
-    the L2 pairing with f.  Transport of a constant returns (c/2) div u,
-    bounded by the divergence residual.  The cell faces carry u itself, so
-    the wall faces carry exactly zero mass flux.
+    The split form, exactly antisymmetric in the L2 pairing with f, on the
+    components of u scaled once by 1/(2h).  Transport of a constant c
+    returns (c/2) div u, bounded by the divergence residual.  The cell
+    faces carry u itself, so the wall faces carry exactly zero mass flux.
     """
-    return _split_form(f, (f[..., 0], f[..., -1]), ((0, u.x, 1), (1, u.y, 1)),
-                       u.z, grid)
+    vx, vy, vz = (c * (0.5 / h) for c, h
+                  in zip(u.components(), (grid.hx, grid.hy, grid.hz)))
+    return _split_form(f, (f[..., 0], f[..., -1]), ((0, vx, 1), (1, vy, 1)),
+                       vz)
 
 
 def advect_face(u: FaceField, f: FaceField, grid: ChannelGrid) -> FaceField:
     """u . grad f for a staggered vector f (velocity self-advection when
     f is u): the split form on each component's own control volumes, whose
-    faces carry the two-point means of u; w's wall rows of the result are 0."""
+    faces carry the two-point means of u, each formed as one sum times
+    0.25/h (-0.25/h on the own-axis faces, offset -1); w's wall rows of the
+    result are 0."""
+    h = (grid.hx, grid.hy, grid.hz)
     ax, ay = (_split_form(g, (g[..., 0], g[..., -1]),
-                          ((a, _shift_mean(own, -1, a), -1),
-                           (1 - a, _shift_mean(other, 1, a), 1)),
-                          _shift_mean(u.z, 1, a), grid)
+                          ((a, _shift_mean(own, -1, a, -0.25 / h[a]), -1),
+                           (1 - a, _shift_mean(other, 1, a, 0.25 / h[1 - a]),
+                            1)),
+                          _shift_mean(u.z, 1, a, 0.25 / h[2]))
               for a, g, own, other in ((0, f.x, u.x, u.y), (1, f.y, u.y, u.x)))
-    xm, ym, zm = (0.5 * (g[:, :, :-1] + g[:, :, 1:]) for g in u.components())
+    xm, ym, zm = (np.add(c[:, :, :-1], c[:, :, 1:]) for c in u.components())
+    for m, hc in zip((xm, ym, zm), h):
+        m *= 0.25 / hc
     az = np.zeros_like(f.z)
     az[:, :, 1:-1] = _split_form(f.z[:, :, 1:-1], (f.z[:, :, 0], f.z[:, :, -1]),
-                                 ((0, xm, 1), (1, ym, 1)), zm, grid)
+                                 ((0, xm, 1), (1, ym, 1)), zm)
     return FaceField(ax, ay, az)
 
 
@@ -269,10 +273,15 @@ def elastic_stress(gd: np.ndarray, ld: np.ndarray) -> np.ndarray:
     return np.einsum("icxyz,cxyz->ixyz", gd, ld)
 
 
+def _grad_sq(g: np.ndarray) -> np.ndarray:
+    """|g|^2 pointwise of a gradient tensor g[i, j] (director_gradient):
+    the sum over i and j of g[i, j]^2, contracted in one pass."""
+    return np.einsum("ij...,ij...->...", g, g)
+
+
 def grad_sq_director(d: np.ndarray, grid: ChannelGrid) -> np.ndarray:
     """|grad d|^2 at centers."""
-    grad = director_gradient(d, grid)
-    return np.sum(grad * grad, axis=(0, 1))
+    return _grad_sq(director_gradient(d, grid))
 
 
 def stress_to_faces(sigma: np.ndarray, grid: ChannelGrid) -> FaceField:

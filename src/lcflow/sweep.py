@@ -40,8 +40,8 @@ from .fields import FaceField, State, face_to_center
 from .grid import ChannelGrid, make_grid
 from .integrator import run
 from .io import read_checkpoint, write_checkpoint
-from .operators import (center_gradient, director_gradient, grad_sq_director,
-                        laplacian_center)
+from .operators import (_grad_sq, center_gradient, director_gradient,
+                        grad_sq_director, laplacian_center)
 
 RECORD_TIME_TOL = 1e-9
 
@@ -66,7 +66,7 @@ def error_norms(u_a: FaceField, d_a: np.ndarray, u_b: FaceField,
     gd = director_gradient(dd, grid)
     e_d_h1sq = vol * float(np.sum(dd * dd) + np.sum(gd * gd))
     e_d_w1inf = max(float(np.max(np.sqrt(np.sum(dd * dd, axis=0)))),
-                    float(np.max(np.sqrt(np.sum(gd * gd, axis=(0, 1))))))
+                    float(np.max(np.sqrt(_grad_sq(gd)))))
     return e_u_l2sq, e_d_h1sq, e_u_linf, e_d_w1inf
 
 

@@ -10,9 +10,15 @@ face_field generate the inputs of the property tests.  viscous_dissipation,
 director_dissipation and quartic_production are the reference forms of the
 record's budget rates, each built from the state with its own operator.
 conormal_norm_sq is the order-m squared L2 conormal norm, the l2 sum of
-one diagnostics._conormal_sums walk.  padded, padded_dz and padded_dzz are
-the oracle of the end-layer z stencils: the same formulas on an (nz+2)
-copy that holds the end layers as its first and last layers.
+one diagnostics._conormal_sums walk.  padded, padded_dz and padded_lap7 are
+the oracle of the end-layer stencils: the same formulas on an (nz+2) copy
+that holds the end layers as its first and last layers; padded_dzz is the
+z part of the same Laplacian in three-difference form, which the tests
+compare with it at round-off.
+advect_center_flux and advect_face_flux are the advection oracle: the
+split form as face-flux differences minus f/2 times the velocity
+divergence, on np.roll copies, which the kernels' product form equals up
+to round-off.
 """
 
 import math
@@ -60,6 +66,59 @@ def padded_dz(f_ext, hz):
 def padded_dzz(f_ext, hz):
     """Second z difference of a padded copy on its interior layers."""
     return (f_ext[..., 2:] - 2.0 * f_ext[..., 1:-1] + f_ext[..., :-2]) / hz**2
+
+
+def padded_lap7(f, ends, grid):
+    """The 7-point Laplacian of operators._lap7 on the padded copy of f, with
+    np.roll in x and y, in the kernel's summation order: bit for bit."""
+    ext = padded(f, ends)
+    c = ext[..., 1:-1]
+    out = (np.roll(c, 1, -3) + np.roll(c, -1, -3)) / grid.hx**2
+    out += (np.roll(c, 1, -2) + np.roll(c, -1, -2)) / grid.hy**2
+    out += (ext[..., :-2] + ext[..., 2:]) / grid.hz**2
+    out -= 2.0 * (grid.hx**-2 + grid.hy**-2 + grid.hz**-2) * c
+    return out
+
+
+def _flux_form(f, ends, periodic, vz, grid):
+    """The split form on one family of control volumes, with the arguments
+    of operators._split_form but unscaled velocities: per axis the flux
+    difference (upper face minus lower, over h, face values the two-point
+    means of f), minus f/2 times the same differences of the velocity."""
+    out = div = 0.0
+    for a, v, s in periodic:
+        ax, h, lo = a - 3, (grid.hx, grid.hy)[a], (1 - s) // 2
+        flux = 0.5 * (f + np.roll(f, s, ax)) * v
+        out = out + (np.roll(flux, lo - 1, ax) - np.roll(flux, lo, ax)) / h
+        div = div + (np.roll(v, lo - 1, ax) - np.roll(v, lo, ax)) / h
+    ext = padded(f, ends)
+    flux = 0.5 * (ext[..., :-1] + ext[..., 1:]) * vz
+    out = out + (flux[..., 1:] - flux[..., :-1]) / grid.hz
+    div = div + (vz[..., 1:] - vz[..., :-1]) / grid.hz
+    return out - 0.5 * f * div
+
+
+def advect_center_flux(u, f, grid):
+    """advect_center in flux form: the cell faces carry u itself."""
+    return _flux_form(f, (f[..., 0], f[..., -1]), ((0, u.x, 1), (1, u.y, 1)),
+                      u.z, grid)
+
+
+def advect_face_flux(u, f, grid):
+    """advect_face in flux form: each face family's volumes carry the
+    two-point means of u; w's wall rows are 0."""
+    def mean(c, s, axis):
+        return 0.5 * (c + np.roll(c, s, axis))
+    ax, ay = (_flux_form(g, (g[..., 0], g[..., -1]),
+                         ((a, mean(own, -1, a), -1),
+                          (1 - a, mean(other, 1, a), 1)),
+                         mean(u.z, 1, a), grid)
+              for a, g, own, other in ((0, f.x, u.x, u.y), (1, f.y, u.y, u.x)))
+    xm, ym, zm = (0.5 * (c[:, :, :-1] + c[:, :, 1:]) for c in u.components())
+    az = np.zeros_like(f.z)
+    az[:, :, 1:-1] = _flux_form(f.z[:, :, 1:-1], (f.z[:, :, 0], f.z[:, :, -1]),
+                                ((0, xm, 1), (1, ym, 1)), zm, grid)
+    return FaceField(ax, ay, az)
 
 
 def conormal_norm_sq(f, m, grid):

@@ -187,16 +187,21 @@ def test_m_max_is_four():
        stack=hst.sampled_from([(), (3,), (3, 3)]),
        axis=hst.sampled_from([-3, -2, 0, 1]),
        sa=hst.sampled_from([-1, 0, 1]), sb=hst.sampled_from([-1, 0, 1]),
-       op=hst.sampled_from([np.add, np.subtract]),
-       b_is_a=hst.booleans(),
+       op=hst.sampled_from([np.add, np.subtract, np.multiply]),
+       b_is_a=hst.booleans(), a_broadcast=hst.booleans(),
        out=hst.sampled_from(["new", "given", "a", "b"]),
        seed=hst.integers(0, 2**32 - 1))
 def test_shift_op_is_op_of_rolled_operands(cells, stack, axis, sa, sb, op,
-                                           b_is_a, out, seed):
+                                           b_is_a, a_broadcast, out, seed):
     # bit for bit the np.roll expression it replaces, on every slab
-    # boundary; out may alias only an operand that is not shifted
+    # boundary; out may alias only an operand that is not shifted, and a
+    # may be one component broadcast over the stack (read-only)
     rng = np.random.default_rng(seed)
-    a = rng.standard_normal(stack + cells)
+    if a_broadcast:
+        a = np.broadcast_to(rng.standard_normal(cells), stack + cells)
+        assume(out != "a" and not (out == "b" and b_is_a))
+    else:
+        a = rng.standard_normal(stack + cells)
     b = a if b_is_a else rng.standard_normal(a.shape)
     if out == "a":
         assume(sa == 0 and (sb == 0 or not b_is_a))

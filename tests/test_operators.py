@@ -6,6 +6,8 @@ from the same continuum formula but evaluated by a completely separate code
 path.
 """
 
+import tracemalloc
+
 import numpy as np
 import sympy as sp
 from hypothesis import given, settings
@@ -17,8 +19,7 @@ from lcflow.fields import FaceField, State, face_to_center, zero_face_field
 from lcflow.integrator import step
 from lcflow.operators import (
     _dz_ends,
-    _dzz_ends,
-    _lap_xy,
+    _lap7,
     _slip_ghost_rows,
     advect_center,
     advect_face,
@@ -31,7 +32,8 @@ from lcflow.operators import (
     laplacian_face,
 )
 
-from support import (face_field, grids, padded, padded_dz, padded_dzz, seeds,
+from support import (advect_center_flux, advect_face_flux, face_field, grids,
+                     padded, padded_dz, padded_dzz, padded_lap7, seeds,
                      viscous_dissipation)
 
 B0 = SlipMatrixB(0.0, 0.0, 0.0)
@@ -153,19 +155,20 @@ def test_robin_ghost_tracks_smooth_extension():
 
 
 def test_neumann_ghosts_reflect():
-    # the director operators close z by even reflection: their z parts are
-    # the padded formulas on f with its own wall layers copied beyond it
+    # the director operators close z by even reflection: they are the
+    # padded formulas on f with its own wall layers copied beyond it
     grid = _grid()
     rng = np.random.default_rng(0)
     f = rng.standard_normal((3,) + grid.shape)
-    ext = padded(f, (f[..., 0], f[..., -1]))
+    ends = (f[..., 0], f[..., -1])
+    ext = padded(f, ends)
     assert ext.shape == f.shape[:-1] + (grid.nz + 2,)
     assert np.array_equal(ext[..., 0], f[..., 0])
     assert np.array_equal(ext[..., -1], f[..., -1])
     assert np.array_equal(director_gradient(f, grid)[2],
                           padded_dz(ext, grid.hz))
     assert np.array_equal(laplacian_center(f, grid),
-                          _lap_xy(f, grid) + padded_dzz(ext, grid.hz))
+                          padded_lap7(f, ends, grid))
 
 
 @settings(max_examples=40, deadline=None)
@@ -173,7 +176,10 @@ def test_neumann_ghosts_reflect():
 def test_end_layer_stencils_match_padded_copies(grid, seed, B, stacked):
     # the z stencils read their wall closure from end layers; on reflected
     # and on Robin ends (b12 != 0 included) they give bit for bit what the
-    # same formula gives on an (nz+2) padded copy
+    # same formula gives on an (nz+2) padded copy.  The 7-point Laplacian
+    # is also the sum of the three second differences, (f[i+1] - 2 f[i] +
+    # f[i-1]) / h^2 per axis, to round-off: within 1e-15 of the largest
+    # |f| sum(4 / h^2); the largest seen is 3.2e-16 (2,000 examples)
     rng = np.random.default_rng(seed)
     u = face_field(rng, grid)
     robin = _slip_ghost_rows(u, B, grid)
@@ -185,14 +191,23 @@ def test_end_layer_stencils_match_padded_copies(grid, seed, B, stacked):
     else:
         cases = [(u.x, (u.x[..., 0], u.x[..., -1])), (u.x, robin[0]),
                  (u.y, robin[1])]
+        lap = laplacian_face(u, B, grid)
+        assert np.array_equal(lap.x, padded_lap7(u.x, robin[0], grid))
+        assert np.array_equal(lap.y, padded_lap7(u.y, robin[1], grid))
     for f, ends in cases:
         ext = padded(f, ends)
         assert np.array_equal(_dz_ends(f, ends, grid.hz), padded_dz(ext, grid.hz))
         out = np.empty(f.shape)
         assert _dz_ends(f, ends, grid.hz, out) is out
         assert np.array_equal(out, padded_dz(ext, grid.hz))
-        assert np.array_equal(_dzz_ends(f, ends, grid.hz),
-                              padded_dzz(ext, grid.hz))
+        lap = _lap7(f, ends, grid)
+        assert np.array_equal(lap, padded_lap7(f, ends, grid))
+        three = padded_dzz(ext, grid.hz) + sum(
+            (np.roll(f, -1, ax) - 2.0 * f + np.roll(f, 1, ax)) / h**2
+            for ax, h in ((-3, grid.hx), (-2, grid.hy)))
+        scale = np.max(np.abs(ext)) * 4.0 * (grid.hx**-2 + grid.hy**-2
+                                             + grid.hz**-2)
+        assert np.max(np.abs(lap - three)) <= 1e-15 * scale
 
 
 # -------------------------------------------------------------------- curl
@@ -430,6 +445,55 @@ def test_advection_transposes_under_xy_swap(grid, seed):
     for c in (d[0], d):
         assert np.array_equal(advect_center(su, _swap_xy(c), sgrid),
                               _swap_xy(advect_center(u, c, grid)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(grid=grids, seed=seeds)
+def test_advection_matches_flux_form(grid, seed):
+    # the product form is the flux form (face-flux differences minus f/2
+    # times the velocity divergence) with the terms in the volume's own f
+    # cancelled, for u of any divergence with interior w != 0 and f != u:
+    # equal within 1e-14 of max|u| max|f| / min(h) on every family; the
+    # largest seen is 3.0e-16 (2,000 examples)
+    rng = np.random.default_rng(seed)
+    u, f = face_field(rng, grid), face_field(rng, grid)
+    s = rng.standard_normal(grid.shape)
+    d = rng.standard_normal((3,) + grid.shape)
+    a = advect_face(u, f, grid)
+    assert not np.any(a.z[:, :, [0, -1]])
+    pairs = list(zip(a.components(),
+                     advect_face_flux(u, f, grid).components(), f.components()))
+    pairs += [(advect_center(u, c, grid), advect_center_flux(u, c, grid), c)
+              for c in (s, d)]
+    umax = max(np.max(np.abs(c)) for c in u.components())
+    hmin = min(grid.hx, grid.hy, grid.hz)
+    for got, want, fc in pairs:
+        scale = umax * np.max(np.abs(fc)) / hmin
+        assert np.max(np.abs(got - want)) <= 1e-14 * scale
+
+
+def test_advection_working_set():
+    # Peak traced allocation of one call in units of one 32^3 field
+    # (256 KiB), result included.  Measured: advect_center on a (3, ...)
+    # stack 12.8 (the result, two product buffers of the stack, the three
+    # scaled components of u and about 0.75 of numpy's buffers for the z
+    # slices; the flux form peaked at 17.1), advect_face 9.6 (flux form
+    # 12.8).  The bounds leave a margin for numpy temporaries.
+    grid = ChannelGrid(32, 32, 32, 1.0, 1.0, 1.0)
+    rng = np.random.default_rng(0)
+    u = face_field(rng, grid)
+    d = rng.standard_normal((3,) + grid.shape)
+    unit = d[0].nbytes
+    for call, bound in ((lambda: advect_center(u, d, grid), 14),
+                        (lambda: advect_face(u, u, grid), 11)):
+        call()
+        tracemalloc.start()
+        try:
+            call()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < bound * unit
 
 
 @settings(max_examples=40, deadline=None)
