@@ -13,6 +13,7 @@ import configparser
 import difflib
 import hashlib
 import math
+import numbers
 from dataclasses import dataclass, fields
 
 from .errors import ConfigError
@@ -105,6 +106,10 @@ class SimConfig:
             v = getattr(self, name)
             if not math.isfinite(v):
                 raise ConfigError(f"{name} must be finite, got {v}")
+        for name in ("seed", "time_derivs", "conormal_m", "diag_every"):
+            if not isinstance(getattr(self, name), numbers.Integral):
+                raise ConfigError(
+                    f"{name} must be an integer, got {getattr(self, name)!r}")
         if self.seed < 0:
             raise ConfigError(f"seed must be >= 0, got {self.seed}")
         if self.time_derivs not in (0, 1):

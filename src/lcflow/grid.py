@@ -18,8 +18,9 @@ distance to the nearest wall and phi(s) = s/(1+s).  phi vanishes linearly at
 both walls, so the weighted derivative stays bounded for fields that are
 merely bounded in the normal direction near the boundary.
 
-Periodic differences and averages in x and y are slab slices (_shift_op):
-no stencil makes a rolled copy of its operand.
+Periodic differences and averages in x and y are slab slices (_shift_op),
+so no stencil makes a rolled copy of its operand; every z-neighbour pass is
+one flat call, _z_pair.
 """
 
 from __future__ import annotations
@@ -101,11 +102,11 @@ def conormal_weight(z, grid: ChannelGrid):
     """Wall-distance weight phi(min(z, lz-z)), phi(s) = s/(1+s).
 
     Accepts scalars or arrays of z coordinates in [0, lz]; values outside
-    the channel are rejected.  The result lies in [0, 1) and vanishes
-    exactly on both walls.
+    the channel, nan included, are rejected.  The result lies in [0, 1)
+    and vanishes exactly on both walls.
     """
     z = np.asarray(z, dtype=float)
-    if np.any(z < 0.0) or np.any(z > grid.lz):
+    if not np.all((z >= 0.0) & (z <= grid.lz)):   # negated: nan fails it
         raise ConfigError(f"z out of channel range [0, {grid.lz}]")
     zeta = np.minimum(z, grid.lz - z)
     out = zeta / (1.0 + zeta)
@@ -168,32 +169,29 @@ def _ddy(f, h, out=None):
     return _shift_diff(f, -1, 1, -2, 2.0 * h, out)
 
 
+def _z_pair(op, f, ends, out=None):
+    """op(f[..., k+1], f[..., k-1]) on the last axis as one call of op on
+    the flattened arrays.  The entries that straddle two rows are the first
+    and last layers, which are then written from the end layers ends =
+    (below, above), or left to the caller when ends is None.  f may have
+    any layout; out must be C-contiguous and must not be f."""
+    out = np.empty(f.shape) if out is None else out
+    ff = np.reshape(f, -1)
+    op(ff[2:], ff[:-2], out=np.reshape(out, -1, copy=False)[1:-1])
+    if ends is not None:
+        op(f[..., 1], ends[0], out=out[..., 0])
+        op(ends[1], f[..., -2], out=out[..., -1])
+    return out
+
+
 def _dz_centered(f, hz, out=None):
-    """Second-order d/dz on cell-centered data along the last axis.
-
-    Central differences inside, one-sided three-point stencils on the first
-    and last interior layers (no end layers are assumed).  out must not
-    be f.
-
-    When f and out are both C-contiguous the central difference is one
-    subtract and one divide over the flattened arrays: the entries whose
-    two operands straddle two rows are exactly the first and last layer,
-    and the one-sided rows overwrite them.  Other layouts take the same
-    difference on last-axis slices.  Each entry is the same arithmetic on
-    the same floats either way, so both paths are bit-identical.
-    """
-    if out is None:
-        out = np.empty_like(f)
-    h2 = 2.0 * hz
-    if f.flags.c_contiguous and out.flags.c_contiguous:
-        ff, of = f.reshape(-1), out.reshape(-1)
-        np.subtract(ff[2:], ff[:-2], out=of[1:-1])
-        of[1:-1] /= h2
-    else:
-        np.subtract(f[..., 2:], f[..., :-2], out=out[..., 1:-1])
-        out[..., 1:-1] /= h2
-    out[..., 0] = (-3.0 * f[..., 0] + 4.0 * f[..., 1] - f[..., 2]) / h2
-    out[..., -1] = (3.0 * f[..., -1] - 4.0 * f[..., -2] + f[..., -3]) / h2
+    """Second-order d/dz on cell-centered data along the last axis: the
+    _z_pair difference inside, one-sided three-point stencils on the first
+    and last layers (no end layers assumed); out C-contiguous, not f."""
+    out = _z_pair(np.subtract, f, None, out)
+    out[..., 0] = -3.0 * f[..., 0] + 4.0 * f[..., 1] - f[..., 2]
+    out[..., -1] = 3.0 * f[..., -1] - 4.0 * f[..., -2] + f[..., -3]
+    out /= 2.0 * hz
     return out
 
 

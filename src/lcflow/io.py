@@ -216,11 +216,11 @@ def write_rate_report(result, path):
     mono = ", ".join(f"{name} {'yes' if ok else 'NO'}"
                      for name, ok in result.monotone.items())
     add(f"monotone along ladder at every recorded time: {mono}")
-    nm = [max(r.nm_value for r in recs)
+    nm = [max(r.nm_value for r in recs if r.t > 0.0)  # t = 0: the shared IC
           for e, recs in result.records.items() if e > 0.0]
     if len(nm) >= 2:
         lo, hi = min(nm), max(nm)
-        add(f"nm_value max-over-time spread across members: "
+        add(f"nm_value max-over-(t > 0) spread across members: "
             f"[{lo:.6g}, {hi:.6g}]  (hi/lo = {hi / lo:.4f})")
     if result.failed:
         add("")

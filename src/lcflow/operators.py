@@ -23,6 +23,7 @@ velocity on the volume's lower and upper faces.  One kernel, _split_form,
 writes it on the cells and on each face family; its callers supply the
 field's end layers in z and the velocity on the volumes' faces.  The
 Laplacians of both field kinds are likewise one 7-point kernel, _lap7.
+_lap7 and _dz_ends take their z neighbours from one flat pass, _z_pair.
 """
 
 from __future__ import annotations
@@ -32,7 +33,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fields import FaceField, face_to_center
-from .grid import ChannelGrid, _ddx, _ddy, _dz_centered, _shift_mean, _shift_op
+from .grid import (ChannelGrid, _ddx, _ddy, _dz_centered, _shift_mean,
+                   _shift_op, _z_pair)
 
 
 @dataclass(frozen=True)
@@ -112,27 +114,22 @@ def _slip_ghost_rows(u: FaceField, B: SlipMatrixB, grid: ChannelGrid):
 
 def _dz_ends(f, ends, hz, out=None):
     """Central z difference of f with end layers ends = (below, above)."""
-    out = np.empty(f.shape) if out is None else out
-    np.subtract(f[..., 2:], f[..., :-2], out=out[..., 1:-1])
-    np.subtract(f[..., 1], ends[0], out=out[..., 0])
-    np.subtract(ends[1], f[..., -2], out=out[..., -1])
+    out = _z_pair(np.subtract, f, ends, out)
     out /= 2.0 * hz
     return out
 
 
 def _lap7(f, ends, grid: ChannelGrid):
     """7-point Laplacian of f on the (x, y, z) axes (the last three): the
-    two neighbours along each axis summed and divided by that axis' h^2,
-    the z neighbours reading the end layers ends = (below, above), minus
-    2 (hx^-2 + hy^-2 + hz^-2) f."""
+    two neighbours along each axis summed over that axis' h^2 (in z the end
+    layers ends = (below, above), or None to leave the first and last
+    layers to the caller), minus 2 (hx^-2 + hy^-2 + hz^-2) f."""
     out = _shift_op(np.add, f, 1, f, -1, -3)
     out /= grid.hx**2
     t = _shift_op(np.add, f, 1, f, -1, -2)
     t /= grid.hy**2
     out += t
-    np.add(f[..., :-2], f[..., 2:], out=t[..., 1:-1])
-    np.add(ends[0], f[..., 1], out=t[..., 0])
-    np.add(f[..., -2], ends[1], out=t[..., -1])
+    _z_pair(np.add, f, ends, t)
     t /= grid.hz**2
     out += t
     np.multiply(f, 2.0 * (grid.hx**-2 + grid.hy**-2 + grid.hz**-2), out=t)
@@ -154,13 +151,13 @@ def laplacian_face(u: FaceField, B: SlipMatrixB, grid: ChannelGrid) -> FaceField
     """Componentwise Laplacian of a velocity field.
 
     Tangential components close with the slip end rows; the normal
-    component uses its exact wall zeros (result on wall faces is set to
-    zero -- those faces are constrained, not evolved).
+    component reads its exact wall zeros as z neighbours (result on wall
+    faces is set to zero -- those faces are constrained, not evolved).
     """
     lu, lv = (_lap7(f, ends, grid) for f, ends
               in zip((u.x, u.y), _slip_ghost_rows(u, B, grid)))
-    lw = np.zeros_like(u.z)
-    lw[:, :, 1:-1] = _lap7(u.z[:, :, 1:-1], (u.z[:, :, 0], u.z[:, :, -1]), grid)
+    lw = _lap7(u.z, None, grid)
+    lw[..., 0] = lw[..., -1] = 0.0
     return FaceField(lu, lv, lw)
 
 

@@ -192,6 +192,20 @@ def test_diagnostic_knob_ranges():
         _parse(MINIMAL + "\n[diag]\ndiag_every = 0\n")
 
 
+@pytest.mark.parametrize("name,value", [("conormal_m", 1.5), ("seed", 1.5),
+                                        ("diag_every", 2.5),
+                                        ("time_derivs", 1.0)])
+def test_integer_fields_refuse_non_integers(name, value):
+    # each passes its range check: conormal_m = 1.5 would stop the run in
+    # range() and seed = 1.5 in SeedSequence, diag_every = 2.5 would
+    # record at steps 5 and 10 and time_derivs = 1.0 passes as 1
+    cfg = SimConfig(nx=8, ny=8, nz=8, eps=0.5, dt=1e-3, t_final=0.1,
+                    **{name: value})
+    with pytest.raises(ConfigError, match=f"{name} must be an integer, got "
+                                          f"{value}"):
+        cfg.validate()
+
+
 # every key of the grammar: (section, key) -> (text, the field's value)
 _EVERY_KEY = {
     ("grid", "nx"): ("12", 12), ("grid", "ny"): ("10", 10),

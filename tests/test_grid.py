@@ -80,6 +80,10 @@ def test_conormal_weight_rejects_outside():
         conormal_weight(-0.1, grid)
     with pytest.raises(ConfigError, match="out of channel range"):
         conormal_weight(np.array([0.5, 1.1]), grid)
+    with pytest.raises(ConfigError, match="out of channel range"):
+        conormal_weight(float("nan"), grid)
+    with pytest.raises(ConfigError, match="out of channel range"):
+        conormal_weight(np.array([0.5, np.nan]), grid)
 
 
 def test_conormal_derivative_kills_constants():
@@ -235,9 +239,10 @@ def _dz_slices(f, hz):
        out=hst.sampled_from(["new", "stack", "fortran"]),
        seed=hst.integers(0, 2**32 - 1))
 def test_dz_centered_is_the_slice_formula(grid, stack, layout, out, seed):
-    # bit for bit the slice form on every layout: the flat difference of
-    # C-contiguous operands differs from it only in the entries the wall
-    # rows overwrite
+    # bit for bit the slice form on every layout of f: the flat difference
+    # (of a C-order copy when f is not C-contiguous) differs from it only
+    # in the entries the wall rows overwrite; an out that cannot be viewed
+    # flat is refused
     rng = np.random.default_rng(seed)
     if layout == "c":
         f = rng.standard_normal(stack + grid.shape)
@@ -258,8 +263,9 @@ def test_dz_centered_is_the_slice_formula(grid, stack, layout, out, seed):
         assert np.all(np.isnan(target[:2]))
     elif out == "fortran":
         target = np.asfortranarray(np.empty(f.shape))
-        assert _dz_centered(f, grid.hz, target) is target
-        got = target
+        with pytest.raises(ValueError):
+            _dz_centered(f, grid.hz, target)
+        return
     else:
         got = _dz_centered(f, grid.hz)
     assert np.array_equal(got, want)
@@ -313,6 +319,31 @@ def test_package_makes_no_padded_copies():
                            _PADDING) == [2]
         assert _numpy_uses(ast.parse(f"from numpy import {name}"),
                            _PADDING) == [1]
+
+
+def _z_slices(tree):
+    """Lines of the module that index with a last-axis [..., 2:] or
+    [..., :-2] slice (any leading indices) outside a function _z_pair."""
+    exempt = {id(node) for fn in ast.walk(tree)
+              if isinstance(fn, ast.FunctionDef) and fn.name == "_z_pair"
+              for node in ast.walk(fn)}
+    return [node.lineno for node in ast.walk(tree)
+            if isinstance(node, ast.Subscript) and id(node) not in exempt
+            and isinstance(node.slice, ast.Tuple)
+            and ast.unparse(node.slice.elts[-1]) in ("2:", ":-2")]
+
+
+def test_package_takes_z_neighbours_in_one_place():
+    # every z-neighbour pass is grid._z_pair's one flat ufunc call; a
+    # ufunc on last-axis slices runs through numpy's buffered iterator at
+    # about twice the cost
+    assert _package_hits(_z_slices) == {}
+    # the scan itself sees both spellings, and passes the flat form and
+    # the body of _z_pair
+    for line in ("f[..., 2:]", "f[..., :-2]", "f[:, :, 2:]", "t[i, ..., :-2]"):
+        assert _z_slices(ast.parse("x = 1\n" + line)) == [2], line
+    assert _z_slices(ast.parse("ff[2:] - ff[:-2]\nf[..., 1:-1]")) == []
+    assert _z_slices(ast.parse("def _z_pair(f):\n    return f[..., 2:]")) == []
 
 
 # numpy/scipy spellings that may hand work to a BLAS library

@@ -194,6 +194,13 @@ def test_end_layer_stencils_match_padded_copies(grid, seed, B, stacked):
         lap = laplacian_face(u, B, grid)
         assert np.array_equal(lap.x, padded_lap7(u.x, robin[0], grid))
         assert np.array_equal(lap.y, padded_lap7(u.y, robin[1], grid))
+        # w's interior faces read its wall faces as their z neighbours,
+        # here the exact zeros and then random rows; its wall rows are 0
+        for z in (u.z, rng.standard_normal(u.z.shape)):
+            lw = laplacian_face(FaceField(u.x, u.y, z), B, grid).z
+            assert np.array_equal(lw[..., 1:-1], padded_lap7(
+                z[:, :, 1:-1], (z[..., 0], z[..., -1]), grid))
+            assert np.array_equal(lw[..., [0, -1]], np.zeros(lw.shape[:-1] + (2,)))
     for f, ends in cases:
         ext = padded(f, ends)
         assert np.array_equal(_dz_ends(f, ends, grid.hz), padded_dz(ext, grid.hz))
