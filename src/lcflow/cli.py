@@ -65,15 +65,21 @@ def _build_parser():
     return p
 
 
+def _check_outputs(*paths):
+    """Raise OSError for the first given output path that is a directory or
+    whose directory does not exist: refused before any work, creating and
+    truncating nothing."""
+    for path in paths:
+        if path and (os.path.isdir(path)
+                     or not os.path.isdir(os.path.dirname(path) or ".")):
+            raise OSError(f"cannot write {path}: it is a directory or "
+                          f"its directory does not exist")
+
+
 def _cmd_simulate(args):
     cfg = load_config(args.config)
     try:
-        for path in (args.diag_out, args.checkpoint_out):
-            # refused before the first step, creating and truncating nothing
-            if path and (os.path.isdir(path)
-                         or not os.path.isdir(os.path.dirname(path) or ".")):
-                raise OSError(f"cannot write {path}: it is a directory or "
-                              f"its directory does not exist")
+        _check_outputs(args.diag_out, args.checkpoint_out)
         state, records, nsteps = run(cfg)
         grid = make_grid(cfg)
         if args.diag_out:
@@ -117,6 +123,11 @@ def _cmd_sweep(args):
 
 def _cmd_diagnose(args):
     cfg = load_config(args.config)
+    try:
+        _check_outputs(args.out)    # before the checkpoint is read
+    except OSError as exc:
+        print(f"lcflow diagnose: {exc}", file=sys.stderr)
+        return 2
     grid = make_grid(cfg)
     state, sha, _ = read_checkpoint(args.checkpoint, grid)
     if sha != config_hash(cfg):

@@ -8,9 +8,14 @@ taken; all L2 quadrature is the midpoint rule, cell volume per center.
 
 All of them come from one walk (_walk) that builds the derivative tree
 level by level, each multi-index once from its parent, keeping only the
-previous level.  _conormal_sums reduces one walk to the squared L2 norm
-of one order and the sup-type sum of another, walking a stacked field one
-component at a time so the working set is a few single-component arrays.
+previous level.  A member is the raw stencil numerator, the x/y central
+difference or the weighted z stencil with no 1/(2h), and its squared scale
+is carried as a scalar; the top level is built into one reused buffer and
+never stored.  _conormal_sums reduces one walk to the squared L2 norm of
+one order and the sup-type sum of another, walking a stacked field one
+component at a time so the working set is a few single-component arrays:
+each L2 term is its scale times one sum of squares (_sumsq, one read, no
+BLAS), and only members of order <= sup are squared into arrays.
 A record is the one assembly of the per-state diagnostics: make_record
 derives each field of the state once (centered u, grad d, |grad d|^2,
 grad u, lap d, vorticity, momentum forcing F), walks each once, and
@@ -24,9 +29,9 @@ that split, so a record depends on the state's (u, d) alone.
 The energy budget pairs the quantities the scheme actually conserves:
 kinetic energy on faces (the quadrature in which advection is exactly
 antisymmetric) and elastic energy through the face-difference gradient
-(the factorization lap = -G^T G of the centered Laplacian), so the
-reported residual reflects the time discretization rather than quadrature
-mismatch.
+(the factorization lap = -G^T G of the centered Laplacian), summed as
+unscaled differences with 1/h^2 as scalars, so the reported residual
+reflects the time discretization rather than quadrature mismatch.
 """
 
 from __future__ import annotations
@@ -39,7 +44,8 @@ from .config import SimConfig
 from .errors import ConfigError
 from .fields import (FaceField, State, discrete_divergence, discrete_gradient,
                      face_to_center, unit_deviation)
-from .grid import ChannelGrid, _shift_diff, conormal_derivative
+from .grid import (ChannelGrid, _dz_numerator, _shift_op,
+                   _z_weight)
 from .operators import (SlipMatrixB, _grad_sq, _slip_ghost_rows,
                         _u_on_v_points, _v_on_u_points, _wall_tangential,
                         advect_center, center_gradient, curl_center,
@@ -52,26 +58,52 @@ from .pressure import pressure_split
 # conormal norms
 # ---------------------------------------------------------------------------
 
+def _sumsq(a: np.ndarray) -> float:
+    """Sum of the squares of a in one read: einsum per last-axis row of the
+    C-order view (copied only for another layout), np.sum of the row sums.
+    One flat einsum loses np.sum's accuracy on data repeated across rows.
+    numpy's loops, not BLAS (np.dot, np.vdot): the sum does not depend on
+    the BLAS thread count."""
+    rows = np.reshape(a, (-1, a.shape[-1]))
+    return float(np.sum(np.einsum("ij,ij->i", rows, rows)))
+
+
+def _raw_derivative(g, axis, grid, out=None):
+    """The unscaled numerator of conormal_derivative(g, axis): the central
+    difference g[i+1] - g[i-1] in x or y, or the _dz_numerator stencil times
+    the z weight; the member is this over 2 h_axis.  out must not be g."""
+    if axis < 2:
+        return _shift_op(np.subtract, g, -1, g, 1, axis - 3, out)
+    out = _dz_numerator(g, out)
+    out *= _z_weight(grid)
+    return out
+
+
 def _walk(f: np.ndarray, m: int, grid: ChannelGrid):
-    """Yield (|alpha|, Z^alpha f) for all unique multi-indices with
-    |alpha| <= m, level by level.
+    """Yield (|alpha|, raw, scale2) for all unique multi-indices with
+    |alpha| <= m, level by level: raw is _raw_derivative applied once per
+    direction of alpha and scale2 the product of (1 / (2 h_a))^2 over it,
+    so Z^alpha f = sqrt(scale2) * raw up to round-off.
 
     Each derivative is built from the parent that drops its first active
     direction, so every alpha is computed exactly once: a parent whose
     first active axis is a only adds axes 0..a.  Only the previous level is
-    kept; the top level is handed out as it is built and never stored.
+    kept, and every top-level member is built into one reused buffer: it is
+    valid only until the next member is yielded.
     """
     g = np.asarray(f, dtype=float)
-    yield 0, g
-    level = [(2, g)]            # (last axis a child may add, field)
+    yield 0, g, 1.0
+    top = np.empty(g.shape) if m > 0 else None
+    unit = [(0.5 / h) ** 2 for h in (grid.hx, grid.hy, grid.hz)]
+    level = [(2, g, 1.0)]       # (last axis a child may add, raw, scale2)
     for k in range(1, m + 1):
         nxt = []
-        for top, g in level:
-            for ax in range(top + 1):
-                h = conormal_derivative(g, ax, grid)
-                yield k, h
+        for last, g, s2 in level:
+            for ax in range(last + 1):
+                h = _raw_derivative(g, ax, grid, top if k == m else None)
+                yield k, h, s2 * unit[ax]
                 if k < m:
-                    nxt.append((ax, h))
+                    nxt.append((ax, h, s2 * unit[ax]))
         level = nxt
 
 
@@ -85,36 +117,38 @@ def _conormal_sums(f: np.ndarray, m: int, grid: ChannelGrid, sup: int = -1):
     order-sup sup norm; stacked input takes the pointwise Euclidean
     magnitude first.
 
-    Stacked leading axes are walked one component at a time, in C order.
-    l2 adds each member's sum of squares times the cell volume in walk
+    The walk hands out raw numerators with their scales as scalars
+    (_walk): l2 adds scale2 * vol * _sumsq(raw), one read of each member
+    and no squared array, and only members of order <= sup are squared into
+    arrays, whose max is scaled once at the end.  Stacked leading axes are
+    walked one component at a time, in C order.  l2 adds its terms in walk
     order, then component order: the order of a walk to m alone, so l2 does
-    not depend on sup, bit for bit.  It may differ at round-off from a
-    whole-stack sum of squares.  linf adds each member's squares across
-    components in component order, the arithmetic of np.sum over the
-    leading axes, and takes the square root of their max, so it is
-    bit-identical to the whole-stack form and does not depend on m.
+    not depend on sup or on the stack's layout, bit for bit.  linf adds
+    each member's squares across components in component order, the
+    arithmetic of np.sum over the leading axes, so it equals that sum on the
+    whole-stack raw members bit for bit and does not depend on m.
     """
     f = np.asarray(f, dtype=float)
     if f.shape[-3:] != grid.shape:
         raise ConfigError(f"field shape {f.shape} does not end in {grid.shape}")
     vol = grid.cell_volume
     l2 = 0.0
-    buf = np.empty(grid.shape)
-    sups = []          # per member of order <= sup: its summed squares
+    buf = np.empty(grid.shape) if sup >= 0 else None
+    sups = []          # per member of order <= sup: [scale2, summed squares]
     for c, comp in enumerate(f.reshape((-1,) + grid.shape)):
-        for i, (k, g) in enumerate(_walk(comp, max(m, sup), grid)):
-            np.multiply(g, g, out=buf)
+        for i, (k, g, s2) in enumerate(_walk(comp, max(m, sup), grid)):
             if k <= m:
-                l2 += float(np.sum(buf)) * vol
+                l2 += s2 * vol * _sumsq(g)
             if k > sup:
                 continue
             if c == 0:
-                sups.append(buf.copy())
+                sups.append([s2, g * g])
             else:
-                sups[i] += buf
+                np.multiply(g, g, out=buf)
+                sups[i][1] += buf
     linf = 0.0
-    for sq in sups:
-        linf += float(np.sqrt(np.max(sq))) ** 2
+    for s2, sq in sups:
+        linf += s2 * float(np.max(sq))
     return l2, linf
 
 
@@ -125,17 +159,26 @@ def _conormal_sums(f: np.ndarray, m: int, grid: ChannelGrid, sup: int = -1):
 def kinetic_energy(u: FaceField, grid: ChannelGrid) -> float:
     """(1/2) sum over faces of |u|^2, midpoint quadrature."""
     vol = grid.cell_volume
-    return 0.5 * vol * float(np.sum(u.x**2) + np.sum(u.y**2)
-                             + np.sum(u.z[:, :, 1:-1]**2))
+    return 0.5 * vol * (_sumsq(u.x) + _sumsq(u.y) + _sumsq(u.z[:, :, 1:-1]))
 
 
 def elastic_energy(d: np.ndarray, grid: ChannelGrid) -> float:
-    """(1/2) |grad d|^2 via face differences (zero flux through walls)."""
-    gx = _shift_diff(d, -1, 0, -3, grid.hx)
-    gy = _shift_diff(d, -1, 0, -2, grid.hy)
-    gz = (d[..., 1:] - d[..., :-1]) / grid.hz
-    vol = grid.cell_volume
-    return 0.5 * vol * float(np.sum(gx * gx) + np.sum(gy * gy) + np.sum(gz * gz))
+    """(1/2) |grad d|^2 via face differences (zero flux through walls).
+
+    Each face difference is left unscaled in one reused buffer and its sum
+    of squares divided by h^2 as a scalar.  The z differences d[k+1] - d[k]
+    are one pass over the flattened arrays; the entries that straddle two
+    rows, in the last layer, are set to 0.0 and add nothing.
+    """
+    buf = np.empty(d.shape)
+    sx = _sumsq(_shift_op(np.subtract, d, -1, d, 0, -3, buf))
+    sy = _sumsq(_shift_op(np.subtract, d, -1, d, 0, -2, buf))
+    flat = np.reshape(d, -1)
+    np.subtract(flat[1:], flat[:-1], out=np.reshape(buf, -1)[:-1])
+    buf[..., -1] = 0.0
+    sz = _sumsq(buf)
+    return 0.5 * grid.cell_volume * (sx / grid.hx**2 + sy / grid.hy**2
+                                     + sz / grid.hz**2)
 
 
 def boundary_work(u: FaceField, eps: float, B: SlipMatrixB,
@@ -179,10 +222,21 @@ def energy_balance_residual(prev: State, nxt: State, dt: float, eps: float,
         d/dt [ E_kin + E_el ] + visc + dir - quartic + wall_work = r
 
     with the dissipation/production terms evaluated on midpoint-in-time
-    fields.  First order in dt for this scheme.
+    fields.  First order in dt for this scheme.  dt must be positive and
+    finite (ValueError otherwise).
     """
-    de = (kinetic_energy(nxt.u, grid) + elastic_energy(nxt.d, grid)
-          - kinetic_energy(prev.u, grid) - elastic_energy(prev.d, grid)) / dt
+    return _energy_residual(prev, nxt, dt, kinetic_energy(nxt.u, grid)
+                            + elastic_energy(nxt.d, grid), eps, B, grid)
+
+
+def _energy_residual(prev: State, nxt: State, dt: float, e_nxt: float,
+                     eps: float, B: SlipMatrixB, grid: ChannelGrid) -> float:
+    """energy_balance_residual with nxt's kinetic plus elastic energy given
+    as e_nxt, so a record that reports them derives each once."""
+    if not (np.isfinite(dt) and dt > 0.0):
+        raise ValueError(f"dt must be positive and finite, got {dt!r}")
+    de = (e_nxt - kinetic_energy(prev.u, grid)
+          - elastic_energy(prev.d, grid)) / dt
     um = FaceField(0.5 * (prev.u.x + nxt.u.x), 0.5 * (prev.u.y + nxt.u.y),
                    0.5 * (prev.u.z + nxt.u.z))
     dm = 0.5 * (prev.d + nxt.d)
@@ -224,13 +278,19 @@ def _time_derivatives(state: State, p: np.ndarray, F: FaceField,
     """(du/dt at centers, dd/dt at centers) read off the evolution
     equations from the state's (u, d): the pressure p = p1 + p2 of
     pressure_split, the momentum forcing F, lap d (ld) and |grad d|^2
-    (grad_sq).  state.p is not read."""
-    gp = discrete_gradient(p, grid)
+    (grad_sq).  state.p is not read.  Both are assembled in place, in the
+    fresh arrays of grad p and of the advection term: eps lap u - (F + grad
+    p) and lap d - u.grad d are -F - grad p + eps lap u and -u.grad d + lap
+    d bit for bit, because negation is exact."""
+    ut = discrete_gradient(p, grid)
     lap = laplacian_face(state.u, B, grid)
-    ut = FaceField(-F.x - gp.x + eps * lap.x,
-                   -F.y - gp.y + eps * lap.y,
-                   -F.z - gp.z + eps * lap.z)
-    dt_d = -advect_center(state.u, state.d, grid) + ld + grad_sq * state.d
+    for g, f, lg in zip(ut.components(), F.components(), lap.components()):
+        g += f
+        lg *= eps
+        np.subtract(lg, g, out=g)
+    dt_d = advect_center(state.u, state.d, grid)
+    np.subtract(ld, dt_d, out=dt_d)
+    dt_d += grad_sq * state.d
     return face_to_center(ut), dt_d
 
 
@@ -289,24 +349,28 @@ def make_record(state: State, cfg: SimConfig, grid: ChannelGrid,
                 dt: float | None = None) -> DiagnosticsRecord:
     """Assemble one record.  energy_residual spans the step that *ended*
     at this state, from prev and dt, which come together: one without the
-    other raises TypeError.  Without them (the initial record, offline
+    other raises TypeError, and a dt that is not positive and finite
+    raises ValueError.  Without them (the initial record, offline
     recomputation) energy_residual is 0.0.
 
     The derived fields are built once and each field is walked through the
     tangential family once; the budget rates, the functional, the sup norm
-    of grad u and the slip trace are computed here only.
+    of grad u and the slip trace are computed here only, and the residual
+    reuses the state's kinetic and elastic energy.
     """
     if (prev is None) != (dt is None):
         raise TypeError(f"make_record: {'dt' if dt is None else 'prev'} is "
                         "missing; pass both prev and dt or neither")
     eps, m = cfg.eps, cfg.conormal_m
     vol = grid.cell_volume
+    kinetic = kinetic_energy(state.u, grid)
+    elastic = elastic_energy(state.d, grid)
+    er = 0.0 if prev is None else _energy_residual(
+        prev, state, dt, kinetic + elastic, eps, B, grid)
     gd = director_gradient(state.d, grid)
     ld = laplacian_center(state.d, grid)
     F = momentum_forcing(state.u, gd, ld, grid)
     p1, p2 = pressure_split(state.u, F, eps, grid, cfg.solver_tol)
-    er = 0.0 if prev is None else energy_balance_residual(prev, state, dt,
-                                                          eps, B, grid)
 
     uc = face_to_center(state.u)
     grad_sq = _grad_sq(gd)
@@ -324,8 +388,8 @@ def make_record(state: State, cfg: SimConfig, grid: ChannelGrid,
 
     return DiagnosticsRecord(
         t=state.t,
-        kinetic=kinetic_energy(state.u, grid),
-        elastic=elastic_energy(state.d, grid),
+        kinetic=kinetic,
+        elastic=elastic,
         visc_diss=visc,
         dir_diss=dir_,
         quartic=quartic,

@@ -20,7 +20,8 @@ merely bounded in the normal direction near the boundary.
 
 Periodic differences and averages in x and y are slab slices (_shift_op),
 so no stencil makes a rolled copy of its operand; every z-neighbour pass is
-one flat call, _z_pair.
+one flat call, _z_pair, and the centered z stencil is one function,
+_dz_numerator, which _dz_centered divides by 2 hz.
 """
 
 from __future__ import annotations
@@ -184,13 +185,20 @@ def _z_pair(op, f, ends, out=None):
     return out
 
 
-def _dz_centered(f, hz, out=None):
-    """Second-order d/dz on cell-centered data along the last axis: the
+def _dz_numerator(f, out=None):
+    """2 hz times the d/dz of _dz_centered, before its one divide: the
     _z_pair difference inside, one-sided three-point stencils on the first
     and last layers (no end layers assumed); out C-contiguous, not f."""
     out = _z_pair(np.subtract, f, None, out)
     out[..., 0] = -3.0 * f[..., 0] + 4.0 * f[..., 1] - f[..., 2]
     out[..., -1] = 3.0 * f[..., -1] - 4.0 * f[..., -2] + f[..., -3]
+    return out
+
+
+def _dz_centered(f, hz, out=None):
+    """Second-order d/dz on cell-centered data along the last axis: the
+    _dz_numerator stencil over 2 hz; out C-contiguous, not f."""
+    out = _dz_numerator(f, out)
     out /= 2.0 * hz
     return out
 

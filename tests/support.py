@@ -10,7 +10,9 @@ face_field generate the inputs of the property tests.  viscous_dissipation,
 director_dissipation and quartic_production are the reference forms of the
 record's budget rates, each built from the state with its own operator.
 conormal_norm_sq is the order-m squared L2 conormal norm, the l2 sum of
-one diagnostics._conormal_sums walk.  padded, padded_dz and padded_lap7 are
+one diagnostics._conormal_sums walk; scaled_conormal_sums is the loop
+reference of that walk, every member built scaled by conormal_derivative
+and squared into an array before it is summed.  padded, padded_dz and padded_lap7 are
 the oracle of the end-layer stencils: the same formulas on an (nz+2) copy
 that holds the end layers as its first and last layers; padded_dzz is the
 z part of the same Laplacian in three-difference form, which the tests
@@ -28,7 +30,7 @@ from hypothesis import strategies as hst
 
 from lcflow.diagnostics import _conormal_sums
 from lcflow.fields import FaceField, discrete_divergence
-from lcflow.grid import ChannelGrid
+from lcflow.grid import ChannelGrid, conormal_derivative
 from lcflow.operators import (curl_center, director_gradient, grad_sq_director,
                               laplacian_center, momentum_forcing)
 from lcflow.pressure import _wall_dzz_w, solve_poisson_neumann
@@ -125,6 +127,38 @@ def conormal_norm_sq(f, m, grid):
     """Sum over |alpha| <= m of the squared L2 norm of Z^alpha f; stacked
     leading axes are treated as extra components and summed."""
     return _conormal_sums(f, m, grid)[0]
+
+
+def scaled_conormal_sums(f, m, grid, sup=-1):
+    """(l2, linf) of diagnostics._conormal_sums, from scaled members: each
+    Z^alpha f is conormal_derivative applied to its parent, squared with
+    np.multiply and summed with np.sum, one component at a time, and each
+    sup term is the square of the root of its max."""
+    f = np.asarray(f, dtype=float)
+    vol = grid.cell_volume
+    l2 = 0.0
+    buf = np.empty(grid.shape)
+    sups = []
+    for c, comp in enumerate(f.reshape((-1,) + grid.shape)):
+        members = [(0, comp)]
+        level = [(2, comp)]
+        for k in range(1, max(m, sup) + 1):
+            level = [(ax, conormal_derivative(g, ax, grid))
+                     for top, g in level for ax in range(top + 1)]
+            members += [(k, g) for _, g in level]
+        for i, (k, g) in enumerate(members):
+            np.multiply(g, g, out=buf)
+            if k <= m:
+                l2 += float(np.sum(buf)) * vol
+            if k <= sup:
+                if c == 0:
+                    sups.append(buf.copy())
+                else:
+                    sups[i] += buf
+    linf = 0.0
+    for sq in sups:
+        linf += float(np.sqrt(np.max(sq))) ** 2
+    return l2, linf
 
 
 def grad_and_lap(d, grid):

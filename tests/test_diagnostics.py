@@ -1,7 +1,11 @@
 """Conormal norms, energy budget, boundary-layer indicators, records."""
 
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -21,7 +25,8 @@ from lcflow.operators import (SlipMatrixB, center_gradient, director_gradient,
                               laplacian_center, momentum_forcing)
 
 from support import (conormal_norm_sq, director_dissipation, grids,
-                     quartic_production, viscous_dissipation)
+                     quartic_production, scaled_conormal_sums,
+                     viscous_dissipation)
 
 
 def _grid(nx=8, ny=8, nz=16, **kw):
@@ -198,21 +203,37 @@ def test_component_walk_is_layout_free(grid, m, sup, seed):
     assert _conormal_sums(fortran, m, grid, sup=sup) == want
     # l2 is that of the walk to m alone, for every sup that walks past m
     assert want[0] == _conormal_sums(c_copy, m, grid)[0]
-    # the sup sum is that of the whole-stack members, bit for bit, for
+    # the sup sum is that of the whole-stack raw members, bit for bit, for
     # every L2 order
     linf = 0.0
-    for _, g in _walk(c_copy, sup, grid):
-        linf += float(np.max(np.sqrt(np.sum(g * g, axis=(0, 1))))) ** 2
+    for _, g, scale2 in _walk(c_copy, sup, grid):
+        linf += scale2 * float(np.max(np.sum(g * g, axis=(0, 1))))
     for k in range(m + 1):
         assert _conormal_sums(strided, k, grid, sup=sup)[1] == linf
 
 
+@settings(max_examples=40, deadline=None)
+@given(grid=grids, lead=hst.sampled_from([(), (3,), (3, 3)]),
+       m=hst.integers(0, 4), sup=hst.integers(0, 2),
+       seed=hst.integers(0, 2**32 - 1))
+def test_raw_walk_is_the_scaled_walk(grid, lead, m, sup, seed):
+    # the walk carries each 1/(2h) as a scalar and sums squares in one read;
+    # the loop reference divides every member and sums squared arrays, so
+    # the two agree to round-off (the tolerance was fixed before measuring)
+    f = np.random.default_rng(seed).standard_normal(lead + grid.shape)
+    l2, linf = _conormal_sums(f, m, grid, sup=sup)
+    want_l2, want_linf = scaled_conormal_sums(f, m, grid, sup=sup)
+    assert l2 == pytest.approx(want_l2, rel=1e-13)
+    assert linf == pytest.approx(want_linf, rel=1e-13)
+
+
 def test_component_walk_working_set():
     # A (3, 3) stack is walked one 16x16x32 component (64 KiB) at a time.
-    # Measured peak: 12.7 components (the kept level-1 members, the sup
-    # sums of the four order <= 1 members, one square buffer and the member
-    # being built).  The bound of 16 leaves a margin for numpy temporaries;
-    # walking the whole stack at once peaked at 58 components.
+    # Measured peak: 11.7 components (the kept level-1 members, the sup
+    # sums of the four order <= 1 members, one square buffer and the one
+    # buffer every top-level member is built into).  The bound of 16 leaves
+    # a margin for numpy temporaries; walking the whole stack at once peaked
+    # at 58 components.
     grid = ChannelGrid(16, 16, 32, 1.0, 1.0, 1.0)
     f = np.random.default_rng(0).standard_normal((3, 3) + grid.shape)
     unit = f[0, 0].nbytes
@@ -436,6 +457,71 @@ def test_energy_residual_is_the_reference_rates():
             + director_dissipation(dm, grid) - quartic_production(dm, grid)
             + boundary_work(um, cfg.eps, B, grid))
     assert energy_balance_residual(prev, nxt, cfg.dt, cfg.eps, B, grid) == want
+
+
+@pytest.mark.parametrize("dt", [0.0, math.nan, -1e-3, math.inf])
+def test_energy_residual_refuses_a_bad_dt(dt):
+    # dt = 0 used to raise a bare ZeroDivisionError, nan gave a nan
+    # residual and a negative dt flipped its sign
+    cfg, grid, prev, B = _record_case(2, 0)
+    nxt = step(prev, cfg, grid, B, cfg.dt)
+    with pytest.raises(ValueError, match="dt must be positive and finite"):
+        energy_balance_residual(prev, nxt, dt, cfg.eps, B, grid)
+    with pytest.raises(ValueError, match="dt must be positive and finite"):
+        make_record(nxt, cfg, grid, B, prev=prev, dt=dt)
+
+
+def test_record_derives_each_energy_once(monkeypatch):
+    # the record's kinetic and elastic columns and its residual share the
+    # state's energies: one call each for the state and one for prev
+    calls = []
+    for name in ("kinetic_energy", "elastic_energy"):
+        real = getattr(diagnostics, name)
+        monkeypatch.setattr(diagnostics, name,
+                            lambda f, grid, _r=real, _n=name:
+                            calls.append(_n) or _r(f, grid))
+    cfg, grid, prev, B = _record_case(2, 0)
+    nxt = step(prev, cfg, grid, B, cfg.dt)
+    rec = make_record(nxt, cfg, grid, B, prev=prev, dt=cfg.dt)
+    assert sorted(calls) == ["elastic_energy"] * 2 + ["kinetic_energy"] * 2
+    monkeypatch.undo()
+    assert rec.energy_residual == energy_balance_residual(
+        prev, nxt, cfg.dt, cfg.eps, B, grid)
+    assert (rec.kinetic, rec.elastic) == (kinetic_energy(nxt.u, grid),
+                                          elastic_energy(nxt.d, grid))
+
+
+_BLAS_RECORD = """
+import dataclasses
+from lcflow import SimConfig
+from lcflow.diagnostics import make_record
+from lcflow.fields import init_state
+from lcflow.grid import make_grid
+from lcflow.operators import SlipMatrixB
+cfg = SimConfig(nx=32, ny=32, nz=32, eps=0.05, b11=1.0, b12=0.4, b22=2.0,
+                dt=1e-3, t_final=1e-3, ic_name="random-solenoidal",
+                amplitude=0.2, seed=4, conormal_m=2, time_derivs=1).validate()
+grid = make_grid(cfg)
+rec = make_record(init_state(grid, cfg.ic), cfg, grid,
+                  SlipMatrixB(cfg.b11, cfg.b12, cfg.b22))
+print(repr(dataclasses.astuple(rec)))
+"""
+
+
+def test_record_does_not_depend_on_blas_threads():
+    # every sum of a record is numpy's own loop: a BLAS reduction (np.dot,
+    # np.vdot) splits long vectors across its threads and rounds otherwise
+    src = str(Path(diagnostics.__file__).resolve().parents[1])
+    out = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join(
+                       [src, os.environ.get("PYTHONPATH", "")]))
+        done = subprocess.run([sys.executable, "-c", _BLAS_RECORD], env=env,
+                              capture_output=True, text=True, timeout=120,
+                              check=True)
+        out.append(done.stdout)
+    assert out[0] == out[1] and out[0].startswith("(0.0, ")
 
 
 @pytest.mark.parametrize("given, missing", [("prev", "dt"), ("dt", "prev")])

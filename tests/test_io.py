@@ -514,6 +514,34 @@ def test_cli_simulate_checks_its_outputs_before_the_first_step(
     assert previous.read_bytes() == b"an earlier run"
 
 
+@pytest.mark.parametrize("bad", ["missing/out.csv", "adir"])
+def test_cli_diagnose_checks_its_output_before_reading(tmp_path, monkeypatch,
+                                                       capsys, bad):
+    # an --out that is a directory, or in a missing directory, fails with
+    # simulate's message and exit code before the checkpoint is read or a
+    # record is built
+    cfg_path = tmp_path / "run.cfg"
+    cfg_path.write_text(CFG_TEXT)
+    ckpt = tmp_path / "state.ckpt"
+    assert cli(["simulate", "--config", str(cfg_path),
+                "--checkpoint-out", str(ckpt)]) == 0
+    (tmp_path / "adir").mkdir()
+    calls = []
+    for name in ("read_checkpoint", "make_record"):
+        real = getattr(lcflow.cli, name)
+        monkeypatch.setattr(lcflow.cli, name,
+                            lambda *a, _r=real, _n=name, **k:
+                            calls.append(_n) or _r(*a, **k))
+    before = sorted(tmp_path.rglob("*"))
+    capsys.readouterr()
+    rc = cli(["diagnose", "--checkpoint", str(ckpt), "--config",
+              str(cfg_path), "--out", str(tmp_path / bad)])
+    assert rc == 2 and calls == []
+    assert (f"lcflow diagnose: cannot write {tmp_path / bad}"
+            in capsys.readouterr().err)
+    assert sorted(tmp_path.rglob("*")) == before
+
+
 def test_cli_rate_fit_insufficient_rows(tmp_path, capsys):
     path = tmp_path / "sweep.csv"
     res = types.SimpleNamespace(errors_max={0.25: (1e-3, 1e-4, 1e-2, 1e-2)})
