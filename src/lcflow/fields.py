@@ -90,13 +90,22 @@ def discrete_gradient(p: np.ndarray, grid: ChannelGrid) -> FaceField:
     return FaceField(gx, gy, gz)
 
 
+def _face_mean(f: np.ndarray, axis: int, out: np.ndarray) -> np.ndarray:
+    """Component `axis` of face_to_center: the mean of f over the two faces
+    of each cell along axis (periodic in x and y), into out."""
+    if axis < 2:
+        _shift_op(np.add, f, 0, f, -1, axis, out)
+    else:
+        np.add(f[:, :, :-1], f[:, :, 1:], out=out)
+    out *= 0.5
+    return out
+
+
 def face_to_center(u: FaceField) -> np.ndarray:
     """Second-order average of a face field to cell centers, (3, nx, ny, nz)."""
     out = np.empty((3,) + u.x.shape)
-    _shift_op(np.add, u.x, 0, u.x, -1, 0, out[0])
-    _shift_op(np.add, u.y, 0, u.y, -1, 1, out[1])
-    np.add(u.z[:, :, :-1], u.z[:, :, 1:], out=out[2])
-    out *= 0.5
+    for a, f in enumerate(u.components()):
+        _face_mean(f, a, out[a])
     return out
 
 

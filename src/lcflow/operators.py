@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fields import FaceField, face_to_center
+from .fields import FaceField, _face_mean
 from .grid import (ChannelGrid, _ddx, _ddy, _dz_centered, _shift_mean,
                    _shift_op, _z_pair)
 
@@ -161,26 +161,41 @@ def laplacian_face(u: FaceField, B: SlipMatrixB, grid: ChannelGrid) -> FaceField
     return FaceField(lu, lv, lw)
 
 
-def curl_center(u: FaceField, B: SlipMatrixB, grid: ChannelGrid) -> np.ndarray:
+def curl_center(u: FaceField, B: SlipMatrixB, grid: ChannelGrid,
+                rows=None) -> np.ndarray:
     """Vorticity at cell centers, (3, nx, ny, nz), second order.
 
     Each derivative is taken on the component's own faces and averaged to
-    the centers: the first stack holds (du/dz, dv/dx, dw/dy), the second
-    (du/dy, dv/dz, dw/dx), and the curl is their crosswise difference.
+    the centers (_face_mean), and component i of the curl is the difference
+    d_j u_k - d_k u_j of two of them, (i, j, k) cyclic: the first is
+    averaged into the result, the second into one buffer subtracted from
+    it.  rows are the slip end rows of u (_slip_ghost_rows), built here
+    unless the caller has them.
     """
-    xe, ye = _slip_ghost_rows(u, B, grid)
-    p = face_to_center(FaceField(_dz_ends(u.x, xe, grid.hz), _ddx(u.y, grid.hx),
-                                 _ddy(u.z, grid.hy)))
-    q = face_to_center(FaceField(_ddy(u.x, grid.hy), _dz_ends(u.y, ye, grid.hz),
-                                 _ddx(u.z, grid.hx)))
-    return np.stack([p[2] - q[1], p[0] - q[2], p[1] - q[0]])
+    ends = _slip_ghost_rows(u, B, grid) if rows is None else rows
+    comps, h = u.components(), (grid.hx, grid.hy, grid.hz)
+
+    def centered(k, j, out):
+        # d_j u_k on the faces of u_k, averaged to the centers into out
+        if j == 2:
+            g = _dz_ends(comps[k], ends[k], grid.hz)
+        else:
+            g = (_ddx, _ddy)[j](comps[k], h[j])
+        return _face_mean(g, k, out)
+
+    w = np.empty((3,) + grid.shape)
+    buf = np.empty(grid.shape)
+    for i, j, k in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
+        centered(k, j, w[i])
+        w[i] -= centered(j, k, buf)
+    return w
 
 
 # ---------------------------------------------------------------------------
 # advection (energy-conserving split form)
 # ---------------------------------------------------------------------------
 
-def _split_form(f, ends, periodic, vz):
+def _split_form(f, ends, periodic, vz, out=None):
     """Split-form u . grad f on one family of control volumes, in product
     form: per axis v_R f[i+1] - v_L f[i-1], v_L and v_R the velocity on the
     volume's lower and upper faces scaled by 1/(2h).  That is the flux
@@ -194,14 +209,15 @@ def _split_form(f, ends, periodic, vz):
     bit for bit as two terms commute; vz is the scaled velocity on every z
     face.  Per axis the term is shift(f v, -s) - v shift(f, s), which for
     s = -1 is v_L f[i-1] - v_R f[i+1]: there v is scaled by -1/(2h).  v and
-    vz may be one component for a stacked f.
+    vz may be one component for a stacked f.  The result is built in out,
+    any array of f's shape, when given.
     """
     q = np.empty(f.shape)
     terms = []
-    for a, v, s in periodic:
+    for (a, v, s), dst in zip(periodic, (out, None)):
         v = np.broadcast_to(v, f.shape)
         np.multiply(f, v, out=q)
-        t = _shift_op(np.multiply, v, 0, f, s, a - 3)
+        t = _shift_op(np.multiply, v, 0, f, s, a - 3, dst)
         terms.append(_shift_op(np.subtract, q, -s, t, 0, a - 3, t))
     out, t = terms
     out += t
@@ -244,9 +260,10 @@ def advect_face(u: FaceField, f: FaceField, grid: ChannelGrid) -> FaceField:
     xm, ym, zm = (np.add(c[:, :, :-1], c[:, :, 1:]) for c in u.components())
     for m, hc in zip((xm, ym, zm), h):
         m *= 0.25 / hc
-    az = np.zeros_like(f.z)
-    az[:, :, 1:-1] = _split_form(f.z[:, :, 1:-1], (f.z[:, :, 0], f.z[:, :, -1]),
-                                 ((0, xm, 1), (1, ym, 1)), zm)
+    az = np.empty(f.z.shape)
+    _split_form(f.z[:, :, 1:-1], (f.z[:, :, 0], f.z[:, :, -1]),
+                ((0, xm, 1), (1, ym, 1)), zm, az[:, :, 1:-1])
+    az[:, :, 0] = az[:, :, -1] = 0.0
     return FaceField(ax, ay, az)
 
 
@@ -256,11 +273,11 @@ def advect_face(u: FaceField, f: FaceField, grid: ChannelGrid) -> FaceField:
 
 def director_gradient(d: np.ndarray, grid: ChannelGrid) -> np.ndarray:
     """grad tensor of a centered (3,...) field with zero-flux z closure;
-    out[i, j] = d_i d_j (derivative axis first)."""
+    out[i, j] = d_i d_j (derivative axis first): the stack of
+    _gradient_parts(d, _dz_reflect, grid)."""
     out = np.empty((3,) + d.shape)
-    _ddx(d, grid.hx, out[0])
-    _ddy(d, grid.hy, out[1])
-    _dz_ends(d, (d[..., 0], d[..., -1]), grid.hz, out[2])
+    for _ in _gradient_parts(d, _dz_reflect, grid, out):
+        pass
     return out
 
 
@@ -287,8 +304,10 @@ def stress_to_faces(sigma: np.ndarray, grid: ChannelGrid) -> FaceField:
     the pressure problems)."""
     fx = _shift_mean(sigma[0], 1, 0)
     fy = _shift_mean(sigma[1], 1, 1)
-    fz = np.zeros((grid.nx, grid.ny, grid.nz + 1))
-    fz[:, :, 1:-1] = 0.5 * (sigma[2][:, :, :-1] + sigma[2][:, :, 1:])
+    fz = np.empty((grid.nx, grid.ny, grid.nz + 1))
+    np.add(sigma[2][:, :, :-1], sigma[2][:, :, 1:], out=fz[:, :, 1:-1])
+    fz[:, :, 1:-1] *= 0.5
+    fz[:, :, 0] = fz[:, :, -1] = 0.0
     return FaceField(fx, fy, fz)
 
 
@@ -300,21 +319,48 @@ def momentum_forcing(u: FaceField, gd: np.ndarray, ld: np.ndarray,
     (gd, director_gradient) and lap d (ld, laplacian_center)."""
     adv = advect_face(u, u, grid)
     sig = stress_to_faces(elastic_stress(gd, ld), grid)
-    return FaceField(adv.x + sig.x, adv.y + sig.y, adv.z + sig.z)
+    for a, s in zip(adv.components(), sig.components()):
+        a += s
+    return adv
 
 
 # ---------------------------------------------------------------------------
 # gradients at centers (no boundary-condition assumption)
 # ---------------------------------------------------------------------------
 
+def _dz_reflect(f, hz, out=None):
+    """_dz_ends of a director-type field: its own first and last layers as
+    end layers (zero normal derivative through the wall faces)."""
+    return _dz_ends(f, (f[..., 0], f[..., -1]), hz, out)
+
+
+def _gradient_parts(f, dz, grid: ChannelGrid, out=None):
+    """Yield the gradient of centered f (scalar or stacked components) one
+    part d_i f_c at a time, in the C order of its stack (3,) + f.shape:
+    derivative axis i outer, component c inner.  d/dx and d/dy are _ddx
+    and _ddy, d/dz is dz(g, hz, out) (_dz_centered or _dz_reflect).  Each
+    part is written into its place in out when out is given; otherwise
+    every part is built into one buffer, valid until the next is yielded,
+    so a walk over the parts never holds the stack."""
+    comps = np.reshape(f, (-1,) + f.shape[-3:])
+    if out is None:
+        buf = np.empty(comps.shape[1:])
+    else:
+        slots = np.reshape(out, (3,) + comps.shape)
+    for i, (op, h) in enumerate(((_ddx, grid.hx), (_ddy, grid.hy),
+                                 (dz, grid.hz))):
+        for c, g in enumerate(comps):
+            yield op(g, h, buf if out is None else slots[i, c])
+
+
 def center_gradient(f: np.ndarray, grid: ChannelGrid) -> np.ndarray:
     """grad of centered data (scalar or stacked components), out[i] = d_i f.
 
     Periodic central differences in x/y and the one-sided z closure of
-    _dz_centered, so it does not bake in any wall condition.
+    _dz_centered, so it does not bake in any wall condition: the stack of
+    _gradient_parts(f, _dz_centered, grid).
     """
     out = np.empty((3,) + f.shape)
-    _ddx(f, grid.hx, out[0])
-    _ddy(f, grid.hy, out[1])
-    _dz_centered(f, grid.hz, out[2])
+    for _ in _gradient_parts(f, _dz_centered, grid, out):
+        pass
     return out

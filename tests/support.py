@@ -21,19 +21,33 @@ advect_center_flux and advect_face_flux are the advection oracle: the
 split form as face-flux differences minus f/2 times the velocity
 divergence, on np.roll copies, which the kernels' product form equals up
 to round-off.
+eager_record is the reference assembly of a record: every derived field
+built up front and held to the end, the walked gradients as stacks, which
+diagnostics.make_record must equal bit for bit.  curl_two_stacks is the
+vorticity as the difference of two face-to-center stacks, which
+operators.curl_center equals bit for bit.  peak_fields measures the traced
+peak of one call in units of one field.
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 from hypothesis import strategies as hst
 
-from lcflow.diagnostics import _conormal_sums
-from lcflow.fields import FaceField, discrete_divergence
+from lcflow.diagnostics import (DiagnosticsRecord, _conormal_sums,
+                                _slip_mismatch_trace, _time_derivatives,
+                                boundary_work, elastic_energy,
+                                energy_balance_residual, kinetic_energy)
+from lcflow.fields import (FaceField, discrete_divergence, face_to_center,
+                           unit_deviation)
 from lcflow.grid import ChannelGrid, conormal_derivative
-from lcflow.operators import (curl_center, director_gradient, grad_sq_director,
-                              laplacian_center, momentum_forcing)
-from lcflow.pressure import _wall_dzz_w, solve_poisson_neumann
+from lcflow.grid import _ddx as ddx, _ddy as ddy
+from lcflow.operators import (_dz_ends, _grad_sq, _slip_ghost_rows,
+                              center_gradient, curl_center, director_gradient,
+                              grad_sq_director, laplacian_center,
+                              momentum_forcing)
+from lcflow.pressure import _wall_dzz_w, pressure_split, solve_poisson_neumann
 
 
 # odd, even and anisotropic channels of 4..9 cells per axis
@@ -159,6 +173,78 @@ def scaled_conormal_sums(f, m, grid, sup=-1):
     for sq in sups:
         linf += float(np.sqrt(np.max(sq))) ** 2
     return l2, linf
+
+
+def peak_fields(call, unit):
+    """Peak traced allocation of call() in units of unit bytes (one field):
+    one warm call, then one call between tracemalloc's start and stop."""
+    call()
+    tracemalloc.start()
+    try:
+        call()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return peak / unit
+
+
+def curl_two_stacks(u, B, grid):
+    """The vorticity as the crosswise difference of two face-to-center
+    stacks, (du/dz, dv/dx, dw/dy) and (du/dy, dv/dz, dw/dx), each
+    derivative taken on its component's own faces."""
+    xe, ye = _slip_ghost_rows(u, B, grid)
+    p = face_to_center(FaceField(_dz_ends(u.x, xe, grid.hz),
+                                 ddx(u.y, grid.hx), ddy(u.z, grid.hy)))
+    q = face_to_center(FaceField(ddy(u.x, grid.hy),
+                                 _dz_ends(u.y, ye, grid.hz), ddx(u.z, grid.hx)))
+    return np.stack([p[2] - q[1], p[0] - q[2], p[1] - q[0]])
+
+
+def eager_record(state, cfg, grid, B, prev=None, dt=None):
+    """The record of make_record assembled eagerly: every derived field is
+    built before the first walk and held until return, grad u, grad u_t
+    and grad d_t are walked as stacks, the curl and the wall work each
+    build the slip end rows, and the terms of nm are summed in the order of
+    the functional."""
+    eps, m = cfg.eps, cfg.conormal_m
+    vol = grid.cell_volume
+    kinetic = kinetic_energy(state.u, grid)
+    elastic = elastic_energy(state.d, grid)
+    er = 0.0 if prev is None else energy_balance_residual(prev, state, dt,
+                                                          eps, B, grid)
+    gd = director_gradient(state.d, grid)
+    ld = laplacian_center(state.d, grid)
+    F = momentum_forcing(state.u, gd, ld, grid)
+    p1, p2 = pressure_split(state.u, F, eps, grid, cfg.solver_tol)
+    uc = face_to_center(state.u)
+    grad_sq = _grad_sq(gd)
+    w = curl_center(state.u, B, grid)
+    gu_l2, gu_linf = _conormal_sums(center_gradient(uc, grid), m - 1, grid,
+                                    sup=1)
+    terms = [(uc, m, -1), (gd, m, -1), (ld, m - 1, -1)]
+    if cfg.time_derivs:
+        ut_c, dt_d = _time_derivatives(state, p1 + p2, F, ld, grad_sq, eps, B,
+                                       grid)
+        terms += [(ut_c, m - 1, -1), (director_gradient(dt_d, grid), m - 1, -1)]
+        if m >= 2:
+            terms += [(center_gradient(ut_c, grid), m - 2, 0),
+                      (laplacian_center(dt_d, grid), m - 2, -1)]
+    nm = float(np.sum(state.d**2)) * vol + gu_l2 + gu_linf
+    for f, k, sup in terms:
+        l2, linf = _conormal_sums(f, k, grid, sup)
+        nm += l2 + linf
+    return DiagnosticsRecord(
+        t=state.t, kinetic=kinetic, elastic=elastic,
+        visc_diss=eps * vol * float(np.sum(w * w)),
+        dir_diss=vol * float(np.sum(ld * ld)),
+        quartic=vol * float(np.sum(grad_sq * grad_sq)),
+        boundary_work=boundary_work(state.u, eps, B, grid),
+        energy_residual=er, unit_dev=unit_deviation(state.d),
+        div_res=float(np.max(np.abs(discrete_divergence(state.u, grid)))),
+        nm_value=nm, eta_trace=_slip_mismatch_trace(w, uc, B, grid),
+        linf_grad_u=float(np.sqrt(gu_linf)),
+        p1_norm=float(np.sqrt(np.sum(p1 * p1) * vol)),
+        p2_norm=float(np.sqrt(np.sum(p2 * p2) * vol)))
 
 
 def grad_and_lap(d, grid):

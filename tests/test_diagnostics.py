@@ -4,7 +4,7 @@ import math
 import os
 import subprocess
 import sys
-import tracemalloc
+from dataclasses import astuple, replace
 from pathlib import Path
 
 import numpy as np
@@ -20,13 +20,15 @@ from lcflow.diagnostics import (_conormal_sums, _walk, boundary_work,
 from lcflow.errors import ConfigError
 from lcflow.fields import (FaceField, InitialConditionSpec, State,
                            face_to_center, init_state, zero_face_field)
-from lcflow.grid import ChannelGrid, conormal_derivative, make_grid
-from lcflow.operators import (SlipMatrixB, center_gradient, director_gradient,
-                              laplacian_center, momentum_forcing)
+from lcflow.grid import (ChannelGrid, _dz_centered, conormal_derivative,
+                         make_grid)
+from lcflow.operators import (SlipMatrixB, _gradient_parts, center_gradient,
+                              director_gradient, laplacian_center,
+                              momentum_forcing)
 
-from support import (conormal_norm_sq, director_dissipation, grids,
-                     quartic_production, scaled_conormal_sums,
-                     viscous_dissipation)
+from support import (conormal_norm_sq, director_dissipation, eager_record,
+                     grids, peak_fields, quartic_production,
+                     scaled_conormal_sums, viscous_dissipation)
 
 
 def _grid(nx=8, ny=8, nz=16, **kw):
@@ -236,15 +238,26 @@ def test_component_walk_working_set():
     # at 58 components.
     grid = ChannelGrid(16, 16, 32, 1.0, 1.0, 1.0)
     f = np.random.default_rng(0).standard_normal((3, 3) + grid.shape)
-    unit = f[0, 0].nbytes
-    _conormal_sums(f, 2, grid, sup=1)
-    tracemalloc.start()
-    try:
-        _conormal_sums(f, 2, grid, sup=1)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 16 * unit
+    assert peak_fields(lambda: _conormal_sums(f, 2, grid, sup=1),
+                       f[0, 0].nbytes) < 16
+
+
+def test_streamed_gradient_walk_working_set():
+    # The grad u walk of a record (order m - 1 = 1, sup 1) over the stream
+    # of _gradient_parts, in units of one 16x16x64 component (128 KiB).
+    # The bound, fixed before measuring, is one 9-field stack: the walk
+    # cannot hold the stack center_gradient builds.  Measured: 8.5
+    # (the stream's buffer, the top-level buffer, the sup sums of the four
+    # order <= 1 members, one square buffer); the stack and its walk
+    # peaked at 16.5.
+    grid = ChannelGrid(16, 16, 64, 1.0, 1.0, 1.0)
+    uc = np.random.default_rng(0).standard_normal((3,) + grid.shape)
+    want = _conormal_sums(center_gradient(uc, grid), 1, grid, sup=1)
+    assert _conormal_sums(_gradient_parts(uc, _dz_centered, grid), 1, grid,
+                          sup=1) == want
+    assert peak_fields(
+        lambda: _conormal_sums(_gradient_parts(uc, _dz_centered, grid), 1,
+                               grid, sup=1), uc[0].nbytes) < 9
 
 
 # -- energy pieces ---------------------------------------------------------
@@ -397,13 +410,18 @@ def test_record_builds_momentum_forcing_once(monkeypatch, time_derivs):
         return operators.momentum_forcing(u, gd, ld, grid)
 
     def counting_gradient(d, grid):
-        grads.append(1)
+        grads.append("stack")
         return operators.director_gradient(d, grid)
+
+    def counting_parts(f, dz, grid, out=None):
+        grads.append(dz.__name__)
+        return operators._gradient_parts(f, dz, grid, out)
 
     for mod in (diagnostics, pressure):
         if hasattr(mod, "momentum_forcing"):
             monkeypatch.setattr(mod, "momentum_forcing", counting)
     monkeypatch.setattr(diagnostics, "director_gradient", counting_gradient)
+    monkeypatch.setattr(diagnostics, "_gradient_parts", counting_parts)
     cfg = SimConfig(nx=8, ny=6, nz=12, eps=0.05, b11=1.0, b22=1.0, dt=1e-3,
                     t_final=1e-3, ic_name="random-solenoidal", amplitude=0.2,
                     seed=3, time_derivs=time_derivs).validate()
@@ -414,8 +432,10 @@ def test_record_builds_momentum_forcing_once(monkeypatch, time_derivs):
     gd, ld = calls[0]
     assert np.array_equal(gd, operators.director_gradient(st.d, grid))
     assert np.array_equal(ld, operators.laplacian_center(st.d, grid))
-    # grad d of the state, plus grad of dd/dt for the time derivatives
-    assert len(grads) == 1 + time_derivs
+    # grad d of the state as a stack, which the stress needs; grad u, and
+    # for the time derivatives grad u_t and grad of dd/dt, only as streams
+    assert grads == (["stack", "_dz_centered"]
+                     + ["_dz_reflect", "_dz_centered"] * time_derivs)
 
 
 def _record_case(m, time_derivs):
@@ -607,9 +627,7 @@ def test_record_fills_ghosts_once_per_curl(monkeypatch, time_derivs,
                                            with_prev, fills):
     # the slip end rows are built once for the curl of u, once for the curl
     # of the midpoint velocity of the energy residual and once for the face
-    # Laplacian of u_t (fills), and once more for the wall work beside each
-    # curl
-    curls = 1 + with_prev
+    # Laplacian of u_t; the wall work beside each curl shares the curl's
     calls = []
     rows = operators._slip_ghost_rows
 
@@ -622,16 +640,40 @@ def test_record_fills_ghosts_once_per_curl(monkeypatch, time_derivs,
     cfg, grid, st, B = _record_case(1, time_derivs)
     prev, dt = (st.copy(), cfg.dt) if with_prev else (None, None)
     make_record(st, cfg, grid, B, prev=prev, dt=dt)
-    assert len(calls) == fills + curls
+    assert len(calls) == fills
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+@pytest.mark.parametrize("time_derivs", [0, 1])
+@pytest.mark.parametrize("with_prev", [False, True])
+@pytest.mark.parametrize("eps", [0.05, 0.0])
+def test_record_is_the_eager_record(m, time_derivs, with_prev, eps):
+    # dropping each field after its last reader, streaming the walked
+    # gradients and sharing the slip end rows change no bit of a record:
+    # every field equals the eager assembly's, signed zeros included
+    cfg, grid, st, B = _record_case(m, time_derivs)
+    cfg = replace(cfg, eps=eps).validate()
+    prev, dt = None, None
+    if with_prev:
+        prev, dt = st, cfg.dt
+        st = step(st, cfg, grid, B, dt)
+    got = make_record(st, cfg, grid, B, prev, dt)
+    want = eager_record(st, cfg, grid, B, prev, dt)
+    assert got == want
+    assert [x.hex() for x in astuple(got)] == [x.hex() for x in astuple(want)]
+    if eps == 0.0:
+        assert got.p2_norm == 0.0
+
+
+# A time_derivs = 1 record on 16x16x64 in units of one scalar field
+# (128 KiB), per order m.  Measured: 22.55 fields at m = 2 and 3, at the
+# stress of F while grad d is held; the bound is that plus 10%.  The eager
+# assembly (support.eager_record's lifetimes) peaked at 44.6 fields.
+RECORD_PEAK_FIELDS = {2: 22.55, 3: 22.55}
 
 
 @pytest.mark.parametrize("m", [2, 3])
 def test_record_working_set(m):
-    # One time_derivs = 1 record on 16x16x64, in units of one scalar field
-    # (128 KiB).  The record before the functional became a list of terms
-    # peaked at 55.02 fields at m = 2 and 3; the bound is that plus 10%.
-    # Each term's field is built when the sum reaches it: building the
-    # list eagerly peaks at 60.65 fields.
     cfg = SimConfig(nx=16, ny=16, nz=64, eps=0.05, b11=1.0, b12=0.4, b22=2.0,
                     dt=1e-3, t_final=1e-3, ic_name="random-solenoidal",
                     amplitude=0.2, seed=4, conormal_m=m,
@@ -639,11 +681,5 @@ def test_record_working_set(m):
     grid = make_grid(cfg)
     st = init_state(grid, cfg.ic)
     B = SlipMatrixB(cfg.b11, cfg.b12, cfg.b22)
-    make_record(st, cfg, grid, B)
-    tracemalloc.start()
-    try:
-        make_record(st, cfg, grid, B)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 1.10 * 55.02 * st.p.nbytes
+    assert (peak_fields(lambda: make_record(st, cfg, grid, B), st.p.nbytes)
+            < 1.10 * RECORD_PEAK_FIELDS[m])

@@ -11,7 +11,7 @@ from lcflow.grid import make_grid
 from lcflow.integrator import step, stable_dt
 from lcflow.operators import SlipMatrixB, elastic_stress, stress_to_faces
 
-from support import grad_and_lap
+from support import grad_and_lap, peak_fields
 
 
 def _cfg(**kw):
@@ -207,3 +207,20 @@ def test_manufactured_solution_spatial_orders(mms_study):
         assert 1.7 <= orders[name] <= 2.3, (name, orders[name])
     e16, e32 = mms_study["errors"][16], mms_study["errors"][32]
     assert all(b < a for a, b in zip(e16, e32))
+
+
+@pytest.mark.parametrize("visc_implicit", [False, True])
+def test_step_working_set(visc_implicit):
+    # One step on 16x16x64 in units of one scalar field (128 KiB).
+    # Measured: 25.56 fields with either viscosity, at the stress of the
+    # momentum forcing while grad d_new is held; the bound is that plus
+    # 10%.  Forming the predictor in new arrays, zero-filled result arrays
+    # and a right-hand side held past its solve peaked at 29.04.
+    cfg = _cfg(nx=16, ny=16, nz=64, eps=0.01, b12=0.4, b22=2.0,
+               visc_implicit=visc_implicit, ic_name="random-solenoidal",
+               amplitude=0.2, seed=4).validate()
+    grid = make_grid(cfg)
+    st = init_state(grid, cfg.ic)
+    B = SlipMatrixB(cfg.b11, cfg.b12, cfg.b22)
+    assert (peak_fields(lambda: step(st, cfg, grid, B, cfg.dt), st.p.nbytes)
+            < 1.10 * 25.56)
