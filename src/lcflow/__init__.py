@@ -4,12 +4,11 @@ around it."""
 
 from .config import (DEFAULT_EPS_LADDER, InitialConditionSpec, SimConfig,
                      config_hash, load_config, parse_config)
-from .diagnostics import (DiagnosticsRecord, energy_balance_residual,
-                          make_record)
+from .diagnostics import DiagnosticsRecord, make_record
 from .errors import ConfigError, SimulationError
 from .fields import (FaceField, State, discrete_divergence, discrete_gradient,
                      face_to_center, init_state, renormalize_director)
-from .grid import ChannelGrid, conormal_derivative, conormal_weight, make_grid
+from .grid import ChannelGrid, conormal_weight, make_grid
 from .integrator import run, stable_dt, step
 from .io import (read_checkpoint, read_diag_csv, read_sweep_csv,
                  write_checkpoint, write_diag_csv, write_rate_report,
@@ -24,12 +23,12 @@ __version__ = "0.1.0"
 __all__ = [
     "ChannelGrid", "ConfigError", "DEFAULT_EPS_LADDER", "DiagnosticsRecord",
     "FaceField", "InitialConditionSpec", "SimConfig", "SimulationError",
-    "SlipMatrixB", "State", "SweepResult", "config_hash", "conormal_derivative",
-    "conormal_weight", "discrete_divergence", "discrete_gradient",
-    "energy_balance_residual", "error_norms", "face_to_center", "fit_rate",
-    "init_state", "load_config", "make_grid", "make_record", "parse_config",
-    "pressure_split", "project", "read_checkpoint", "read_diag_csv",
-    "read_sweep_csv", "remainder_norms", "renormalize_director", "run",
-    "run_sweep", "solve_poisson_neumann", "stable_dt", "step", "write_checkpoint",
-    "write_diag_csv", "write_rate_report", "write_sweep_csv",
+    "SlipMatrixB", "State", "SweepResult", "config_hash", "conormal_weight",
+    "discrete_divergence", "discrete_gradient", "error_norms", "face_to_center",
+    "fit_rate", "init_state", "load_config", "make_grid", "make_record",
+    "parse_config", "pressure_split", "project", "read_checkpoint",
+    "read_diag_csv", "read_sweep_csv", "remainder_norms",
+    "renormalize_director", "run", "run_sweep", "solve_poisson_neumann",
+    "stable_dt", "step", "write_checkpoint", "write_diag_csv",
+    "write_rate_report", "write_sweep_csv",
 ]

@@ -65,21 +65,28 @@ def _build_parser():
     return p
 
 
-def _check_outputs(*paths):
-    """Raise OSError for the first given output path that is a directory or
-    whose directory does not exist: refused before any work, creating and
+def _check_outputs(inputs, *paths):
+    """Raise OSError for the first given output path that is a directory,
+    whose directory does not exist, or that is the same file as one of the
+    input paths or an earlier output: refused before any work, creating and
     truncating nothing."""
-    for path in paths:
-        if path and (os.path.isdir(path)
-                     or not os.path.isdir(os.path.dirname(path) or ".")):
+    seen = {os.path.realpath(p) for p in inputs}
+    for path in filter(None, paths):
+        if (os.path.isdir(path)
+                or not os.path.isdir(os.path.dirname(path) or ".")):
             raise OSError(f"cannot write {path}: it is a directory or "
                           f"its directory does not exist")
+        real = os.path.realpath(path)
+        if real in seen:
+            raise OSError(f"cannot write {path}: it is the same file as an "
+                          f"input or another output")
+        seen.add(real)
 
 
 def _cmd_simulate(args):
     cfg = load_config(args.config)
     try:
-        _check_outputs(args.diag_out, args.checkpoint_out)
+        _check_outputs([args.config], args.diag_out, args.checkpoint_out)
         state, records, nsteps = run(cfg)
         grid = make_grid(cfg)
         if args.diag_out:
@@ -124,7 +131,8 @@ def _cmd_sweep(args):
 def _cmd_diagnose(args):
     cfg = load_config(args.config)
     try:
-        _check_outputs(args.out)    # before the checkpoint is read
+        # before the checkpoint is read
+        _check_outputs([args.checkpoint, args.config], args.out)
     except OSError as exc:
         print(f"lcflow diagnose: {exc}", file=sys.stderr)
         return 2

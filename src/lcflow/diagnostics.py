@@ -31,11 +31,8 @@ until the time derivatives.  The gradients that are only walked (grad u,
 grad u_t, grad d_t) reach _conormal_sums as a stream of single components
 and are never stacked.  grad d is walked first, so that it can be
 dropped early; the terms of the functional are still summed in its own
-order, so every record is the eager assembly's bit for bit.  Measured
-with tracemalloc, one record's peak went from 43.2 to 21.2 MiB on the
-32x32x128 diagnose state, from 39.1 to 21.2 on a sweep member and from
-19.7 to 10.7 on the 32x32x64 budget run (records with an energy
-residual); the peak is now the stress of F while grad d is held.
+order, so every record is the eager assembly's bit for bit.  The
+record's peak is the stress of F while grad d is held.
 
 The energy budget pairs the quantities the scheme actually conserves:
 kinetic energy on faces (the quadrature in which advection is exactly
@@ -56,8 +53,7 @@ from .config import SimConfig
 from .errors import ConfigError
 from .fields import (FaceField, State, discrete_divergence, discrete_gradient,
                      face_to_center, unit_deviation)
-from .grid import (ChannelGrid, _dz_centered, _dz_numerator, _shift_op,
-                   _z_weight)
+from .grid import ChannelGrid, _dz_centered, _raw_derivative, _shift_op
 from .operators import (SlipMatrixB, _dz_reflect, _grad_sq, _gradient_parts,
                         _slip_ghost_rows, _u_on_v_points, _v_on_u_points,
                         _wall_tangential, advect_center, curl_center,
@@ -78,17 +74,6 @@ def _sumsq(a: np.ndarray) -> float:
     the BLAS thread count."""
     rows = np.reshape(a, (-1, a.shape[-1]))
     return float(np.sum(np.einsum("ij,ij->i", rows, rows)))
-
-
-def _raw_derivative(g, axis, grid, out=None):
-    """The unscaled numerator of conormal_derivative(g, axis): the central
-    difference g[i+1] - g[i-1] in x or y, or the _dz_numerator stencil times
-    the z weight; the member is this over 2 h_axis.  out must not be g."""
-    if axis < 2:
-        return _shift_op(np.subtract, g, -1, g, 1, axis - 3, out)
-    out = _dz_numerator(g, out)
-    out *= _z_weight(grid)
-    return out
 
 
 def _walk(f: np.ndarray, m: int, grid: ChannelGrid):
@@ -241,24 +226,17 @@ def _budget_rates(u: FaceField, ld: np.ndarray, grad_sq: np.ndarray,
                boundary_work(u, eps, B, grid, rows))
 
 
-def energy_balance_residual(prev: State, nxt: State, dt: float, eps: float,
-                            B: SlipMatrixB, grid: ChannelGrid) -> float:
+def _energy_residual(prev: State, nxt: State, dt: float, e_nxt: float,
+                     eps: float, B: SlipMatrixB, grid: ChannelGrid) -> float:
     """Rate-form residual of the energy identity across one step:
 
         d/dt [ E_kin + E_el ] + visc + dir - quartic + wall_work = r
 
     with the dissipation/production terms evaluated on midpoint-in-time
-    fields.  First order in dt for this scheme.  dt must be positive and
-    finite (ValueError otherwise).
+    fields; first order in dt for this scheme.  nxt's kinetic plus elastic
+    energy is given as e_nxt, so a record that reports them derives each
+    once.  dt must be positive and finite (ValueError otherwise).
     """
-    return _energy_residual(prev, nxt, dt, kinetic_energy(nxt.u, grid)
-                            + elastic_energy(nxt.d, grid), eps, B, grid)
-
-
-def _energy_residual(prev: State, nxt: State, dt: float, e_nxt: float,
-                     eps: float, B: SlipMatrixB, grid: ChannelGrid) -> float:
-    """energy_balance_residual with nxt's kinetic plus elastic energy given
-    as e_nxt, so a record that reports them derives each once."""
     if not (np.isfinite(dt) and dt > 0.0):
         raise ValueError(f"dt must be positive and finite, got {dt!r}")
     de = (e_nxt - kinetic_energy(prev.u, grid)

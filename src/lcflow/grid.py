@@ -16,7 +16,8 @@ The tangential derivative family is: plain d/dx and d/dy, plus the weighted
 normal derivative phi(zeta) * d/dz where zeta = min(z, lz - z) is the
 distance to the nearest wall and phi(s) = s/(1+s).  phi vanishes linearly at
 both walls, so the weighted derivative stays bounded for fields that are
-merely bounded in the normal direction near the boundary.
+merely bounded in the normal direction near the boundary.  _raw_derivative
+is the one definition of a member, as its unscaled stencil numerator.
 
 Periodic differences and averages in x and y are slab slices (_shift_op),
 so no stencil makes a rolled copy of its operand; every z-neighbour pass is
@@ -212,26 +213,13 @@ def _z_weight(grid: ChannelGrid) -> np.ndarray:
     return w
 
 
-def conormal_derivative(f: np.ndarray, axis: int, grid: ChannelGrid) -> np.ndarray:
-    """One member of the tangential family on a cell-centered field.
-
-    axis 0, 1: periodic central d/dx, d/dy.
-    axis 2:    phi(zeta) * d/dz with the one-sided closure of _dz_centered.
-
-    The three operators commute pairwise to round-off: the x/y shifts
-    commute with each other, and the z stencil plus its z-only weight is
-    translation invariant in x and y.  Input of any numeric dtype is taken
-    as float.
-    """
-    f = np.asarray(f, dtype=float)
-    if f.shape[-3:] != grid.shape:
-        raise ConfigError(f"field shape {f.shape} does not end in {grid.shape}")
-    if axis == 0:
-        return _ddx(f, grid.hx)
-    if axis == 1:
-        return _ddy(f, grid.hy)
-    if axis == 2:
-        out = _dz_centered(f, grid.hz)
-        out *= _z_weight(grid)
-        return out
-    raise ConfigError(f"axis must be 0, 1 or 2, got {axis}")
+def _raw_derivative(g, axis, grid, out=None):
+    """The unscaled numerator of the family member Z_axis on a cell-centered
+    field: the periodic central difference g[i+1] - g[i-1] in x or y, or
+    the _dz_numerator stencil times the z weight; Z_axis g is this over
+    2 h_axis.  out must not be g."""
+    if axis < 2:
+        return _shift_op(np.subtract, g, -1, g, 1, axis - 3, out)
+    out = _dz_numerator(g, out)
+    out *= _z_weight(grid)
+    return out

@@ -42,14 +42,11 @@ COMPAT_TOL = 1e-8
 SOLVER_TOL = 1e-11
 
 
-def _eig_periodic(n, h):
+def _eig(n, h, period):
+    """Eigenvalues of the second difference on the modes k < n: period n
+    for a periodic axis, 2 n for the cosine modes of the zero-flux one."""
     k = np.arange(n)
-    return -(2.0 - 2.0 * np.cos(2.0 * np.pi * k / n)) / h**2
-
-
-def _eig_reflect(n, h):
-    k = np.arange(n)
-    return -(2.0 - 2.0 * np.cos(np.pi * k / n)) / h**2
+    return -(2.0 - 2.0 * np.cos(2.0 * np.pi * k / period)) / h**2
 
 
 def _transform(f):
@@ -65,9 +62,9 @@ def _inverse(fh, nx, ny):
 def _eig_sum(grid: ChannelGrid):
     """Eigenvalues of the 7-point stencil: the periodic x/y ones on the
     rfft2 mode plane plus the zero-flux z ones of the cosine modes."""
-    return (_eig_periodic(grid.nx, grid.hx)[:, None, None]
-            + _eig_periodic(grid.ny, grid.hy)[None, : grid.ny // 2 + 1, None]
-            + _eig_reflect(grid.nz, grid.hz)[None, None, :])
+    return (_eig(grid.nx, grid.hx, grid.nx)[:, None, None]
+            + _eig(grid.ny, grid.hy, grid.ny)[None, : grid.ny // 2 + 1, None]
+            + _eig(grid.nz, grid.hz, 2 * grid.nz)[None, None, :])
 
 
 def solve_helmholtz_neumann(b: np.ndarray, coef: float, grid: ChannelGrid) -> np.ndarray:

@@ -12,11 +12,13 @@ record's budget rates, each built from the state with its own operator.
 conormal_norm_sq is the order-m squared L2 conormal norm, the l2 sum of
 one diagnostics._conormal_sums walk; scaled_conormal_sums is the loop
 reference of that walk, every member built scaled by conormal_derivative
-and squared into an array before it is summed.  padded, padded_dz and padded_lap7 are
-the oracle of the end-layer stencils: the same formulas on an (nz+2) copy
-that holds the end layers as its first and last layers; padded_dzz is the
-z part of the same Laplacian in three-difference form, which the tests
-compare with it at round-off.
+and squared into an array before it is summed.  conormal_derivative is
+that scaled member Z_axis f, built from _ddx, _ddy, _dz_centered and the
+z weight, not from the walk's grid._raw_derivative.  padded, padded_dz
+and padded_lap7 are the oracle of the end-layer stencils: the same
+formulas on an (nz+2) copy that holds the end layers as its first and
+last layers; padded_dzz is the z part of the same Laplacian in
+three-difference form, which the tests compare with it at round-off.
 advect_center_flux and advect_face_flux are the advection oracle: the
 split form as face-flux differences minus f/2 times the velocity
 divergence, on np.roll copies, which the kernels' product form equals up
@@ -36,12 +38,13 @@ import numpy as np
 from hypothesis import strategies as hst
 
 from lcflow.diagnostics import (DiagnosticsRecord, _conormal_sums,
-                                _slip_mismatch_trace, _time_derivatives,
-                                boundary_work, elastic_energy,
-                                energy_balance_residual, kinetic_energy)
+                                _energy_residual, _slip_mismatch_trace,
+                                _time_derivatives, boundary_work,
+                                elastic_energy, kinetic_energy)
+from lcflow.errors import ConfigError
 from lcflow.fields import (FaceField, discrete_divergence, face_to_center,
                            unit_deviation)
-from lcflow.grid import ChannelGrid, conormal_derivative
+from lcflow.grid import ChannelGrid, _dz_centered, _z_weight
 from lcflow.grid import _ddx as ddx, _ddy as ddy
 from lcflow.operators import (_dz_ends, _grad_sq, _slip_ghost_rows,
                               center_gradient, curl_center, director_gradient,
@@ -143,6 +146,31 @@ def conormal_norm_sq(f, m, grid):
     return _conormal_sums(f, m, grid)[0]
 
 
+def conormal_derivative(f, axis, grid):
+    """One member of the tangential family on a cell-centered field.
+
+    axis 0, 1: periodic central d/dx, d/dy.
+    axis 2:    phi(zeta) * d/dz with the one-sided closure of _dz_centered.
+
+    The three operators commute pairwise to round-off: the x/y shifts
+    commute with each other, and the z stencil plus its z-only weight is
+    translation invariant in x and y.  Input of any numeric dtype is taken
+    as float.
+    """
+    f = np.asarray(f, dtype=float)
+    if f.shape[-3:] != grid.shape:
+        raise ConfigError(f"field shape {f.shape} does not end in {grid.shape}")
+    if axis == 0:
+        return ddx(f, grid.hx)
+    if axis == 1:
+        return ddy(f, grid.hy)
+    if axis == 2:
+        out = _dz_centered(f, grid.hz)
+        out *= _z_weight(grid)
+        return out
+    raise ConfigError(f"axis must be 0, 1 or 2, got {axis}")
+
+
 def scaled_conormal_sums(f, m, grid, sup=-1):
     """(l2, linf) of diagnostics._conormal_sums, from scaled members: each
     Z^alpha f is conormal_derivative applied to its parent, squared with
@@ -210,8 +238,8 @@ def eager_record(state, cfg, grid, B, prev=None, dt=None):
     vol = grid.cell_volume
     kinetic = kinetic_energy(state.u, grid)
     elastic = elastic_energy(state.d, grid)
-    er = 0.0 if prev is None else energy_balance_residual(prev, state, dt,
-                                                          eps, B, grid)
+    er = 0.0 if prev is None else _energy_residual(
+        prev, state, dt, kinetic + elastic, eps, B, grid)
     gd = director_gradient(state.d, grid)
     ld = laplacian_center(state.d, grid)
     F = momentum_forcing(state.u, gd, ld, grid)

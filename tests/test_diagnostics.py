@@ -15,20 +15,19 @@ from hypothesis import strategies as hst
 
 from lcflow import SimConfig, diagnostics, operators, pressure, run, step
 from lcflow.diagnostics import (_conormal_sums, _walk, boundary_work,
-                                elastic_energy, energy_balance_residual,
-                                kinetic_energy, make_record)
+                                elastic_energy, kinetic_energy, make_record)
 from lcflow.errors import ConfigError
 from lcflow.fields import (FaceField, InitialConditionSpec, State,
                            face_to_center, init_state, zero_face_field)
-from lcflow.grid import (ChannelGrid, _dz_centered, conormal_derivative,
-                         make_grid)
+from lcflow.grid import ChannelGrid, _dz_centered, make_grid
 from lcflow.operators import (SlipMatrixB, _gradient_parts, center_gradient,
                               director_gradient, laplacian_center,
                               momentum_forcing)
 
-from support import (conormal_norm_sq, director_dissipation, eager_record,
-                     grids, peak_fields, quartic_production,
-                     scaled_conormal_sums, viscous_dissipation)
+from support import (conormal_derivative, conormal_norm_sq,
+                     director_dissipation, eager_record, grids, peak_fields,
+                     quartic_production, scaled_conormal_sums,
+                     viscous_dissipation)
 
 
 def _grid(nx=8, ny=8, nz=16, **kw):
@@ -476,7 +475,7 @@ def test_energy_residual_is_the_reference_rates():
     want = (de + viscous_dissipation(um, cfg.eps, B, grid)
             + director_dissipation(dm, grid) - quartic_production(dm, grid)
             + boundary_work(um, cfg.eps, B, grid))
-    assert energy_balance_residual(prev, nxt, cfg.dt, cfg.eps, B, grid) == want
+    assert make_record(nxt, cfg, grid, B, prev, cfg.dt).energy_residual == want
 
 
 @pytest.mark.parametrize("dt", [0.0, math.nan, -1e-3, math.inf])
@@ -485,8 +484,6 @@ def test_energy_residual_refuses_a_bad_dt(dt):
     # residual and a negative dt flipped its sign
     cfg, grid, prev, B = _record_case(2, 0)
     nxt = step(prev, cfg, grid, B, cfg.dt)
-    with pytest.raises(ValueError, match="dt must be positive and finite"):
-        energy_balance_residual(prev, nxt, dt, cfg.eps, B, grid)
     with pytest.raises(ValueError, match="dt must be positive and finite"):
         make_record(nxt, cfg, grid, B, prev=prev, dt=dt)
 
@@ -505,8 +502,8 @@ def test_record_derives_each_energy_once(monkeypatch):
     rec = make_record(nxt, cfg, grid, B, prev=prev, dt=cfg.dt)
     assert sorted(calls) == ["elastic_energy"] * 2 + ["kinetic_energy"] * 2
     monkeypatch.undo()
-    assert rec.energy_residual == energy_balance_residual(
-        prev, nxt, cfg.dt, cfg.eps, B, grid)
+    assert rec.energy_residual == make_record(
+        nxt, cfg, grid, B, prev, cfg.dt).energy_residual
     assert (rec.kinetic, rec.elastic) == (kinetic_energy(nxt.u, grid),
                                           elastic_energy(nxt.d, grid))
 

@@ -1,6 +1,7 @@
 """Grid geometry, the wall-distance weight, and the tangential derivative family."""
 
 import ast
+import re
 from pathlib import Path
 
 import numpy as np
@@ -9,8 +10,9 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as hst
 
 import lcflow
-from lcflow import ChannelGrid, ConfigError, conormal_derivative, conormal_weight, make_grid
-from lcflow.grid import M_MAX, _dz_centered, _shift_op
+from lcflow import ChannelGrid, ConfigError, conormal_weight, make_grid
+from lcflow.diagnostics import _conormal_sums
+from lcflow.grid import M_MAX, _dz_centered, _raw_derivative, _shift_op
 
 from support import grids
 
@@ -86,14 +88,21 @@ def test_conormal_weight_rejects_outside():
         conormal_weight(np.array([0.5, np.nan]), grid)
 
 
+def _member(f, axis, grid):
+    """Z_axis f as the walk represents it: the _raw_derivative numerator
+    times its scale 1 / (2 h_axis)."""
+    h = (grid.hx, grid.hy, grid.hz)[axis]
+    return _raw_derivative(f, axis, grid) * (0.5 / h)
+
+
 def test_conormal_derivative_kills_constants():
     grid = ChannelGrid(8, 8, 8, 1.0, 1.0, 1.0)
     f = np.full(grid.shape, 3.7)
     # x and y shifts cancel bitwise; the one-sided z closure leaves only
     # round-off (-3c + 4c - c is not exactly zero in binary for c = 3.7).
-    assert np.max(np.abs(conormal_derivative(f, 0, grid))) == 0.0
-    assert np.max(np.abs(conormal_derivative(f, 1, grid))) == 0.0
-    assert np.max(np.abs(conormal_derivative(f, 2, grid))) <= 1e-14
+    assert np.max(np.abs(_member(f, 0, grid))) == 0.0
+    assert np.max(np.abs(_member(f, 1, grid))) == 0.0
+    assert np.max(np.abs(_member(f, 2, grid))) <= 1e-14
 
 
 def test_conormal_derivative_x_second_order():
@@ -106,7 +115,7 @@ def test_conormal_derivative_x_second_order():
         x = grid.x_centers()[:, None, None]
         f = np.sin(2 * np.pi * x / grid.lx) * np.ones(grid.shape)
         want = (2 * np.pi / grid.lx) * np.cos(2 * np.pi * x / grid.lx) * np.ones(grid.shape)
-        errs.append(np.max(np.abs(conormal_derivative(f, 0, grid) - want)))
+        errs.append(np.max(np.abs(_member(f, 0, grid) - want)))
     k = 2 * np.pi
     assert errs[1] <= 1.1 * k ** 3 * (1.0 / 32) ** 2 / 6.0
     assert 3.5 <= errs[0] / errs[1] <= 4.5
@@ -119,7 +128,7 @@ def test_conormal_derivative_z_linear_exact():
     grid = ChannelGrid(4, 4, 32, 1.0, 1.0, 1.0)
     z = grid.z_centers()
     f = np.broadcast_to(z, grid.shape).copy()
-    got = conormal_derivative(f, 2, grid)
+    got = _member(f, 2, grid)
     want = np.broadcast_to(conormal_weight(z, grid), grid.shape)
     assert np.max(np.abs(got - want)) <= 1e-14
 
@@ -129,8 +138,8 @@ def test_conormal_derivative_commutes_pairwise():
     f = _smooth_field(grid, fx=2, fy=1, kz=2.0)
     scale = np.max(np.abs(f))
     for a, b in ((0, 1), (0, 2), (1, 2)):
-        ab = conormal_derivative(conormal_derivative(f, a, grid), b, grid)
-        ba = conormal_derivative(conormal_derivative(f, b, grid), a, grid)
+        ab = _member(_member(f, a, grid), b, grid)
+        ba = _member(_member(f, b, grid), a, grid)
         assert np.max(np.abs(ab - ba)) <= 1e-12 * max(1.0, scale)
 
 
@@ -140,8 +149,8 @@ def test_conormal_derivative_linearity():
     f = rng.standard_normal(grid.shape)
     g = rng.standard_normal(grid.shape)
     for axis in range(3):
-        lhs = conormal_derivative(2.5 * f - 0.3 * g, axis, grid)
-        rhs = 2.5 * conormal_derivative(f, axis, grid) - 0.3 * conormal_derivative(g, axis, grid)
+        lhs = _member(2.5 * f - 0.3 * g, axis, grid)
+        rhs = 2.5 * _member(f, axis, grid) - 0.3 * _member(g, axis, grid)
         assert np.max(np.abs(lhs - rhs)) <= 1e-12 * max(1.0, np.max(np.abs(rhs)))
 
 
@@ -152,31 +161,20 @@ def test_conormal_derivative_wall_damping():
     grid = ChannelGrid(4, 4, 64, 1.0, 1.0, 1.0)
     z = grid.z_centers()
     f = np.broadcast_to(np.sin(3.0 * z), grid.shape).copy()
-    got = conormal_derivative(f, 2, grid)
+    got = _member(f, 2, grid)
     layer = max(np.max(np.abs(got[..., 0])), np.max(np.abs(got[..., -1])))
     phi_first = conormal_weight(grid.hz / 2, grid)
     assert layer <= 1.05 * phi_first * 3.0
     assert phi_first < 0.01
 
 
-def test_conormal_derivative_rejects_bad_input():
-    grid = ChannelGrid(8, 8, 8, 1.0, 1.0, 1.0)
-    f = np.zeros(grid.shape)
-    with pytest.raises(ConfigError, match="axis must be 0, 1 or 2"):
-        conormal_derivative(f, 3, grid)
-    with pytest.raises(ConfigError, match="does not end in"):
-        conormal_derivative(np.zeros((8, 8, 9)), 0, grid)
-
-
 def test_conormal_derivative_takes_integer_input_as_float():
-    # integer input used to stop in the in-place divide with a numpy
-    # casting error
+    # integer input is cast to float once, before the walk's first member,
+    # so its sums are the float field's bit for bit
     grid = ChannelGrid(8, 8, 8, 1.0, 1.0, 1.0)
     f = np.arange(512).reshape(grid.shape)
-    for axis in (0, 1, 2):
-        got = conormal_derivative(f, axis, grid)
-        assert got.dtype == np.float64
-        assert np.array_equal(got, conormal_derivative(f.astype(float), axis, grid))
+    got = _conormal_sums(f, 2, grid, sup=2)
+    assert got == _conormal_sums(f.astype(float), 2, grid, sup=2)
 
 
 def test_m_max_is_four():
@@ -393,6 +391,27 @@ def test_package_makes_no_blas_calls():
     assert _blas_uses(ast.parse("np.einsum('ij,jk', a, b)")) == []
 
 
+def _referenced_names(tree):
+    """The names a module's code refers to, as a Name or the attribute of
+    an Attribute, each outside the def or class that defines that name;
+    docstrings and other strings do not count."""
+    found = set()
+
+    def visit(node, owners):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                             ast.ClassDef)):
+            owners = owners | {node.name}
+        elif isinstance(node, (ast.Name, ast.Attribute)):
+            name = node.id if isinstance(node, ast.Name) else node.attr
+            if name not in owners:
+                found.add(name)
+        for child in ast.iter_child_nodes(node):
+            visit(child, owners)
+
+    visit(tree, frozenset())
+    return found
+
+
 def test_public_names_resolve_once():
     # a name left in __all__ after its definition is gone breaks only
     # `from lcflow import *`, which nothing else runs
@@ -402,3 +421,15 @@ def test_public_names_resolve_once():
     star = {}
     exec("from lcflow import *", star)
     assert set(names) <= set(star)
+    # and every export has a user: package code or the README's documented
+    # API, so that an export only tests use is not kept as public
+    package = Path(lcflow.__file__).parent
+    used = set()
+    for path in package.glob("*.py"):
+        used |= _referenced_names(ast.parse(path.read_text()))
+    readme = (package.parents[1] / "README.md").read_text()
+    assert [n for n in names if n not in used
+            and not re.search(rf"\b{re.escape(n)}\b", readme)] == []
+    # the scan sees a call, not a def, its own recursion or a docstring
+    tree = ast.parse("def f(n):\n    'g'\n    return f(n - 1)\nh.k(1)\n")
+    assert _referenced_names(tree) == {"n", "h", "k"}

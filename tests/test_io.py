@@ -488,13 +488,15 @@ def test_cli_exit_code_for_unwritable_output(tmp_path, capsys):
     capsys.readouterr()
 
 
-@pytest.mark.parametrize("bad", ["missing/out", "adir"])
+@pytest.mark.parametrize("bad", ["missing/out", "adir", "previous",
+                                 "run.cfg"])
 @pytest.mark.parametrize("flag, other", [("--diag-out", "--checkpoint-out"),
                                          ("--checkpoint-out", "--diag-out")])
 def test_cli_simulate_checks_its_outputs_before_the_first_step(
         tmp_path, monkeypatch, capsys, bad, flag, other):
-    # an output path in a missing directory, or naming a directory, fails
-    # before any step, and the other output (an earlier run's) stays as it was
+    # an output path in a missing directory, naming a directory, or naming
+    # the other output's file or the config fails before any step, and the
+    # other output (an earlier run's) stays as it was
     steps = []
     step = lcflow.integrator.step
     monkeypatch.setattr(lcflow.integrator, "step",
@@ -512,14 +514,17 @@ def test_cli_simulate_checks_its_outputs_before_the_first_step(
             in capsys.readouterr().err)
     assert sorted(tmp_path.rglob("*")) == before
     assert previous.read_bytes() == b"an earlier run"
+    assert cfg_path.read_text() == CFG_TEXT
 
 
-@pytest.mark.parametrize("bad", ["missing/out.csv", "adir"])
+@pytest.mark.parametrize("bad", ["missing/out.csv", "adir",
+                                 "adir/../state.ckpt"])
 def test_cli_diagnose_checks_its_output_before_reading(tmp_path, monkeypatch,
                                                        capsys, bad):
-    # an --out that is a directory, or in a missing directory, fails with
-    # simulate's message and exit code before the checkpoint is read or a
-    # record is built
+    # an --out that is a directory, in a missing directory, or the
+    # checkpoint's own file under another spelling, fails with simulate's
+    # message and exit code before the checkpoint is read or a record is
+    # built
     cfg_path = tmp_path / "run.cfg"
     cfg_path.write_text(CFG_TEXT)
     ckpt = tmp_path / "state.ckpt"
@@ -533,6 +538,7 @@ def test_cli_diagnose_checks_its_output_before_reading(tmp_path, monkeypatch,
                             lambda *a, _r=real, _n=name, **k:
                             calls.append(_n) or _r(*a, **k))
     before = sorted(tmp_path.rglob("*"))
+    data = ckpt.read_bytes()
     capsys.readouterr()
     rc = cli(["diagnose", "--checkpoint", str(ckpt), "--config",
               str(cfg_path), "--out", str(tmp_path / bad)])
@@ -540,6 +546,7 @@ def test_cli_diagnose_checks_its_output_before_reading(tmp_path, monkeypatch,
     assert (f"lcflow diagnose: cannot write {tmp_path / bad}"
             in capsys.readouterr().err)
     assert sorted(tmp_path.rglob("*")) == before
+    assert ckpt.read_bytes() == data
 
 
 def test_cli_rate_fit_insufficient_rows(tmp_path, capsys):
