@@ -65,15 +65,15 @@ def _build_parser():
     return p
 
 
-def _check_outputs(inputs, *paths):
+def _check_outputs(inputs, *paths, new_dirs=False):
     """Raise OSError for the first given output path that is a directory,
-    whose directory does not exist, or that is the same file as one of the
-    input paths or an earlier output: refused before any work, creating and
-    truncating nothing."""
+    whose directory does not exist (unless new_dirs: the caller creates
+    it), or that is the same file as one of the input paths or an earlier
+    output: refused before any work, creating and truncating nothing."""
     seen = {os.path.realpath(p) for p in inputs}
     for path in filter(None, paths):
-        if (os.path.isdir(path)
-                or not os.path.isdir(os.path.dirname(path) or ".")):
+        if os.path.isdir(path) or not (
+                new_dirs or os.path.isdir(os.path.dirname(path) or ".")):
             raise OSError(f"cannot write {path}: it is a directory or "
                           f"its directory does not exist")
         real = os.path.realpath(path)
@@ -106,18 +106,19 @@ def _cmd_simulate(args):
 def _cmd_sweep(args):
     cfg = load_config(args.config)
     _plan(cfg, args.jobs, args.force)   # a refusal creates nothing
+    csv = os.path.join(args.out, "sweep.csv")
+    report = os.path.join(args.out, "rate_report.txt")
     try:
+        _check_outputs([args.config], csv, report, new_dirs=True)
         os.makedirs(args.out, exist_ok=True)
         result = run_sweep(cfg, jobs=args.jobs, force=args.force)
-        csv = os.path.join(args.out, "sweep.csv")
         # a sweep whose first member failed has no rows, only a report, and
         # an earlier sweep's rows must not stand beside that report
         if result.errors_max:
             write_sweep_csv(result, csv)
         elif os.path.exists(csv):
             os.remove(csv)
-        text = write_rate_report(result, os.path.join(args.out,
-                                                      "rate_report.txt"))
+        text = write_rate_report(result, report)
     except (SimulationError, OSError, ValueError) as exc:
         print(f"lcflow sweep: {exc}", file=sys.stderr)
         return 2

@@ -7,32 +7,35 @@ well defined).  Face fields are averaged to cell centers before any norm is
 taken; all L2 quadrature is the midpoint rule, cell volume per center.
 
 All of them come from one walk (_walk) that builds the derivative tree
-level by level, each multi-index once from its parent, keeping only the
-previous level.  A member is the raw stencil numerator, the x/y central
-difference or the weighted z stencil with no 1/(2h), and its squared scale
-is carried as a scalar; the top level is built into one reused buffer and
-never stored.  _conormal_sums reduces one walk to the squared L2 norm of
-one order and the sup-type sum of another, walking a stacked field one
-component at a time so the working set is a few single-component arrays:
-each L2 term is its scale times one sum of squares (_sumsq, one read, no
-BLAS), and only members of order <= sup are squared into arrays.
+depth first, each multi-index once from its parent, keeping one array per
+order: the members on the current path.  A member is the raw stencil
+numerator, the x/y central difference or the weighted z stencil with no
+1/(2h), and its squared scale is carried as a scalar.  _conormal_sums
+reduces one walk to the squared L2 norm of one order and the sup-type sum
+of another, walking a stacked field one component at a time so the
+working set is a few single-component arrays: each L2 term is its scale
+times one sum of squares (_sumsq, one read, no BLAS), added in level
+order whatever order the walk visits them in, and only members of order
+<= sup are squared into arrays.
 A record is the one assembly of the per-state diagnostics: make_record
 derives each field of the state once (centered u, grad d, |grad d|^2,
 lap d, vorticity, momentum forcing F), walks each once, and computes the
 functional, the budget rates (_budget_rates), the sup norm of grad u and
-the slip trace from them.  F serves both the pressure split and the time
-derivatives of the functional, which take their pressure from that split,
-so a record depends on the state's (u, d) alone.
+the slip trace from them.  grad d is one stream of parts
+(operators._director_parts): each part is walked and then added into the
+stress of F and into |grad d|^2.  F serves both the pressure split and
+the time derivatives of the functional, which take their pressure from
+that split, so a record depends on the state's (u, d) alone.
 
-Each derived field lives only from its first reader to its last: grad d
-until its walk, F and |grad d|^2; the vorticity until the budget rates
-and the slip trace; the centered u until its two walks; F and p1 + p2
-until the time derivatives.  The gradients that are only walked (grad u,
-grad u_t, grad d_t) reach _conormal_sums as a stream of single components
-and are never stacked.  grad d is walked first, so that it can be
-dropped early; the terms of the functional are still summed in its own
-order, so every record is the eager assembly's bit for bit.  The
-record's peak is the stress of F while grad d is held.
+Each derived field lives only from its first reader to its last: the
+stress until F is built, |grad d|^2 until the budget rates and the time
+derivatives; the vorticity until the budget rates and the slip trace; the
+centered u until its two walks; F and p1 + p2 until the time derivatives.
+No gradient is stacked: grad d, grad u, grad u_t and grad d_t reach
+_conormal_sums as streams of single components.  grad d is walked first,
+with the stress and |grad d|^2 it feeds; the terms of the functional are
+still summed in its own order, so every record is the eager assembly's
+bit for bit.
 
 The energy budget pairs the quantities the scheme actually conserves:
 kinetic energy on faces (the quadrature in which advection is exactly
@@ -46,6 +49,7 @@ from __future__ import annotations
 
 from collections.abc import Iterator
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -54,11 +58,11 @@ from .errors import ConfigError
 from .fields import (FaceField, State, discrete_divergence, discrete_gradient,
                      face_to_center, unit_deviation)
 from .grid import ChannelGrid, _dz_centered, _raw_derivative, _shift_op
-from .operators import (SlipMatrixB, _dz_reflect, _grad_sq, _gradient_parts,
-                        _slip_ghost_rows, _u_on_v_points, _v_on_u_points,
-                        _wall_tangential, advect_center, curl_center,
-                        director_gradient, grad_sq_director, laplacian_center,
-                        laplacian_face, momentum_forcing)
+from .operators import (SlipMatrixB, _add_stress, _director_parts,
+                        _dz_reflect, _gradient_parts, _slip_ghost_rows,
+                        _u_on_v_points, _v_on_u_points, _wall_tangential,
+                        advect_center, advect_face, curl_center,
+                        grad_sq_director, laplacian_center, laplacian_face)
 from .pressure import pressure_split
 
 
@@ -76,32 +80,51 @@ def _sumsq(a: np.ndarray) -> float:
     return float(np.sum(np.einsum("ij,ij->i", rows, rows)))
 
 
-def _walk(f: np.ndarray, m: int, grid: ChannelGrid):
-    """Yield (|alpha|, raw, scale2) for all unique multi-indices with
-    |alpha| <= m, level by level: raw is _raw_derivative applied once per
-    direction of alpha and scale2 the product of (1 / (2 h_a))^2 over it,
-    so Z^alpha f = sqrt(scale2) * raw up to round-off.
+@lru_cache(maxsize=None)
+def _level_ranks(m: int) -> dict:
+    """{alpha: rank} over the unique multi-indices with |alpha| <= m, each
+    alpha a tuple of axes that never increases (the parent of alpha drops
+    its last axis): rank is alpha's place in level order, order by order,
+    each order in its parents' order and a parent's children by axis."""
+    ranks, level = {(): 0}, [()]
+    for _ in range(m):
+        level = [a + (ax,) for a in level
+                 for ax in range((a[-1] if a else 2) + 1)]
+        ranks.update({a: len(ranks) + j for j, a in enumerate(level)})
+    return ranks
 
-    Each derivative is built from the parent that drops its first active
-    direction, so every alpha is computed exactly once: a parent whose
-    first active axis is a only adds axes 0..a.  Only the previous level is
-    kept, and every top-level member is built into one reused buffer: it is
-    valid only until the next member is yielded.
+
+def _walk(f: np.ndarray, m: int, grid: ChannelGrid):
+    """Yield (rank, |alpha|, raw, scale2) for all unique multi-indices with
+    |alpha| <= m, depth first: raw is _raw_derivative applied once per
+    direction of alpha and scale2 the product of (1 / (2 h_a))^2 over it,
+    so Z^alpha f = sqrt(scale2) * raw up to round-off; rank is alpha's
+    place in level order (_level_ranks).
+
+    Each derivative is built from the parent that drops its last direction,
+    so every alpha is computed exactly once: a child only adds axes up to
+    its parent's last.  One buffer per order holds the member of that order
+    on the current path, so the walk keeps m arrays whatever m is; a member
+    is valid only until the next member of its order is yielded.
     """
     g = np.asarray(f, dtype=float)
-    yield 0, g, 1.0
-    top = np.empty(g.shape) if m > 0 else None
+    ranks = _level_ranks(m)
     unit = [(0.5 / h) ** 2 for h in (grid.hx, grid.hy, grid.hz)]
-    level = [(2, g, 1.0)]       # (last axis a child may add, raw, scale2)
-    for k in range(1, m + 1):
-        nxt = []
-        for last, g, s2 in level:
-            for ax in range(last + 1):
-                h = _raw_derivative(g, ax, grid, top if k == m else None)
-                yield k, h, s2 * unit[ax]
-                if k < m:
-                    nxt.append((ax, h, s2 * unit[ax]))
-        level = nxt
+    bufs = [np.empty(g.shape) for _ in range(m)]
+    yield 0, 0, g, 1.0
+    # the current path: (member, alpha, scale2, axes its children still add)
+    path = [(g, (), 1.0, iter(range(3)))] if m > 0 else []
+    while path:
+        parent, alpha, s2, axes = path[-1]
+        ax = next(axes, None)
+        if ax is None:
+            path.pop()
+            continue
+        child, s2 = alpha + (ax,), s2 * unit[ax]
+        h = _raw_derivative(parent, ax, grid, bufs[len(alpha)])
+        yield ranks[child], len(child), h, s2
+        if len(child) < m:
+            path.append((h, child, s2, iter(range(ax + 1))))
 
 
 def _conormal_sums(f, m: int, grid: ChannelGrid, sup: int = -1):
@@ -122,12 +145,13 @@ def _conormal_sums(f, m: int, grid: ChannelGrid, sup: int = -1):
     (_walk): l2 adds scale2 * vol * _sumsq(raw), one read of each member
     and no squared array, and only members of order <= sup are squared into
     arrays, whose max is scaled once at the end.  Stacked leading axes are
-    walked one component at a time, in C order.  l2 adds its terms in walk
+    walked one component at a time, in C order.  l2 adds its terms in rank
     order, then component order: the order of a walk to m alone, so l2 does
-    not depend on sup or on the stack's layout, bit for bit.  linf adds
-    each member's squares across components in component order, the
-    arithmetic of np.sum over the leading axes, so it equals that sum on the
-    whole-stack raw members bit for bit and does not depend on m.
+    not depend on sup, on the stack's layout or on the walk's own order,
+    bit for bit.  linf adds each member's squares across components in
+    component order, the arithmetic of np.sum over the leading axes, so it
+    equals that sum on the whole-stack raw members bit for bit and does not
+    depend on m.
     """
     if not isinstance(f, Iterator):
         f = np.asarray(f, dtype=float)
@@ -138,20 +162,23 @@ def _conormal_sums(f, m: int, grid: ChannelGrid, sup: int = -1):
     vol = grid.cell_volume
     l2 = 0.0
     buf = np.empty(grid.shape) if sup >= 0 else None
-    sups = []          # per member of order <= sup: [scale2, summed squares]
-    for c, comp in enumerate(f):
-        for i, (k, g, s2) in enumerate(_walk(comp, max(m, sup), grid)):
+    sups = {}          # rank of a member of order <= sup: [scale2, squares]
+    for comp in f:
+        terms = {}
+        for i, k, g, s2 in _walk(comp, max(m, sup), grid):
             if k <= m:
-                l2 += s2 * vol * _sumsq(g)
+                terms[i] = s2 * vol * _sumsq(g)
             if k > sup:
                 continue
-            if c == 0:
-                sups.append([s2, g * g])
-            else:
+            if i in sups:
                 np.multiply(g, g, out=buf)
                 sups[i][1] += buf
+            else:
+                sups[i] = [s2, g * g]
+        for _, term in sorted(terms.items()):
+            l2 += term
     linf = 0.0
-    for s2, sq in sups:
+    for _, (s2, sq) in sorted(sups.items()):
         linf += s2 * float(np.max(sq))
     return l2, linf
 
@@ -354,12 +381,14 @@ def make_record(state: State, cfg: SimConfig, grid: ChannelGrid,
     er = 0.0 if prev is None else _energy_residual(
         prev, state, dt, kinetic + elastic, eps, B, grid)
 
-    gd = director_gradient(d, grid)
+    # one pass over grad d's parts: its walk, the stress of F and |grad d|^2
     ld = laplacian_center(d, grid)
-    gd_sums = _conormal_sums(gd, m, grid)
-    F = momentum_forcing(u, gd, ld, grid)
-    grad_sq = _grad_sq(gd)
-    del gd
+    sigma = np.empty((3,) + grid.shape)
+    grad_sq = np.empty(grid.shape)
+    gd_sums = _conormal_sums(_director_parts(d, grid, ld, sigma, grad_sq), m,
+                             grid)
+    F = _add_stress(advect_face(u, u, grid), sigma, grid)
+    del sigma
     p1, p2 = pressure_split(u, F, eps, grid, cfg.solver_tol)
     p1_norm = float(np.sqrt(np.sum(p1 * p1) * vol))
     p2_norm = float(np.sqrt(np.sum(p2 * p2) * vol))

@@ -24,6 +24,13 @@ writes it on the cells and on each face family; its callers supply the
 field's end layers in z and the velocity on the volumes' faces.  The
 Laplacians of both field kinds are likewise one 7-point kernel, _lap7.
 _lap7 and _dz_ends take their z neighbours from one flat pass, _z_pair.
+
+The director couplings, the elastic stress sigma_i = sum_c (d_i d_c)
+(lap d_c) of the momentum forcing and the pointwise |grad d|^2 of the
+director's reaction term, are summed from a stream of grad d's parts
+(_director_parts), one part in one buffer at a time: no step builds a
+gradient stack.  director_gradient and center_gradient, which do, serve
+the error-equation remainders alone.
 """
 
 from __future__ import annotations
@@ -234,14 +241,20 @@ def advect_center(u: FaceField, f: np.ndarray, grid: ChannelGrid) -> np.ndarray:
     """u . grad f for cell-centered f (scalar or stacked components).
 
     The split form, exactly antisymmetric in the L2 pairing with f, on the
-    components of u scaled once by 1/(2h).  Transport of a constant c
-    returns (c/2) div u, bounded by the divergence residual.  The cell
-    faces carry u itself, so the wall faces carry exactly zero mass flux.
+    components of u scaled once by 1/(2h), one component of a stacked f at
+    a time into one result array, so its work arrays are single fields.
+    Transport of a constant c returns (c/2) div u, bounded by the
+    divergence residual.  The cell faces carry u itself, so the wall faces
+    carry exactly zero mass flux.
     """
     vx, vy, vz = (c * (0.5 / h) for c, h
                   in zip(u.components(), (grid.hx, grid.hy, grid.hz)))
-    return _split_form(f, (f[..., 0], f[..., -1]), ((0, vx, 1), (1, vy, 1)),
-                       vz)
+    out = np.empty(f.shape)
+    for g, dst in zip(np.reshape(f, (-1,) + grid.shape),
+                      np.reshape(out, (-1,) + grid.shape)):
+        _split_form(g, (g[..., 0], g[..., -1]), ((0, vx, 1), (1, vy, 1)), vz,
+                    dst)
+    return out
 
 
 def advect_face(u: FaceField, f: FaceField, grid: ChannelGrid) -> FaceField:
@@ -281,21 +294,52 @@ def director_gradient(d: np.ndarray, grid: ChannelGrid) -> np.ndarray:
     return out
 
 
-def elastic_stress(gd: np.ndarray, ld: np.ndarray) -> np.ndarray:
-    """sigma_i = sum_j (d_i d_j) (lap d_j) at cell centers, from the
-    director gradient gd and the centered Laplacian ld of d."""
-    return np.einsum("icxyz,cxyz->ixyz", gd, ld)
+def _director_parts(d, grid: ChannelGrid, ld=None, sigma=None, grad_sq=None):
+    """Yield the parts d_i d_c of grad d, _gradient_parts(d, _dz_reflect,
+    grid) in one buffer, for d a director (3, ...) or a scalar field, and
+    add each part, once it has been consumed, into the given arrays:
 
+      sigma (3,) + grid.shape: sigma_i = sum_c (d_i d_c)(lap d_c), with
+          ld = lap d (laplacian_center);
+      grad_sq grid.shape: |grad d|^2 = sum_i sum_c (d_i d_c)^2.
 
-def _grad_sq(g: np.ndarray) -> np.ndarray:
-    """|g|^2 pointwise of a gradient tensor g[i, j] (director_gradient):
-    the sum over i and j of g[i, j]^2, contracted in one pass."""
-    return np.einsum("ij...,ij...->...", g, g)
+    Each sum is built in part order, its first term written and the rest
+    added, in the part's own buffer where nothing else reads the part.
+    sigma then gets + 0.0, as if summed from +0.0: that turns a sum of
+    -0.0 products only into +0.0 and leaves every other value as it is.
+    A consumer that needs only the sums exhausts the stream; one that walks
+    the parts (the record's conormal walk of grad d) gets all three from
+    one pass.
+    """
+    ncomp = int(np.prod(d.shape[:-3]))
+    lds = None if ld is None else np.reshape(ld, (ncomp,) + grid.shape)
+    sq = (np.empty(grid.shape) if grad_sq is not None and sigma is not None
+          else None)
+    for k, g in enumerate(_gradient_parts(d, _dz_reflect, grid)):
+        yield g
+        i, c = divmod(k, ncomp)
+        if grad_sq is not None:
+            if k == 0:
+                np.multiply(g, g, out=grad_sq)
+            else:
+                grad_sq += np.multiply(g, g, out=g if sigma is None else sq)
+        if sigma is not None:
+            if c == 0:
+                np.multiply(g, lds[0], out=sigma[i])
+            else:
+                g *= lds[c]
+                sigma[i] += g
+    if sigma is not None:
+        sigma += 0.0
 
 
 def grad_sq_director(d: np.ndarray, grid: ChannelGrid) -> np.ndarray:
-    """|grad d|^2 at centers."""
-    return _grad_sq(director_gradient(d, grid))
+    """|grad d|^2 at centers, summed from the stream of grad d's parts
+    (_director_parts): no gradient stack is built."""
+    out = np.empty(grid.shape)
+    for _ in _director_parts(d, grid, grad_sq=out):
+        pass
+    return out
 
 
 def stress_to_faces(sigma: np.ndarray, grid: ChannelGrid) -> FaceField:
@@ -311,17 +355,29 @@ def stress_to_faces(sigma: np.ndarray, grid: ChannelGrid) -> FaceField:
     return FaceField(fx, fy, fz)
 
 
-def momentum_forcing(u: FaceField, gd: np.ndarray, ld: np.ndarray,
+def _add_stress(adv: FaceField, sigma: np.ndarray,
+                grid: ChannelGrid) -> FaceField:
+    """adv + stress_to_faces(sigma), summed into adv's arrays."""
+    for a, s in zip(adv.components(),
+                    stress_to_faces(sigma, grid).components()):
+        a += s
+    return adv
+
+
+def momentum_forcing(u: FaceField, d: np.ndarray, ld: np.ndarray,
                      grid: ChannelGrid) -> FaceField:
     """u . grad u + sigma(d) on faces: the explicit part of the momentum
     equation shared by the predictor, the pressure problems and the
-    time-derivative diagnostics.  The stress comes from the caller's grad d
-    (gd, director_gradient) and lap d (ld, laplacian_center)."""
+    time-derivative diagnostics.  The stress sigma_i = sum_c (d_i d_c)
+    (lap d_c) is summed from the stream of grad d's parts
+    (_director_parts) of the director d and the caller's lap d (ld,
+    laplacian_center), after the advection, so no gradient stack is built
+    and the advection's work arrays never meet the stress."""
     adv = advect_face(u, u, grid)
-    sig = stress_to_faces(elastic_stress(gd, ld), grid)
-    for a, s in zip(adv.components(), sig.components()):
-        a += s
-    return adv
+    sigma = np.empty((3,) + grid.shape)
+    for _ in _director_parts(d, grid, ld, sigma):
+        pass
+    return _add_stress(adv, sigma, grid)
 
 
 # ---------------------------------------------------------------------------

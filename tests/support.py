@@ -25,10 +25,14 @@ divergence, on np.roll copies, which the kernels' product form equals up
 to round-off.
 eager_record is the reference assembly of a record: every derived field
 built up front and held to the end, the walked gradients as stacks, which
-diagnostics.make_record must equal bit for bit.  curl_two_stacks is the
-vorticity as the difference of two face-to-center stacks, which
-operators.curl_center equals bit for bit.  peak_fields measures the traced
-peak of one call in units of one field.
+diagnostics.make_record must equal bit for bit.  elastic_stress and
+stacked_grad_sq are the stacked forms of the director terms, one einsum
+each over the gradient stack (grad_and_lap builds it with lap d), which
+the package's streamed sums (director_terms) equal bit for bit;
+stacked_error_norms is the sweep's error norms written on such stacks.
+curl_two_stacks is the vorticity as the difference of two face-to-center
+stacks, which operators.curl_center equals bit for bit.  peak_fields
+measures the traced peak of one call in units of one field.
 """
 
 import math
@@ -46,7 +50,7 @@ from lcflow.fields import (FaceField, discrete_divergence, face_to_center,
                            unit_deviation)
 from lcflow.grid import ChannelGrid, _dz_centered, _z_weight
 from lcflow.grid import _ddx as ddx, _ddy as ddy
-from lcflow.operators import (_dz_ends, _grad_sq, _slip_ghost_rows,
+from lcflow.operators import (_director_parts, _dz_ends, _slip_ghost_rows,
                               center_gradient, curl_center, director_gradient,
                               grad_sq_director, laplacian_center,
                               momentum_forcing)
@@ -240,12 +244,11 @@ def eager_record(state, cfg, grid, B, prev=None, dt=None):
     elastic = elastic_energy(state.d, grid)
     er = 0.0 if prev is None else _energy_residual(
         prev, state, dt, kinetic + elastic, eps, B, grid)
-    gd = director_gradient(state.d, grid)
-    ld = laplacian_center(state.d, grid)
-    F = momentum_forcing(state.u, gd, ld, grid)
+    gd, ld = grad_and_lap(state.d, grid)
+    F = momentum_forcing(state.u, state.d, ld, grid)
     p1, p2 = pressure_split(state.u, F, eps, grid, cfg.solver_tol)
     uc = face_to_center(state.u)
-    grad_sq = _grad_sq(gd)
+    grad_sq = stacked_grad_sq(gd)
     w = curl_center(state.u, B, grid)
     gu_l2, gu_linf = _conormal_sums(center_gradient(uc, grid), m - 1, grid,
                                     sup=1)
@@ -276,9 +279,56 @@ def eager_record(state, cfg, grid, B, prev=None, dt=None):
 
 
 def grad_and_lap(d, grid):
-    """(grad d, lap d) of a centered director: the inputs elastic_stress and
-    momentum_forcing take."""
+    """(grad d, lap d) of a centered director or scalar field: the inputs
+    elastic_stress takes."""
     return director_gradient(d, grid), laplacian_center(d, grid)
+
+
+def _as_stack(gd):
+    """The (3, ncomp) + grid shape view of a gradient stack of a director
+    (3, 3, ...) or of a scalar field (3, ...)."""
+    return np.reshape(gd, (3, -1) + gd.shape[-3:])
+
+
+def elastic_stress(gd, ld):
+    """sigma_i = sum_c (d_i d_c) (lap d_c) at cell centers, one einsum over
+    the director gradient gd and the centered Laplacian ld of d."""
+    return np.einsum("icxyz,cxyz->ixyz", _as_stack(gd),
+                     np.reshape(ld, (-1,) + ld.shape[-3:]))
+
+
+def stacked_grad_sq(gd):
+    """|grad d|^2 pointwise of a gradient stack gd (director_gradient): the
+    sum over i and c of gd[i, c]^2, contracted in one einsum."""
+    g = _as_stack(gd)
+    return np.einsum("ij...,ij...->...", g, g)
+
+
+def stacked_error_norms(u_a, d_a, u_b, d_b, grid):
+    """sweep.error_norms from whole stacks: the velocity difference as a
+    face field and centered, the director difference and its gradient
+    stack, each norm summed over the stack at once."""
+    vol = grid.cell_volume
+    du = FaceField(u_a.x - u_b.x, u_a.y - u_b.y, u_a.z - u_b.z)
+    dc = face_to_center(du)
+    dd = d_a - d_b
+    gd = director_gradient(dd, grid)
+    return (2.0 * kinetic_energy(du, grid),
+            vol * float(np.sum(dd * dd) + np.sum(gd * gd)),
+            float(np.max(np.sqrt(np.sum(dc * dc, axis=0)))),
+            max(float(np.max(np.sqrt(np.sum(dd * dd, axis=0)))),
+                float(np.max(np.sqrt(stacked_grad_sq(gd))))))
+
+
+def director_terms(d, grid):
+    """(sigma, |grad d|^2) of the package's one pass over the stream of
+    grad d's parts (operators._director_parts), with lap d its own."""
+    sigma = np.empty((3,) + grid.shape)
+    grad_sq = np.empty(grid.shape)
+    for _ in _director_parts(d, grid, laplacian_center(d, grid), sigma,
+                             grad_sq):
+        pass
+    return sigma, grad_sq
 
 
 def viscous_dissipation(u, eps, B, grid):
@@ -304,7 +354,8 @@ def quartic_production(d, grid):
 def full_pressure(state, eps, grid):
     """Single-solve pressure with the combined right-hand side and boundary
     data of both problems of pressure_split."""
-    F = momentum_forcing(state.u, *grad_and_lap(state.d, grid), grid)
+    F = momentum_forcing(state.u, state.d, laplacian_center(state.d, grid),
+                         grid)
     rhs = -discrete_divergence(F, grid)
     bot, top = _wall_dzz_w(state.u, grid)
     return solve_poisson_neumann(rhs, -eps * bot, eps * top, grid)

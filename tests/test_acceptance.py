@@ -21,11 +21,11 @@ from lcflow.cli import cli
 from lcflow.fields import InitialConditionSpec, init_state
 from lcflow.grid import ChannelGrid
 from lcflow.io import write_sweep_csv
-from lcflow.operators import momentum_forcing
+from lcflow.operators import laplacian_center, momentum_forcing
 from lcflow.pressure import pressure_split
 from lcflow.sweep import remainder_norms, run_sweep
 
-from support import full_pressure, grad_and_lap, loop_remainder_norms
+from support import full_pressure, loop_remainder_norms
 
 
 def _verdict(num, name, ok, detail=""):
@@ -132,7 +132,7 @@ def test_criterion_05_pressure_split_superposition():
     for seed in range(20):
         st = init_state(grid, InitialConditionSpec("random-solenoidal",
                                                    amplitude=0.2, seed=seed))
-        F = momentum_forcing(st.u, *grad_and_lap(st.d, grid), grid)
+        F = momentum_forcing(st.u, st.d, laplacian_center(st.d, grid), grid)
         p1, p2 = pressure_split(st.u, F, 0.3, grid)
         pf = full_pressure(st, 0.3, grid)
         scale = max(1.0, np.max(np.abs(pf)))
@@ -142,7 +142,7 @@ def test_criterion_05_pressure_split_superposition():
     for seed in range(5):
         st = init_state(grid, InitialConditionSpec("random-solenoidal",
                                                    amplitude=0.2, seed=seed))
-        F = momentum_forcing(st.u, *grad_and_lap(st.d, grid), grid)
+        F = momentum_forcing(st.u, st.d, laplacian_center(st.d, grid), grid)
         _, p2_unit = pressure_split(st.u, F, 1.0, grid)
         scale = max(np.max(np.abs(p2_unit)), 1e-30)
         for eps in (0.5, 2.0**-4, 2.0**-8):

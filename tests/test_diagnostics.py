@@ -206,9 +206,11 @@ def test_component_walk_is_layout_free(grid, m, sup, seed):
     assert want[0] == _conormal_sums(c_copy, m, grid)[0]
     # the sup sum is that of the whole-stack raw members, bit for bit, for
     # every L2 order
+    members = sorted((rank, scale2 * float(np.max(np.sum(g * g, axis=(0, 1)))))
+                     for rank, _, g, scale2 in _walk(c_copy, sup, grid))
     linf = 0.0
-    for _, g, scale2 in _walk(c_copy, sup, grid):
-        linf += scale2 * float(np.max(np.sum(g * g, axis=(0, 1))))
+    for _, term in members:
+        linf += term
     for k in range(m + 1):
         assert _conormal_sums(strided, k, grid, sup=sup)[1] == linf
 
@@ -230,11 +232,10 @@ def test_raw_walk_is_the_scaled_walk(grid, lead, m, sup, seed):
 
 def test_component_walk_working_set():
     # A (3, 3) stack is walked one 16x16x32 component (64 KiB) at a time.
-    # Measured peak: 11.7 components (the kept level-1 members, the sup
-    # sums of the four order <= 1 members, one square buffer and the one
-    # buffer every top-level member is built into).  The bound of 16 leaves
-    # a margin for numpy temporaries; walking the whole stack at once peaked
-    # at 58 components.
+    # Measured peak: 9.7 components (one buffer per order of the depth-
+    # first walk, the sup sums of the four order <= 1 members, one square
+    # buffer).  The bound of 16 leaves a margin for numpy temporaries;
+    # walking the whole stack at once peaked at 58 components.
     grid = ChannelGrid(16, 16, 32, 1.0, 1.0, 1.0)
     f = np.random.default_rng(0).standard_normal((3, 3) + grid.shape)
     assert peak_fields(lambda: _conormal_sums(f, 2, grid, sup=1),
@@ -399,41 +400,37 @@ def test_record_of_rest_state():
 
 @pytest.mark.parametrize("time_derivs", [0, 1])
 def test_record_builds_momentum_forcing_once(monkeypatch, time_derivs):
-    # the pressure split and the time derivatives share one forcing, built
-    # from the record's own grad d and lap d; count the calls at every
-    # module that could reach the operators
-    calls, grads = [], []
+    # the pressure split and the time derivatives share one forcing, whose
+    # stress comes from the pass over grad d's parts that also walks grad
+    # d and sums |grad d|^2; every gradient is a stream, none a stack
+    forcings, grads = [], []
+    add_stress, parts = operators._add_stress, operators._gradient_parts
 
-    def counting(u, gd, ld, grid):
-        calls.append((gd, ld))
-        return operators.momentum_forcing(u, gd, ld, grid)
-
-    def counting_gradient(d, grid):
-        grads.append("stack")
-        return operators.director_gradient(d, grid)
+    def counting(adv, sigma, grid):
+        forcings.append(add_stress(adv, sigma, grid))
+        return forcings[-1]
 
     def counting_parts(f, dz, grid, out=None):
         grads.append(dz.__name__)
-        return operators._gradient_parts(f, dz, grid, out)
+        return parts(f, dz, grid, out)
 
-    for mod in (diagnostics, pressure):
-        if hasattr(mod, "momentum_forcing"):
-            monkeypatch.setattr(mod, "momentum_forcing", counting)
-    monkeypatch.setattr(diagnostics, "director_gradient", counting_gradient)
+    monkeypatch.setattr(diagnostics, "_add_stress", counting)
     monkeypatch.setattr(diagnostics, "_gradient_parts", counting_parts)
+    monkeypatch.setattr(operators, "_gradient_parts", counting_parts)
     cfg = SimConfig(nx=8, ny=6, nz=12, eps=0.05, b11=1.0, b22=1.0, dt=1e-3,
                     t_final=1e-3, ic_name="random-solenoidal", amplitude=0.2,
                     seed=3, time_derivs=time_derivs).validate()
     grid = make_grid(cfg)
     st = init_state(grid, cfg.ic)
     make_record(st, cfg, grid, SlipMatrixB(1.0, 0.0, 1.0))
-    assert len(calls) == 1
-    gd, ld = calls[0]
-    assert np.array_equal(gd, operators.director_gradient(st.d, grid))
-    assert np.array_equal(ld, operators.laplacian_center(st.d, grid))
-    # grad d of the state as a stack, which the stress needs; grad u, and
-    # for the time derivatives grad u_t and grad of dd/dt, only as streams
-    assert grads == (["stack", "_dz_centered"]
+    assert len(forcings) == 1
+    monkeypatch.undo()
+    want = momentum_forcing(st.u, st.d, laplacian_center(st.d, grid), grid)
+    for got, w in zip(forcings[0].components(), want.components()):
+        assert np.array_equal(got, w)
+    # grad d once, and grad u; for the time derivatives grad of dd/dt and
+    # grad u_t
+    assert grads == (["_dz_reflect", "_dz_centered"]
                      + ["_dz_reflect", "_dz_centered"] * time_derivs)
 
 
@@ -581,7 +578,7 @@ def test_nm_value_is_the_sum_of_its_terms(m, time_derivs):
             + conormal_norm_sq(ld, m - 1, grid)
             + _conormal_sums(gu, 1, grid, sup=1)[1])
     if time_derivs:
-        F = momentum_forcing(st.u, gd, ld, grid)
+        F = momentum_forcing(st.u, st.d, ld, grid)
         p1, p2 = pressure.pressure_split(st.u, F, cfg.eps, grid,
                                          cfg.solver_tol)
         ut, dt_d = diagnostics._time_derivatives(
@@ -663,10 +660,11 @@ def test_record_is_the_eager_record(m, time_derivs, with_prev, eps):
 
 
 # A time_derivs = 1 record on 16x16x64 in units of one scalar field
-# (128 KiB), per order m.  Measured: 22.55 fields at m = 2 and 3, at the
-# stress of F while grad d is held; the bound is that plus 10%.  The eager
-# assembly (support.eager_record's lifetimes) peaked at 44.6 fields.
-RECORD_PEAK_FIELDS = {2: 22.55, 3: 22.55}
+# (128 KiB), per order m.  Measured: 19.60 fields at m = 2 and 20.54 at
+# m = 3; the bound is that plus 10%.  With grad d walked and held as a
+# 9-field stack through the stress of F, both peaked at 22.55; the eager
+# assembly (support.eager_record's lifetimes) at 44.6.
+RECORD_PEAK_FIELDS = {2: 19.60, 3: 20.54}
 
 
 @pytest.mark.parametrize("m", [2, 3])

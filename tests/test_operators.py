@@ -7,16 +7,21 @@ path.
 """
 
 
+import importlib
+import pkgutil
+
 import numpy as np
 import sympy as sp
 from hypothesis import given, settings
 from hypothesis import strategies as hst
 
+import lcflow
 from lcflow import ChannelGrid, InitialConditionSpec, SimConfig, SlipMatrixB, init_state
-from lcflow.diagnostics import kinetic_energy
+from lcflow.diagnostics import kinetic_energy, make_record
 from lcflow.fields import FaceField, State, face_to_center, zero_face_field
 from lcflow.integrator import step
-from lcflow.grid import _dz_centered
+from lcflow.grid import _dz_centered, make_grid
+from lcflow.sweep import error_norms
 from lcflow.operators import (
     _dz_ends,
     _dz_reflect,
@@ -28,15 +33,17 @@ from lcflow.operators import (
     center_gradient,
     curl_center,
     director_gradient,
-    elastic_stress,
     grad_sq_director,
     laplacian_center,
     laplacian_face,
+    momentum_forcing,
+    stress_to_faces,
 )
 
 from support import (advect_center_flux, advect_face_flux, curl_two_stacks,
-                     face_field, grids, padded, padded_dz, padded_dzz,
-                     padded_lap7, peak_fields, seeds, viscous_dissipation)
+                     director_terms, elastic_stress, face_field, grad_and_lap,
+                     grids, padded, padded_dz, padded_dzz, padded_lap7,
+                     peak_fields, seeds, stacked_grad_sq, viscous_dissipation)
 
 B0 = SlipMatrixB(0.0, 0.0, 0.0)
 
@@ -484,15 +491,15 @@ def test_advection_matches_flux_form(grid, seed):
 def test_advection_working_set():
     # Peak traced allocation of one call in units of one 32^3 field
     # (256 KiB), result included.  Measured: advect_center on a (3, ...)
-    # stack 12.8 (the result, two product buffers of the stack, the three
-    # scaled components of u and about 0.75 of numpy's buffers for the z
-    # slices; the flux form peaked at 17.1), advect_face 9.6 (flux form
-    # 12.8).  The bounds leave a margin for numpy temporaries.
+    # stack 8.8 (the result, two product buffers of one component, the
+    # three scaled components of u and numpy's buffers for the z slices;
+    # the flux form peaked at 17.1), advect_face 8.7 (flux form 12.8).
+    # The bounds leave a margin for numpy temporaries.
     grid = ChannelGrid(32, 32, 32, 1.0, 1.0, 1.0)
     rng = np.random.default_rng(0)
     u = face_field(rng, grid)
     d = rng.standard_normal((3,) + grid.shape)
-    for call, bound in ((lambda: advect_center(u, d, grid), 14),
+    for call, bound in ((lambda: advect_center(u, d, grid), 10),
                         (lambda: advect_face(u, u, grid), 11)):
         assert peak_fields(call, d[0].nbytes) < bound
 
@@ -529,8 +536,7 @@ def test_elastic_stress_of_uniform_director():
     grid = _grid()
     d = np.zeros((3,) + grid.shape)
     d[2] = 1.0
-    assert np.max(np.abs(elastic_stress(director_gradient(d, grid),
-                         laplacian_center(d, grid)))) == 0.0
+    assert np.max(np.abs(director_terms(d, grid)[0])) == 0.0
 
 
 def test_elastic_stress_z_only_profile():
@@ -540,8 +546,7 @@ def test_elastic_stress_z_only_profile():
     d = np.stack([np.broadcast_to(np.sin(beta), grid.shape),
                   np.zeros(grid.shape),
                   np.broadcast_to(np.cos(beta), grid.shape)])
-    sig = elastic_stress(director_gradient(d, grid),
-                         laplacian_center(d, grid))
+    sig, _ = director_terms(d, grid)
     assert np.max(np.abs(sig[0])) == 0.0
     assert np.max(np.abs(sig[1])) == 0.0
     assert np.max(np.abs(sig[2])) > 0.1
@@ -567,13 +572,74 @@ def test_elastic_stress_against_symbolic_reference():
         ones = np.ones(grid.shape)
         beta_n = b * np.cos(np.pi * zc) * np.cos(2 * np.pi * xc) * ones
         d = np.stack([np.sin(beta_n), np.zeros(grid.shape), np.cos(beta_n)])
-        got = elastic_stress(director_gradient(d, grid),
-                         laplacian_center(d, grid))
+        got, _ = director_terms(d, grid)
         want = np.stack([np.broadcast_to(f(xc, zc) * ones, grid.shape) for f in fs])
         errs.append(np.max(np.abs(got - want)))
         scale = np.max(np.abs(want))
     assert 3.2 <= errs[0] / errs[1] <= 4.8
     assert errs[1] <= 0.02 * scale
+
+
+def _bits(a):
+    return a.shape, a.tobytes()
+
+
+@settings(max_examples=40, deadline=None)
+@given(grid=grids, seed=seeds, lead=hst.sampled_from([(), (3,)]),
+       flat_x=hst.booleans())
+def test_streamed_director_terms_are_the_stacked_forms(grid, seed, lead,
+                                                       flat_x):
+    # the stress and |grad d|^2 summed from the stream of grad d's parts
+    # equal the one-einsum contractions of the stack bit for bit, signed
+    # zeros included: a field constant in x has d_x d_c = +0.0, whose
+    # products with a negative lap d_c are -0.0, and the einsum's sum of
+    # them is +0.0
+    rng = np.random.default_rng(seed)
+    d = rng.standard_normal(lead + grid.shape)
+    if flat_x:
+        d[..., :, :, :] = d[..., :1, :, :]
+    gd, ld = grad_and_lap(d, grid)
+    sig, gsq = director_terms(d, grid)
+    assert _bits(sig) == _bits(elastic_stress(gd, ld))
+    assert _bits(gsq) == _bits(stacked_grad_sq(gd))
+    assert _bits(grad_sq_director(d, grid)) == _bits(gsq)
+    if lead:
+        u = face_field(rng, grid)
+        got = momentum_forcing(u, d, ld, grid)
+        adv = advect_face(u, u, grid)
+        for g, a, s in zip(got.components(), adv.components(),
+                           stress_to_faces(sig, grid).components()):
+            assert _bits(g) == _bits(a + s)
+
+
+def test_hot_paths_never_stack_a_gradient(monkeypatch):
+    # the step (both viscosity paths), the record (with and without the
+    # time derivatives, with a previous state) and the sweep's error norms
+    # take every gradient as a stream of parts; a stack built anywhere in
+    # the package fails here
+    def refuse(*args, **kwargs):
+        raise AssertionError("a gradient stack was built")
+
+    mods = [lcflow] + [importlib.import_module(f"lcflow.{m.name}")
+                       for m in pkgutil.iter_modules(lcflow.__path__)]
+    for mod in mods:
+        for name in ("director_gradient", "center_gradient"):
+            if hasattr(mod, name):
+                monkeypatch.setattr(mod, name, refuse)
+    for visc_implicit in (False, True):
+        for time_derivs in (0, 1):
+            cfg = SimConfig(nx=8, ny=8, nz=12, eps=0.05, b11=1.0, b12=0.4,
+                            b22=2.0, dt=1e-3, t_final=1e-3,
+                            visc_implicit=visc_implicit,
+                            ic_name="random-solenoidal", amplitude=0.2,
+                            seed=3, time_derivs=time_derivs).validate()
+            grid = make_grid(cfg)
+            B = SlipMatrixB(cfg.b11, cfg.b12, cfg.b22)
+            st = init_state(grid, cfg.ic)
+            nxt = step(st, cfg, grid, B, cfg.dt)
+            make_record(nxt, cfg, grid, B, st, cfg.dt)
+            make_record(nxt, cfg, grid, B)
+    error_norms(nxt.u, nxt.d, st.u, st.d, grid)
 
 
 @settings(max_examples=25, deadline=None)

@@ -23,7 +23,8 @@ from lcflow.pressure import solve_helmholtz_neumann, solve_viscous_helmholtz
 from hypothesis import given, settings
 from hypothesis import strategies as hst
 
-from support import face_field, full_pressure, grad_and_lap, grids, seeds
+from support import (director_terms, face_field, full_pressure, grids,
+                     seeds)
 
 
 def _grid(nx=8, ny=8, nz=16, lx=1.0, ly=1.0, lz=1.0):
@@ -235,7 +236,7 @@ def test_split_trivial_state_is_zero():
     d = np.zeros((3,) + grid.shape)
     d[2] = 1.0
     st = State(zero_face_field(grid), np.zeros(grid.shape), d, 0.0)
-    F = momentum_forcing(st.u, *grad_and_lap(st.d, grid), grid)
+    F = momentum_forcing(st.u, st.d, laplacian_center(st.d, grid), grid)
     p1, p2 = pressure_split(st.u, F, 0.3, grid)
     assert np.max(np.abs(p1)) == 0.0
     assert np.max(np.abs(p2)) == 0.0
@@ -244,7 +245,7 @@ def test_split_trivial_state_is_zero():
 def test_split_inviscid_kills_boundary_part():
     grid = _grid()
     st = _random_state(grid, seed=5)
-    F = momentum_forcing(st.u, *grad_and_lap(st.d, grid), grid)
+    F = momentum_forcing(st.u, st.d, laplacian_center(st.d, grid), grid)
     _, p2 = pressure_split(st.u, F, 0.0, grid)
     assert np.max(np.abs(p2)) == 0.0
 
@@ -255,7 +256,7 @@ def test_split_superposes_to_full_pressure():
     worst = 0.0
     for seed in range(5):
         st = _random_state(grid, seed=seed)
-        F = momentum_forcing(st.u, *grad_and_lap(st.d, grid), grid)
+        F = momentum_forcing(st.u, st.d, laplacian_center(st.d, grid), grid)
         p1, p2 = pressure_split(st.u, F, 0.3, grid)
         pf = full_pressure(st, 0.3, grid)
         scale = max(1.0, np.max(np.abs(pf)))
@@ -266,7 +267,7 @@ def test_split_superposes_to_full_pressure():
 def test_split_boundary_part_scales_linearly_in_eps():
     grid = _grid()
     st = _random_state(grid, seed=6)
-    F = momentum_forcing(st.u, *grad_and_lap(st.d, grid), grid)
+    F = momentum_forcing(st.u, st.d, laplacian_center(st.d, grid), grid)
     _, p2_unit = pressure_split(st.u, F, 1.0, grid)
     for eps in (0.5, 0.125, 1e-3):
         _, p2 = pressure_split(st.u, F, eps, grid)
@@ -278,7 +279,6 @@ def test_wall_stress_flux_second_order():
     # smooth wall-compatible director: the elastic stress has zero normal
     # component at the walls in the continuum, so its extrapolated trace
     # shrinks at second order
-    from lcflow.operators import elastic_stress
     traces = []
     for nz in (16, 32):
         grid = _grid(nx=8, ny=4, nz=nz)
@@ -287,7 +287,7 @@ def test_wall_stress_flux_second_order():
         beta = 0.4 * np.cos(np.pi * zc / grid.lz) * np.cos(2 * np.pi * xc / grid.lx) \
             * np.ones(grid.shape)
         d = np.stack([np.sin(beta), np.zeros(grid.shape), np.cos(beta)])
-        sig = elastic_stress(*grad_and_lap(d, grid))
+        sig, _ = director_terms(d, grid)
         bot = 1.5 * sig[2][:, :, 0] - 0.5 * sig[2][:, :, 1]
         top = 1.5 * sig[2][:, :, -1] - 0.5 * sig[2][:, :, -2]
         traces.append(max(np.max(np.abs(bot)), np.max(np.abs(top))))
