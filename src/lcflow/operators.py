@@ -28,9 +28,9 @@ _lap7 and _dz_ends take their z neighbours from one flat pass, _z_pair.
 The director couplings, the elastic stress sigma_i = sum_c (d_i d_c)
 (lap d_c) of the momentum forcing and the pointwise |grad d|^2 of the
 director's reaction term, are summed from a stream of grad d's parts
-(_director_parts), one part in one buffer at a time: no step builds a
-gradient stack.  director_gradient and center_gradient, which do, serve
-the error-equation remainders alone.
+(_director_parts), one part in one buffer at a time.  Every gradient in
+the package is such a stream of parts (_gradient_parts): none builds a
+gradient stack.
 """
 
 from __future__ import annotations
@@ -40,8 +40,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fields import FaceField, _face_mean
-from .grid import (ChannelGrid, _ddx, _ddy, _dz_centered, _shift_mean,
-                   _shift_op, _z_pair)
+from .grid import ChannelGrid, _ddx, _ddy, _shift_mean, _shift_op, _z_pair
 
 
 @dataclass(frozen=True)
@@ -284,16 +283,6 @@ def advect_face(u: FaceField, f: FaceField, grid: ChannelGrid) -> FaceField:
 # director couplings
 # ---------------------------------------------------------------------------
 
-def director_gradient(d: np.ndarray, grid: ChannelGrid) -> np.ndarray:
-    """grad tensor of a centered (3,...) field with zero-flux z closure;
-    out[i, j] = d_i d_j (derivative axis first): the stack of
-    _gradient_parts(d, _dz_reflect, grid)."""
-    out = np.empty((3,) + d.shape)
-    for _ in _gradient_parts(d, _dz_reflect, grid, out):
-        pass
-    return out
-
-
 def _director_parts(d, grid: ChannelGrid, ld=None, sigma=None, grad_sq=None):
     """Yield the parts d_i d_c of grad d, _gradient_parts(d, _dz_reflect,
     grid) in one buffer, for d a director (3, ...) or a scalar field, and
@@ -381,7 +370,7 @@ def momentum_forcing(u: FaceField, d: np.ndarray, ld: np.ndarray,
 
 
 # ---------------------------------------------------------------------------
-# gradients at centers (no boundary-condition assumption)
+# gradients at centers
 # ---------------------------------------------------------------------------
 
 def _dz_reflect(f, hz, out=None):
@@ -390,33 +379,16 @@ def _dz_reflect(f, hz, out=None):
     return _dz_ends(f, (f[..., 0], f[..., -1]), hz, out)
 
 
-def _gradient_parts(f, dz, grid: ChannelGrid, out=None):
+def _gradient_parts(f, dz, grid: ChannelGrid):
     """Yield the gradient of centered f (scalar or stacked components) one
     part d_i f_c at a time, in the C order of its stack (3,) + f.shape:
     derivative axis i outer, component c inner.  d/dx and d/dy are _ddx
-    and _ddy, d/dz is dz(g, hz, out) (_dz_centered or _dz_reflect).  Each
-    part is written into its place in out when out is given; otherwise
-    every part is built into one buffer, valid until the next is yielded,
-    so a walk over the parts never holds the stack."""
+    and _ddy, d/dz is dz(g, hz, out) (_dz_centered, one-sided at the walls
+    and so free of any wall condition, or _dz_reflect).  Every part is
+    built into one buffer, valid until the next is yielded, so a walk over
+    the parts never holds the stack."""
     comps = np.reshape(f, (-1,) + f.shape[-3:])
-    if out is None:
-        buf = np.empty(comps.shape[1:])
-    else:
-        slots = np.reshape(out, (3,) + comps.shape)
-    for i, (op, h) in enumerate(((_ddx, grid.hx), (_ddy, grid.hy),
-                                 (dz, grid.hz))):
-        for c, g in enumerate(comps):
-            yield op(g, h, buf if out is None else slots[i, c])
-
-
-def center_gradient(f: np.ndarray, grid: ChannelGrid) -> np.ndarray:
-    """grad of centered data (scalar or stacked components), out[i] = d_i f.
-
-    Periodic central differences in x/y and the one-sided z closure of
-    _dz_centered, so it does not bake in any wall condition: the stack of
-    _gradient_parts(f, _dz_centered, grid).
-    """
-    out = np.empty((3,) + f.shape)
-    for _ in _gradient_parts(f, _dz_centered, grid, out):
-        pass
-    return out
+    buf = np.empty(comps.shape[1:])
+    for op, h in ((_ddx, grid.hx), (_ddy, grid.hy), (dz, grid.hz)):
+        for g in comps:
+            yield op(g, h, buf)

@@ -37,11 +37,11 @@ from .config import SimConfig, config_hash
 from .diagnostics import _sumsq
 from .errors import ConfigError, SimulationError
 from .fields import FaceField, State, _face_mean, face_to_center
-from .grid import ChannelGrid, make_grid
+from .grid import ChannelGrid, _dz_centered, make_grid
 from .integrator import run
 from .io import read_checkpoint, write_checkpoint
-from .operators import (center_gradient, director_gradient,
-                        grad_sq_director, laplacian_center)
+from .operators import (_dz_reflect, _gradient_parts, grad_sq_director,
+                        laplacian_center)
 
 RECORD_TIME_TOL = 1e-9
 
@@ -107,34 +107,53 @@ def remainder_norms(state_eps: State, state_0: State, eps: float,
     Everything is assembled at cell centers: velocities through the
     second-order face average, velocity gradients one-sided at the walls,
     director gradients with reflected end layers, Laplacians with the
-    zero-flux centered stencil.
+    zero-flux centered stencil.  Every contraction is summed one gradient
+    part at a time, as _director_parts sums the stress: the parts d_j u_i
+    of grad u_eps from one stream, then those of grad d_eps, grad phi and
+    grad d from three streams in step, so no gradient stack is built.  At
+    32^3 one call peaks at about 26 fields, the two states aside.
     """
+    want = ((3,) + grid.shape, grid.shape, grid.shape,
+            grid.shape[:2] + (grid.nz + 1,))
+    for st in (state_eps, state_0):
+        for name, a, w in zip(("d", "u.x", "u.y", "u.z"),
+                              (st.d,) + st.u.components(), want):
+            if a.shape != w:
+                raise ConfigError(f"state {name} shape {a.shape} does not "
+                                  f"match {w} on grid {grid.shape}")
     uc_e = face_to_center(state_eps.u)
-    uc_0 = face_to_center(state_0.u)
-    v = uc_e - uc_0
-    phi = state_eps.d - state_0.d
+    v = face_to_center(state_0.u)
+    r1 = laplacian_center(v, grid)
+    r1 *= eps
+    np.subtract(uc_e, v, out=v)
+    t = np.empty(grid.shape)
+    for k, g in enumerate(_gradient_parts(uc_e, _dz_centered, grid)):
+        j, i = divmod(k, 3)                      # g = d_j u_eps,i
+        r1[i] -= np.multiply(v[j], g, out=t)
+    del uc_e
 
-    gu_e = center_gradient(uc_e, grid)                   # [j, i] = d_j u_i
-    lap_u0 = laplacian_center(uc_0, grid)
-    gd_e = director_gradient(state_eps.d, grid)          # [i, c] = d_i d_c
+    d_e, d_0 = state_eps.d, state_0.d
+    phi = d_e - d_0
     lap_phi = laplacian_center(phi, grid)
-    g_phi = director_gradient(phi, grid)
-    lap_d0 = laplacian_center(state_0.d, grid)
-
-    v_grad_ue = np.einsum("jxyz,jixyz->ixyz", v, gu_e)
-    gde_lapphi = np.einsum("icxyz,cxyz->ixyz", gd_e, lap_phi)
-    gphi_lapd0 = np.einsum("icxyz,cxyz->ixyz", g_phi, lap_d0)
-    r1 = eps * lap_u0 - v_grad_ue - gde_lapphi - gphi_lapd0
-
-    v_grad_de = np.einsum("jxyz,jcxyz->cxyz", v, gd_e)
-    g_sum = gd_e + director_gradient(state_0.d, grid)
-    contraction = np.einsum("icxyz,icxyz->xyz", g_phi, g_sum)
-    r2 = (-v_grad_de + contraction[None] * state_eps.d
-          + grad_sq_director(state_0.d, grid) * phi)
+    lap_d0 = laplacian_center(d_0, grid)
+    r2 = np.zeros((3,) + grid.shape)
+    contraction, gsq_0 = np.zeros(grid.shape), np.zeros(grid.shape)
+    streams = [_gradient_parts(f, _dz_reflect, grid) for f in (d_e, phi, d_0)]
+    for k, (ge, gp, g0) in enumerate(zip(*streams)):
+        i, c = divmod(k, 3)                      # ge = d_i d_eps,c
+        r1[i] -= np.multiply(ge, lap_phi[c], out=t)
+        r1[i] -= np.multiply(gp, lap_d0[c], out=t)
+        r2[c] -= np.multiply(v[i], ge, out=t)
+        gsq_0 += np.multiply(g0, g0, out=t)
+        g0 += ge
+        contraction += np.multiply(gp, g0, out=t)
+    for c in range(3):
+        r2[c] += np.multiply(contraction, d_e[c], out=t)
+        r2[c] += np.multiply(gsq_0, phi[c], out=t)
 
     vol = grid.cell_volume
-    return (float(np.sqrt(np.sum(r1 * r1) * vol)),
-            float(np.sqrt(np.sum(r2 * r2) * vol)))
+    return (float(np.sqrt(_sumsq(r1) * vol)),
+            float(np.sqrt(_sumsq(r2) * vol)))
 
 
 # ---------------------------------------------------------------------------

@@ -33,6 +33,11 @@ stacked_error_norms is the sweep's error norms written on such stacks.
 curl_two_stacks is the vorticity as the difference of two face-to-center
 stacks, which operators.curl_center equals bit for bit.  peak_fields
 measures the traced peak of one call in units of one field.
+center_gradient and director_gradient are the gradient stacks (3,) +
+f.shape, derivative axis first, each axis' difference taken on the whole
+of f by _ddx, _ddy and _dz_centered or _dz_reflect; the package builds
+no stack, only streams of parts (operators._gradient_parts), so these
+are its oracle for layout and bits.
 """
 
 import math
@@ -50,10 +55,9 @@ from lcflow.fields import (FaceField, discrete_divergence, face_to_center,
                            unit_deviation)
 from lcflow.grid import ChannelGrid, _dz_centered, _z_weight
 from lcflow.grid import _ddx as ddx, _ddy as ddy
-from lcflow.operators import (_director_parts, _dz_ends, _slip_ghost_rows,
-                              center_gradient, curl_center, director_gradient,
-                              grad_sq_director, laplacian_center,
-                              momentum_forcing)
+from lcflow.operators import (_director_parts, _dz_ends, _dz_reflect,
+                              _slip_ghost_rows, curl_center, grad_sq_director,
+                              laplacian_center, momentum_forcing)
 from lcflow.pressure import _wall_dzz_w, pressure_split, solve_poisson_neumann
 
 
@@ -64,6 +68,24 @@ grids = hst.builds(
     hst.sampled_from([1.0, 0.7, 2.5]), hst.sampled_from([1.0, 1.3]),
     hst.sampled_from([1.0, 0.4, 3.0]))
 seeds = hst.integers(0, 2**32 - 1)
+
+
+def _gradient_stack(f, dz, grid):
+    """(3,) + f.shape: out[i] = d_i f, each axis' difference taken on the
+    whole of f at once."""
+    return np.stack([ddx(f, grid.hx), ddy(f, grid.hy), dz(f, grid.hz)])
+
+
+def center_gradient(f, grid):
+    """grad of centered f (scalar or stacked components), out[i] = d_i f,
+    with the one-sided z closure of _dz_centered."""
+    return _gradient_stack(f, _dz_centered, grid)
+
+
+def director_gradient(d, grid):
+    """grad of a director-type field, out[i, c] = d_i d_c, with reflected
+    end layers (_dz_reflect)."""
+    return _gradient_stack(d, _dz_reflect, grid)
 
 
 def face_field(rng, grid):

@@ -20,14 +20,13 @@ from lcflow.errors import ConfigError
 from lcflow.fields import (FaceField, InitialConditionSpec, State,
                            face_to_center, init_state, zero_face_field)
 from lcflow.grid import ChannelGrid, _dz_centered, make_grid
-from lcflow.operators import (SlipMatrixB, _gradient_parts, center_gradient,
-                              director_gradient, laplacian_center,
+from lcflow.operators import (SlipMatrixB, _gradient_parts, laplacian_center,
                               momentum_forcing)
 
-from support import (conormal_derivative, conormal_norm_sq,
-                     director_dissipation, eager_record, grids, peak_fields,
-                     quartic_production, scaled_conormal_sums,
-                     viscous_dissipation)
+from support import (center_gradient, conormal_derivative, conormal_norm_sq,
+                     director_dissipation, director_gradient, eager_record,
+                     grids, peak_fields, quartic_production,
+                     scaled_conormal_sums, viscous_dissipation)
 
 
 def _grid(nx=8, ny=8, nz=16, **kw):
@@ -246,7 +245,7 @@ def test_streamed_gradient_walk_working_set():
     # The grad u walk of a record (order m - 1 = 1, sup 1) over the stream
     # of _gradient_parts, in units of one 16x16x64 component (128 KiB).
     # The bound, fixed before measuring, is one 9-field stack: the walk
-    # cannot hold the stack center_gradient builds.  Measured: 8.5
+    # cannot hold the stack of the center_gradient oracle.  Measured: 8.5
     # (the stream's buffer, the top-level buffer, the sup sums of the four
     # order <= 1 members, one square buffer); the stack and its walk
     # peaked at 16.5.
@@ -410,9 +409,9 @@ def test_record_builds_momentum_forcing_once(monkeypatch, time_derivs):
         forcings.append(add_stress(adv, sigma, grid))
         return forcings[-1]
 
-    def counting_parts(f, dz, grid, out=None):
+    def counting_parts(f, dz, grid):
         grads.append(dz.__name__)
-        return parts(f, dz, grid, out)
+        return parts(f, dz, grid)
 
     monkeypatch.setattr(diagnostics, "_add_stress", counting)
     monkeypatch.setattr(diagnostics, "_gradient_parts", counting_parts)

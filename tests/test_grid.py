@@ -254,7 +254,7 @@ def test_dz_centered_is_the_slice_formula(grid, stack, layout, out, seed):
     assert f.flags.c_contiguous == (layout == "c")
     want = _dz_slices(f, grid.hz)
     if out == "stack":
-        # how center_gradient calls it: out is one slot of a larger stack
+        # out may be one slot of a larger stack
         target = np.full((3,) + f.shape, np.nan)
         got = _dz_centered(f, grid.hz, target[2])
         assert got.base is target
@@ -433,3 +433,27 @@ def test_public_names_resolve_once():
     # the scan sees a call, not a def, its own recursion or a docstring
     tree = ast.parse("def f(n):\n    'g'\n    return f(n - 1)\nh.k(1)\n")
     assert _referenced_names(tree) == {"n", "h", "k"}
+
+
+def _top_level_defs(tree):
+    """The names of a module's top-level functions and classes."""
+    return {node.name for node in tree.body
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                 ast.ClassDef))}
+
+
+def test_package_defines_nothing_unused():
+    # every top-level function and class of the package is referenced by
+    # package code or exported: a helper whose last caller is removed goes
+    # with it instead of staying behind for the tests alone
+    trees = [ast.parse(path.read_text())
+             for path in Path(lcflow.__file__).parent.glob("*.py")]
+    used = set().union(*map(_referenced_names, trees))
+    defined = set().union(*map(_top_level_defs, trees))
+    assert sorted(defined - used - set(lcflow.__all__)) == []
+    # the scan sees top-level defs only, and a def used only by itself
+    # is unused
+    tree = ast.parse("class C:\n    def m(self): pass\n"
+                     "def f():\n    def g(): pass\n    return f()\n")
+    assert _top_level_defs(tree) == {"C", "f"}
+    assert _top_level_defs(tree) - _referenced_names(tree) == {"C", "f"}

@@ -21,7 +21,7 @@ from lcflow.diagnostics import kinetic_energy, make_record
 from lcflow.fields import FaceField, State, face_to_center, zero_face_field
 from lcflow.integrator import step
 from lcflow.grid import _dz_centered, make_grid
-from lcflow.sweep import error_norms
+from lcflow.sweep import error_norms, remainder_norms
 from lcflow.operators import (
     _dz_ends,
     _dz_reflect,
@@ -30,9 +30,7 @@ from lcflow.operators import (
     _slip_ghost_rows,
     advect_center,
     advect_face,
-    center_gradient,
     curl_center,
-    director_gradient,
     grad_sq_director,
     laplacian_center,
     laplacian_face,
@@ -40,10 +38,11 @@ from lcflow.operators import (
     stress_to_faces,
 )
 
-from support import (advect_center_flux, advect_face_flux, curl_two_stacks,
-                     director_terms, elastic_stress, face_field, grad_and_lap,
-                     grids, padded, padded_dz, padded_dzz, padded_lap7,
-                     peak_fields, seeds, stacked_grad_sq, viscous_dissipation)
+from support import (advect_center_flux, advect_face_flux, center_gradient,
+                     curl_two_stacks, director_gradient, director_terms,
+                     elastic_stress, face_field, grad_and_lap, grids, padded,
+                     padded_dz, padded_dzz, padded_lap7, peak_fields, seeds,
+                     stacked_grad_sq, viscous_dissipation)
 
 B0 = SlipMatrixB(0.0, 0.0, 0.0)
 
@@ -612,20 +611,17 @@ def test_streamed_director_terms_are_the_stacked_forms(grid, seed, lead,
             assert _bits(g) == _bits(a + s)
 
 
-def test_hot_paths_never_stack_a_gradient(monkeypatch):
-    # the step (both viscosity paths), the record (with and without the
-    # time derivatives, with a previous state) and the sweep's error norms
-    # take every gradient as a stream of parts; a stack built anywhere in
-    # the package fails here
-    def refuse(*args, **kwargs):
-        raise AssertionError("a gradient stack was built")
-
+def test_hot_paths_never_stack_a_gradient():
+    # the package has one way to build a gradient, the stream of parts of
+    # _gradient_parts: no module defines a stack builder, and the step
+    # (both viscosity paths), the record (with and without the time
+    # derivatives, with a previous state), the sweep's error norms and the
+    # error-equation remainders all run on the streams alone
     mods = [lcflow] + [importlib.import_module(f"lcflow.{m.name}")
                        for m in pkgutil.iter_modules(lcflow.__path__)]
-    for mod in mods:
-        for name in ("director_gradient", "center_gradient"):
-            if hasattr(mod, name):
-                monkeypatch.setattr(mod, name, refuse)
+    assert [(mod.__name__, name) for mod in mods
+            for name in ("director_gradient", "center_gradient")
+            if hasattr(mod, name)] == []
     for visc_implicit in (False, True):
         for time_derivs in (0, 1):
             cfg = SimConfig(nx=8, ny=8, nz=12, eps=0.05, b11=1.0, b12=0.4,
@@ -640,23 +636,20 @@ def test_hot_paths_never_stack_a_gradient(monkeypatch):
             make_record(nxt, cfg, grid, B, st, cfg.dt)
             make_record(nxt, cfg, grid, B)
     error_norms(nxt.u, nxt.d, st.u, st.d, grid)
+    remainder_norms(nxt, st, cfg.eps, grid)
 
 
 @settings(max_examples=25, deadline=None)
 @given(grid=grids, seed=seeds, lead=hst.sampled_from([(), (3,), (2, 3)]))
 def test_gradient_stacks_are_their_streams(grid, seed, lead):
-    # center_gradient and director_gradient are the stream of
-    # _gradient_parts written into a (3,) + f.shape stack, in its C order,
-    # whichever way the parts are stored
+    # the parts of _gradient_parts, in the order it yields them, are the
+    # C order of the oracle stacks (3,) + f.shape, bit for bit
     f = np.random.default_rng(seed).standard_normal(lead + grid.shape)
     for stack, dz in ((center_gradient, _dz_centered),
                       (director_gradient, _dz_reflect)):
         want = stack(f, grid)
         parts = [p.copy() for p in _gradient_parts(f, dz, grid)]
         assert np.array_equal(np.reshape(parts, want.shape), want)
-        into = np.empty(want.shape)
-        got = list(_gradient_parts(f, dz, grid, into))
-        assert np.array_equal(into, want) and len(got) == len(parts)
 
 
 @settings(max_examples=25, deadline=None)
