@@ -20,11 +20,11 @@ from .diagnostics import make_record
 from .errors import ConfigError, SimulationError
 from .grid import make_grid
 from .integrator import run
-from .io import (FAMILY_LABELS, SWEEP_COLUMNS, read_checkpoint,
-                 read_sweep_csv, write_checkpoint, write_diag_csv,
-                 write_rate_report, write_sweep_csv)
+from .io import (FAMILY_LABELS, read_checkpoint, read_sweep_csv,
+                 write_checkpoint, write_diag_csv, write_rate_report,
+                 write_sweep_csv)
 from .operators import SlipMatrixB
-from .sweep import FAMILIES, _plan, fit_rate, run_sweep
+from .sweep import Comparison, Errors, _plan, run_sweep, summarize
 
 
 class _Parser(argparse.ArgumentParser):
@@ -156,15 +156,18 @@ def _cmd_diagnose(args):
 
 
 def _cmd_rate_fit(args):
-    rows = read_sweep_csv(args.csv)
+    # a line holds one member's max-over-time errors: one row, at no time
+    members = [(r["eps"], [Comparison(None, *map(r.get, Errors._fields))])
+               for r in read_sweep_csv(args.csv)]
     try:
-        # error_norms entry k is the sweep CSV column after eps
-        fits = {name: fit_rate((r["eps"], r[SWEEP_COLUMNS[1 + k1]]
-                                + r[SWEEP_COLUMNS[1 + k2]]) for r in rows)
-                for name, (k1, k2) in FAMILIES.items()}
+        summary = summarize(members, {})
     except ValueError as exc:
         raise ConfigError(f"{args.csv}: {exc}") from exc
-    for name, fit in fits.items():
+    for fl in summary.flags:
+        print(f"lcflow rate-fit: {fl}", file=sys.stderr)
+    if summary.fit_note:
+        raise ConfigError(f"{args.csv}: rate fit needs at least 2 points")
+    for name, fit in summary.fits.items():
         print(f"{FAMILY_LABELS[name]}: slope = {fit.slope:.12g}  "
               f"intercept = {fit.intercept:.12g}  r^2 = {fit.r2:.12g}")
     return 0

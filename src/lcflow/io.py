@@ -27,9 +27,11 @@ DIAG_COLUMNS = tuple(f.name for f in fields(DiagnosticsRecord))
 SWEEP_COLUMNS = ("eps", "err_u_l2sq", "err_d_h1sq", "err_u_linf",
                  "err_d_w1inf", "wall_time_s")
 
-# how the rate report and `lcflow rate-fit` name each sweep.FAMILIES entry
-FAMILY_LABELS = {"l2": "l2 family   (err_u_l2sq + err_d_h1sq) ",
-                 "linf": "linf family (err_u_linf + err_d_w1inf)"}
+# the error families fitted against eps, each the sum of two error
+# columns, and their labels (of one width) in the report and rate-fit
+FAMILIES = {"l2": SWEEP_COLUMNS[1:3], "linf": SWEEP_COLUMNS[3:5]}
+FAMILY_LABELS = {n: f"{n + ' family':<12}{'(' + ' + '.join(p) + ')':<26}"
+                 for n, p in FAMILIES.items()}
 
 CHECKPOINT_MAGIC = b"LCFLOW1\0"
 _HEADER = struct.Struct("<8s32s3IdQ")   # magic, sha256, dims, time, steps
@@ -102,12 +104,12 @@ def write_sweep_csv(result, path):
     file is byte-identical across job counts and machines; measured times
     live in the rate report and in SweepResult.wall_times.
     """
-    rows = list(result.errors_max)
-    if not rows:
+    maxima = result.errors_max
+    if not maxima:
         raise ValueError(f"nothing to write: no completed members for {path}")
     _write_csv(path, "sweep", SWEEP_COLUMNS,
-               ([_fmt(e)] + [_fmt(v) for v in result.errors_max[e]] + [_fmt(0.0)]
-                for e in rows))
+               ([_fmt(e)] + [_fmt(v) for v in errs] + [_fmt(0.0)]
+                for e, errs in maxima.items()))
 
 
 def read_sweep_csv(path):
@@ -184,7 +186,8 @@ def read_checkpoint(path, grid: ChannelGrid):
 
 def write_rate_report(result, path):
     """Human-readable summary of a sweep; everything here is commentary,
-    the machine-readable truth is the sweep CSV."""
+    the machine-readable truth is the sweep CSV.  Every summary line is
+    formatted from what sweep.summarize derived for the result."""
     lines = []
     add = lines.append
     add("vanishing-viscosity rate report")
@@ -195,16 +198,15 @@ def write_rate_report(result, path):
     if result.excluded:
         add(f"excluded    : {', '.join(f'{e:g}' for e in result.excluded)} "
             f"(below eps_min; rerun with --force to include)")
-    completed = list(result.errors_max)
-    add(f"members run : {', '.join(f'{e:g}' for e in completed) or 'none'}")
+    maxima = result.errors_max
+    add(f"members run : {', '.join(f'{e:g}' for e in maxima) or 'none'}")
     add("")
     add("max-over-recorded-times errors")
-    add(f"{'eps':>12} {'err_u_l2sq':>14} {'err_d_h1sq':>14} "
-        f"{'err_u_linf':>14} {'err_d_w1inf':>14} {'seconds':>9}")
-    for e in completed:
-        e1, e2, e3, e4 = result.errors_max[e]
-        add(f"{e:>12.6g} {e1:>14.6e} {e2:>14.6e} {e3:>14.6e} {e4:>14.6e} "
-            f"{result.wall_times.get(e, float('nan')):>9.2f}")
+    add(f"{'eps':>12} " + "".join(f"{c:>14} " for c in SWEEP_COLUMNS[1:5])
+        + f"{'seconds':>9}")
+    for e, errs in maxima.items():
+        add(f"{e:>12.6g} " + "".join(f"{v:>14.6e} " for v in errs)
+            + f"{result.wall_times.get(e, float('nan')):>9.2f}")
     add("")
     for name, fit in result.fits.items():
         if math.isnan(fit.slope):
@@ -216,10 +218,8 @@ def write_rate_report(result, path):
     mono = ", ".join(f"{name} {'yes' if ok else 'NO'}"
                      for name, ok in result.monotone.items())
     add(f"monotone along ladder at every recorded time: {mono}")
-    nm = [max(r.nm_value for r in recs if r.t > 0.0)  # t = 0: the shared IC
-          for e, recs in result.records.items() if e > 0.0]
-    if len(nm) >= 2:
-        lo, hi = min(nm), max(nm)
+    if result.nm_spread:
+        lo, hi = result.nm_spread
         add(f"nm_value max-over-(t > 0) spread across members: "
             f"[{lo:.6g}, {hi:.6g}]  (hi/lo = {hi / lo:.4f})")
     if result.failed:

@@ -1,20 +1,18 @@
 """Vanishing-viscosity experiment driver.
 
 Runs an inviscid reference and a ladder of viscous members from identical
-initial data, with one fixed dt shared by every run so the time
-discretization error cancels in the differences.  Every run, the reference
-included, is one explicit job: it takes its config, its eps and a work
-directory as arguments and leaves one checkpoint per record there, so any
-process start method can run it.  The reference runs in the calling
-process beside the member workers and its checkpoints stay until the
-sweep ends; the caller reads both runs' checkpoints back bit for bit,
-computes every error norm itself and deletes each member checkpoint once
-compared, which makes the emitted CSV independent of the job count.
-
-Error norms follow the convention: velocity differences are measured in
-the face quadrature (L2) and as the sup of the centered magnitude (Linf);
-director differences use the centered gradient with reflected end layers
-for the H1 and W1inf parts.
+initial data with one shared fixed dt, so the time discretization error
+cancels in the differences.  Each member is compared with the reference
+at every record time, in this process, from checkpoints read back bit for
+bit, so the CSV does not depend on the job count.  A comparison is one
+row, Comparison(t, err_u_l2sq, err_d_h1sq, err_u_linf, err_d_w1inf), named
+by the sweep CSV columns: velocity errors in the face quadrature and as
+the sup of the centered magnitude, director errors with the centered
+gradient and reflected end layers.  io.FAMILIES pairs those names into the
+fitted families.  SweepResult keeps the rows once, and errors_max is their
+field-wise maximum.  summarize derives every summary line from the rows
+and records; `lcflow rate-fit` runs it on one row per CSV line, so it
+drops the same exact zeros and fits the same points as the rate report.
 """
 
 from __future__ import annotations
@@ -39,14 +37,16 @@ from .errors import ConfigError, SimulationError
 from .fields import FaceField, State, _face_mean, face_to_center
 from .grid import ChannelGrid, _dz_centered, make_grid
 from .integrator import run
-from .io import read_checkpoint, write_checkpoint
+from .io import FAMILIES, SWEEP_COLUMNS, read_checkpoint, write_checkpoint
 from .operators import (_dz_reflect, _gradient_parts, grad_sq_director,
                         laplacian_center)
 
 RECORD_TIME_TOL = 1e-9
 
-# the error families fitted against eps: each sums two error_norms entries
-FAMILIES = {"l2": (0, 1), "linf": (2, 3)}
+# the four error norms of one comparison, named as their sweep CSV columns,
+# and the comparison of a member with the reference at record time t
+Errors = namedtuple("Errors", SWEEP_COLUMNS[1:5])
+Comparison = namedtuple("Comparison", ("t",) + Errors._fields)
 
 
 # ---------------------------------------------------------------------------
@@ -55,7 +55,7 @@ FAMILIES = {"l2": (0, 1), "linf": (2, 3)}
 
 def error_norms(u_a: FaceField, d_a: np.ndarray, u_b: FaceField,
                 d_b: np.ndarray, grid: ChannelGrid):
-    """(err_u_l2sq, err_d_h1sq, err_u_linf, err_d_w1inf) of (a - b).
+    """Errors(err_u_l2sq, err_d_h1sq, err_u_linf, err_d_w1inf) of a - b.
 
     The velocity difference is taken one component at a time, for its sum
     of squares on the faces (twice kinetic_energy, in its sums and their
@@ -90,7 +90,7 @@ def error_norms(u_a: FaceField, d_a: np.ndarray, u_b: FaceField,
     e_d_h1sq = vol * float(dd_sq + np.sum(gd_sq))
     e_d_w1inf = max(float(np.sqrt(np.max(dd_mag))),
                     float(np.sqrt(np.max(gd_sq))))
-    return e_u_l2sq, e_d_h1sq, e_u_linf, e_d_w1inf
+    return Errors(e_u_l2sq, e_d_h1sq, e_u_linf, e_d_w1inf)
 
 
 def remainder_norms(state_eps: State, state_0: State, eps: float,
@@ -157,10 +157,11 @@ def remainder_norms(state_eps: State, state_0: State, eps: float,
 
 
 # ---------------------------------------------------------------------------
-# rate fitting
+# rate fitting and the sweep summary
 # ---------------------------------------------------------------------------
 
 Fit = namedtuple("Fit", "slope intercept r2")
+Summary = namedtuple("Summary", "fits fit_note flags monotone nm_spread")
 
 
 def fit_rate(points):
@@ -192,6 +193,47 @@ def fit_rate(points):
     return Fit(slope, intercept, r2)
 
 
+def _errors_max(rows):
+    """The Errors of one member: each field's max over its Comparison rows."""
+    return Errors(*(max(getattr(r, f) for r in rows) for f in Errors._fields))
+
+
+def summarize(members, records):
+    """The Summary of members, (eps, Comparison rows in record order) in
+    ladder order, and records (eps -> DiagnosticsRecord list, 0.0 = ref).
+    fits: family -> fit_rate against eps of the sum of its two FAMILIES
+    fields in _errors_max, exact zeros dropped and flagged, all nan with
+    fit_note "insufficient-points" when fewer than two points are left;
+    monotone: family -> no sum grows as eps falls at a record time after
+    the first (each growth flagged); nm_spread: (lo, hi) of the members'
+    max nm_value over t > 0, or None.
+    """
+    maxima = [(e, _errors_max(rows)) for e, rows in members]
+    by_time = list(zip(*(rows for _, rows in members)))
+    fits, fit_note, dropped, grew, monotone = {}, "", [], [], {}
+    for name, (f1, f2) in FAMILIES.items():
+        pts = [(e, getattr(m, f1) + getattr(m, f2)) for e, m in maxima]
+        kept = [(e, r) for e, r in pts if r != 0.0]
+        if len(kept) < len(pts):
+            dropped.append(f"fit {name}: dropped members with exactly zero error")
+        if len(kept) < 2:
+            fits[name] = Fit(math.nan, math.nan, math.nan)
+            fit_note = "insufficient-points"
+        else:
+            fits[name] = fit_rate(kept)
+        before = len(grew)
+        for at in by_time[1:]:
+            vals = [getattr(c, f1) + getattr(c, f2) for c in at]
+            grew += [f"monotonicity violated at t={at[0].t:g} in the {name} "
+                     f"family: consider under-resolution"
+                     for a, b in zip(vals, vals[1:]) if b > a * (1.0 + 1e-12)]
+        monotone[name] = len(grew) == before
+    nm = [max(r.nm_value for r in recs if r.t > 0.0)
+          for e, recs in records.items() if e > 0.0]
+    return Summary(fits, fit_note, dropped + grew, monotone,
+                   (min(nm), max(nm)) if len(nm) >= 2 else None)
+
+
 # ---------------------------------------------------------------------------
 # sweep
 # ---------------------------------------------------------------------------
@@ -202,19 +244,23 @@ class SweepResult:
     included: tuple              # members actually run (guard applied)
     excluded: tuple              # members refused by the resolution guard
     eps_min: float               # the guard threshold (4 hz)^2
-    errors_max: dict             # eps -> 4-tuple, max over recorded times,
-                                 # completed members only, in ladder order
-    errors_by_time: dict         # eps -> list of (t, 4-tuple)
+    errors_by_time: dict         # eps -> Comparison row per record,
+                                 # completed members only, ladder order
     records: dict                # eps -> DiagnosticsRecord list (0.0 = ref)
     wall_times: dict             # eps -> measured seconds, same keys;
                                  # members are timed while they share the
                                  # cores with the reference
-    fits: dict                   # family -> Fit, all nan when not fitted
-    fit_note: str                # "" or "insufficient-points"
-    monotone: dict               # family -> errors never grow as eps falls
-    flags: list = field(default_factory=list)
+    fits: dict                   # these four as summarize derives them
+    fit_note: str
+    monotone: dict
+    nm_spread: tuple
+    flags: list = field(default_factory=list)   # _plan's, aborts, summarize's
     config_hash: str = ""
     failed: tuple = ()
+
+    @property
+    def errors_max(self):        # eps -> Errors, field-wise max of its rows
+        return {e: _errors_max(rs) for e, rs in self.errors_by_time.items()}
 
 
 def _record_path(workdir, eps, i):
@@ -248,7 +294,7 @@ def _member_job(cfg, eps, workdir):
 
 
 def _compare_member(eps, records, ref_records, workdir, grid):
-    """Per-record (t, error_norms) of member eps against the reference,
+    """Per-record Comparison rows of member eps against the reference,
     from the checkpoints _member_job left in workdir for both; each member
     checkpoint is deleted once it is read, and the reference's are kept
     for the next member.  A member whose records do not match the
@@ -267,8 +313,8 @@ def _compare_member(eps, records, ref_records, workdir, grid):
         state, _, _ = read_checkpoint(path, grid)
         os.remove(path)
         ref, _, _ = read_checkpoint(_record_path(workdir, 0.0, i), grid)
-        per_time.append((r.t, error_norms(state.u, state.d, ref.u, ref.d,
-                                          grid)))
+        per_time.append(Comparison(r.t, *error_norms(state.u, state.d, ref.u,
+                                                     ref.d, grid)))
     return per_time
 
 
@@ -312,12 +358,10 @@ def run_sweep(cfg: SimConfig, jobs: int = 1, force: bool = False) -> SweepResult
     With jobs > 1 the members start first, in up to `jobs` forked workers,
     and the reference (eps = 0) runs in this process beside them; with
     jobs = 1 the members run inline after the reference.  Every run goes
-    through _member_job and leaves one checkpoint per record in a directory
-    under the system temp dir, 8*nx*ny*(7*nz + 1) bytes plus the header
-    each, and returns its records, which SweepResult.records keeps by eps
-    (the reference under 0.0) for every run that completed.  This process
-    compares each member checkpoint with the reference's and deletes it;
-    the reference's stay until the sweep ends.  Adaptive stepping is
+    through _member_job, which leaves one checkpoint per record under the
+    system temp dir, 8*nx*ny*(7*nz + 1) bytes plus the header each;
+    _compare_member deletes a member's as it compares them, and the
+    reference's stay until the sweep ends.  Adaptive stepping is
     disabled so every run takes the identical step sequence; a member whose
     fixed dt violates its stability bound, or whose worker process ends,
     fails loudly and the sweep aborts with the completed members flagged.
@@ -327,11 +371,7 @@ def run_sweep(cfg: SimConfig, jobs: int = 1, force: bool = False) -> SweepResult
     grid = make_grid(cfg)
     base = replace(cfg, eps=0.0, adaptive_dt=False)
 
-    wall_times = {}
-    records = {}
-    results = {}
-    failed = []
-    pool = None
+    wall_times, records, results, failed, pool = {}, {}, {}, [], None
     with tempfile.TemporaryDirectory(prefix="lcflow-sweep-") as workdir:
         try:
             if jobs > 1:
@@ -361,54 +401,11 @@ def run_sweep(cfg: SimConfig, jobs: int = 1, force: bool = False) -> SweepResult
             if pool is not None:
                 pool.shutdown(cancel_futures=True)
 
-    for e, msg in failed:
-        flags.append(f"aborted: member eps={e:g} failed: {msg}")
-
-    completed = tuple(e for e in included if e in results)
-    errors_max = {e: tuple(max(row[1][k] for row in results[e]) for k in range(4))
-                  for e in completed}
-
-    # fits over the max-over-time errors (the sup-in-time bound is the
-    # quantity with a guaranteed rate)
-    fits = {}
-    fit_note = ""
-    for name, (k1, k2) in FAMILIES.items():
-        pts = [(e, errors_max[e][k1] + errors_max[e][k2]) for e in completed]
-        pts = [(e, r) for e, r in pts if r > 0.0]
-        if len(pts) < len(completed):
-            flags.append(f"fit {name}: dropped members with exactly zero error")
-        try:
-            fits[name] = fit_rate(pts)
-        except ValueError:
-            fits[name] = Fit(math.nan, math.nan, math.nan)
-            fit_note = "insufficient-points"
-
-    # the members' (t, errors) rows at each record time, by decreasing eps
-    by_time = list(zip(*(results[e] for e in completed)))
-    monotone = dict.fromkeys(FAMILIES, True)
-    for name, (k1, k2) in FAMILIES.items():
-        for rows in by_time[1:]:
-            vals = [errs[k1] + errs[k2] for _, errs in rows]
-            for a, b in zip(vals, vals[1:]):
-                if b > a * (1.0 + 1e-12):
-                    flags.append(
-                        f"monotonicity violated at t={rows[0][0]:g} in the "
-                        f"{name} family: consider under-resolution")
-                    monotone[name] = False
-
+    flags += [f"aborted: member eps={e:g} failed: {msg}" for e, msg in failed]
+    summary = summarize(results.items(), records)
     return SweepResult(
-        eps_ladder=ladder,
-        included=included,
-        excluded=excluded,
-        eps_min=eps_min,
-        errors_max=errors_max,
-        errors_by_time={e: results[e] for e in completed},
-        records=records,
-        wall_times=wall_times,
-        fits=fits,
-        fit_note=fit_note,
-        monotone=monotone,
-        flags=flags,
-        config_hash=config_hash(cfg).hex(),
+        eps_ladder=ladder, included=included, excluded=excluded,
+        eps_min=eps_min, errors_by_time=results, records=records,
+        wall_times=wall_times, config_hash=config_hash(cfg).hex(),
         failed=tuple(failed),
-    )
+        **summary._replace(flags=flags + summary.flags)._asdict())

@@ -38,6 +38,9 @@ f.shape, derivative axis first, each axis' difference taken on the whole
 of f by _ddx, _ddy and _dz_centered or _dz_reflect; the package builds
 no stack, only streams of parts (operators._gradient_parts), so these
 are its oracle for layout and bits.
+shear_twist_errors is the exact reference of a shear+twist sweep: its
+velocity errors from a 1-D recurrence per member, derived from the
+scheme and not from the package's 3-D kernels.
 """
 
 import math
@@ -45,6 +48,7 @@ import tracemalloc
 
 import numpy as np
 from hypothesis import strategies as hst
+from scipy.linalg import solve_banded
 
 from lcflow.diagnostics import (DiagnosticsRecord, _conormal_sums,
                                 _energy_residual, _slip_mismatch_trace,
@@ -485,3 +489,47 @@ def loop_remainder_norms(state_eps, state_0, eps, grid):
                     sum2 += r2 * r2
     vol = grid.cell_volume
     return math.sqrt(sum1 * vol), math.sqrt(sum2 * vol)
+
+
+def shear_twist_errors(cfg, eps, steps):
+    """(err_u_l2sq, err_u_linf) of the shear+twist member eps of a sweep
+    of cfg against its inviscid reference, after each step count in steps.
+
+    On this data u = a cos(2 pi y/ly) g(z) e_x and d = d(z): advection
+    vanishes, the director evolves alike for every eps and the reference
+    keeps g^0 = sin(pi z/lz) at the cell centres.  A member's g follows
+    one viscous step per time step, with L_z the second difference whose
+    end rows hold the Robin ghost a11 g (the slip_closure relation
+    (g0 - ghost)/hz = b11 (g0 + ghost)/2) and lam_y = -(4/hy^2)
+    sin^2(pi hy/ly) the discrete eigenvalue of the y mode: backward Euler,
+    g <- (I - eps dt (L_z + lam_y))^-1 g, as a banded solve on the
+    implicit path, forward Euler on the explicit one.  The norms take the
+    y factor exactly: sum_y cos^2 = ny/2 and max_y |cos| = cos(pi/ny).
+    """
+    nx, ny, nz, a = cfg.nx, cfg.ny, cfg.nz, cfg.amplitude
+    hy, hz = cfg.ly / ny, cfg.lz / nz
+    vol = cfg.lx / nx * hy * hz
+    a11 = (1.0 - 0.5 * hz * cfg.b11) / (1.0 + 0.5 * hz * cfg.b11)
+    lam_y = -4.0 / hy**2 * math.sin(math.pi * hy / cfg.ly) ** 2
+    diag = np.full(nz, -2.0 / hz**2 + lam_y)
+    diag[[0, -1]] += a11 / hz**2
+    c = eps * cfg.dt
+    band = np.zeros((3, nz))
+    band[0, 1:] = band[2, :-1] = -c / hz**2
+    band[1] = 1.0 - c * diag
+    g0 = np.sin(math.pi * (np.arange(nz) + 0.5) * hz / cfg.lz)
+    g, done, out = g0.copy(), 0, []
+    for n in steps:
+        for _ in range(n - done):
+            if cfg.visc_implicit:
+                g = solve_banded((1, 1), band, g)
+            else:
+                lap = diag * g
+                lap[1:] += g[:-1] / hz**2
+                lap[:-1] += g[1:] / hz**2
+                g = g + c * lap
+        done = n
+        dg = g - g0
+        out.append((vol * nx * (ny / 2) * a**2 * float(np.sum(dg * dg)),
+                    a * math.cos(math.pi / ny) * float(np.max(np.abs(dg)))))
+    return out

@@ -26,12 +26,12 @@ from lcflow import (
     write_rate_report,
     write_sweep_csv,
 )
+from lcflow import sweep
 from lcflow.cli import cli
 from lcflow.config import config_hash
 from lcflow.diagnostics import DiagnosticsRecord
-from lcflow.io import (_HEADER, CHECKPOINT_MAGIC, DIAG_COLUMNS, FAMILY_LABELS,
-                       SWEEP_COLUMNS)
-from lcflow.sweep import FAMILIES
+from lcflow.io import (_HEADER, CHECKPOINT_MAGIC, DIAG_COLUMNS, FAMILIES,
+                       FAMILY_LABELS, SWEEP_COLUMNS)
 
 CFG_TEXT = """\
 [grid]
@@ -275,7 +275,7 @@ def _error_column_strings(tree):
 
 
 def test_error_columns_are_spelled_only_in_io():
-    # the families are column pairs in sweep.FAMILIES and names in io;
+    # the families are pairs of column names in io.FAMILIES;
     # a column name spelled anywhere else is a second definition of one
     sources = sorted(Path(lcflow.__file__).parent.glob("*.py"))
     found = {path.name: _error_column_strings(ast.parse(path.read_text()))
@@ -305,8 +305,8 @@ def test_rate_report_and_rate_fit_name_families_alike(tmp_path, capsys):
         label, _, rest = line.partition(": slope = ")
         assert label == FAMILY_LABELS[name]
         # each label names the columns its family sums
-        assert f"({' + '.join(SWEEP_COLUMNS[1 + k] for k in FAMILIES[name])})" \
-            in label
+        assert f"({' + '.join(FAMILIES[name])})" in label
+        assert set(FAMILIES[name]) < set(SWEEP_COLUMNS[1:5])
         m = re.search(re.escape(label) + r": slope = (\S+)", report)
         assert m, report
         assert m.group(1) == f"{float(rest.split()[0]):.6f}"
@@ -558,6 +558,54 @@ def test_cli_rate_fit_insufficient_rows(tmp_path, capsys):
     assert "at least 2 points" in capsys.readouterr().err
 
 
+def test_rate_fit_fits_the_points_of_the_rate_report(monkeypatch, tmp_path,
+                                                     capsys):
+    # the middle one of three members compares exactly equal to the
+    # reference in the l2 family: the rate report and rate-fit both drop it
+    # with the same flag and fit the same two points
+    cfg = _tiny_cfg(eps=0.0, eps_ladder=(0.25, 0.125, 0.0625))
+    nrec = len(run(cfg)[1])
+    real = sweep.error_norms
+    calls = []
+
+    def zero_l2_in_the_middle(*args):
+        calls.append(args)
+        errs = tuple(real(*args))
+        return (0.0, 0.0) + errs[2:] if nrec < len(calls) <= 2 * nrec else errs
+
+    monkeypatch.setattr(sweep, "error_norms", zero_l2_in_the_middle)
+    res = run_sweep(cfg)
+    flag = "fit l2: dropped members with exactly zero error"
+    assert flag in res.flags and res.fit_note == ""
+    path = tmp_path / "sweep.csv"
+    write_sweep_csv(res, path)
+    report = write_rate_report(res, tmp_path / "report.txt")
+    capsys.readouterr()
+    assert cli(["rate-fit", "--csv", str(path)]) == 0
+    out, err = capsys.readouterr()
+    assert err == f"lcflow rate-fit: {flag}\n"
+    for name, line in zip(FAMILIES, out.splitlines()):
+        fit = res.fits[name]
+        assert line == (f"{FAMILY_LABELS[name]}: slope = {fit.slope:.12g}  "
+                        f"intercept = {fit.intercept:.12g}  r^2 = {fit.r2:.12g}")
+        assert f"{FAMILY_LABELS[name]}: slope = {fit.slope:.6f}" in report
+
+
+def test_cli_rate_fit_with_one_nonzero_member_left(tmp_path, capsys):
+    # one of two members has exact-zero errors: as in the rate report,
+    # each family keeps one point, and rate-fit names the drop and exits 1
+    path = tmp_path / "sweep.csv"
+    res = types.SimpleNamespace(errors_max={0.25: (0.0, 0.0, 0.0, 0.0),
+                                            0.125: (1e-3, 0.0, 1e-2, 0.0)})
+    write_sweep_csv(res, path)
+    assert cli(["rate-fit", "--csv", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert "lcflow rate-fit: fit l2: dropped members with exactly zero error" \
+        in err
+    assert "lcflow rate-fit: fit linf: dropped members" in err
+    assert "at least 2 points" in err
+
+
 @pytest.mark.parametrize("ladder", ["0.1 0.2", "2.0"])
 def test_cli_sweep_bad_ladder_is_a_config_error(tmp_path, capsys, ladder):
     # rejected while the config loads: exit 1, and no output directory
@@ -594,11 +642,13 @@ def test_diag_csv_malformed_row(tmp_path):
 
 
 def test_cli_rate_fit_rejects_nan(tmp_path, capsys):
+    # only an exact zero is dropped: a nan or a negative error is refused
     path = tmp_path / "sweep.csv"
-    res = types.SimpleNamespace(
-        errors_max={0.25: (1e-3, 1e-4, 1e-2, 1e-2),
-                    0.125: (float("nan"), 1e-4, 1e-2, 1e-2)})
-    write_sweep_csv(res, path)
-    rc = cli(["rate-fit", "--csv", str(path)])
-    assert rc == 1
-    assert "finite positive data" in capsys.readouterr().err
+    for bad in (float("nan"), -1e-3):
+        res = types.SimpleNamespace(
+            errors_max={0.25: (1e-3, 1e-4, 1e-2, 1e-2),
+                        0.125: (bad, 1e-4, 1e-2, 1e-2)})
+        write_sweep_csv(res, path)
+        rc = cli(["rate-fit", "--csv", str(path)])
+        assert rc == 1
+        assert "finite positive data" in capsys.readouterr().err

@@ -1,6 +1,7 @@
 """Rate fitting, error norms, remainders, and the sweep driver itself."""
 
 import dataclasses
+import math
 import multiprocessing as mp
 import os
 import tempfile
@@ -30,10 +31,11 @@ from lcflow.operators import SlipMatrixB, laplacian_center
 from lcflow.fields import face_to_center
 from lcflow import sweep
 from lcflow.cli import cli
+from lcflow.io import FAMILIES, SWEEP_COLUMNS
 from lcflow.sweep import _compare_member, _member_job, _plan
 
 from support import (face_field, grids, loop_remainder_norms, peak_fields,
-                     seeds, stacked_error_norms)
+                     seeds, shear_twist_errors, stacked_error_norms)
 
 
 def _grid(nx=8, ny=8, nz=16, lx=1.0, ly=1.0, lz=1.0):
@@ -459,13 +461,15 @@ def test_sweep_basic_result_shape():
     for e in ladder:
         rows = res.errors_by_time[e]
         assert len(rows) >= 2
-        for t, tup in rows:
-            assert len(tup) == 4 and all(v >= 0.0 for v in tup)
+        for row in rows:
+            assert row._fields == ("t",) + SWEEP_COLUMNS[1:5]
+            assert all(getattr(row, f) >= 0.0 for f in SWEEP_COLUMNS[1:5])
         # max-over-time dominates the final-time row
-        for k in range(4):
-            assert res.errors_max[e][k] >= rows[-1][1][k] - 1e-18
+        for f in SWEEP_COLUMNS[1:5]:
+            assert getattr(res.errors_max[e], f) >= getattr(rows[-1], f)
     # smaller eps -> smaller error against the inviscid reference
-    l2 = [res.errors_max[e][0] + res.errors_max[e][1] for e in ladder]
+    l2 = [sum(getattr(res.errors_max[e], f) for f in FAMILIES["l2"])
+          for e in ladder]
     assert l2[0] > l2[1] > l2[2] > 0.0
     assert np.isfinite(res.fits["l2"].slope)
     assert res.config_hash != ""
@@ -512,7 +516,7 @@ def test_sweep_keeps_the_records_of_every_run():
     assert pooled.records == res.records
     for e in completed:
         assert ([r.t for r in res.records[e]]
-                == [t for t, _ in res.errors_by_time[e]])
+                == [row.t for row in res.errors_by_time[e]])
 
 
 def test_sweep_reports_a_monotonicity_violation_by_family(monkeypatch,
@@ -540,6 +544,38 @@ def test_sweep_reports_a_monotonicity_violation_by_family(monkeypatch,
     text = write_rate_report(res, tmp_path / "report.txt")
     assert ("monotone along ladder at every recorded time: l2 yes, linf NO"
             in text)
+
+
+def test_errors_max_is_the_field_wise_max_of_every_row(monkeypatch):
+    # err_d_w1inf falls with every comparison, so within each member its
+    # largest value is the t = 0 row's: errors_max must take that row too
+    real = sweep.error_norms
+    calls = []
+
+    def falling_w1inf(*args):
+        calls.append(args)
+        return tuple(real(*args))[:3] + (1.0 / len(calls),)
+
+    monkeypatch.setattr(sweep, "error_norms", falling_w1inf)
+    res = run_sweep(_sweep_cfg(eps_ladder=(0.25, 0.125, 0.0625)))
+    assert list(res.errors_max) == [0.25, 0.125, 0.0625]
+    for e, rows in res.errors_by_time.items():
+        assert rows[0].t == 0.0 and len(rows) == 3
+        want = tuple(max(getattr(r, f) for r in rows)
+                     for f in SWEEP_COLUMNS[1:5])
+        assert res.errors_max[e] == want
+        assert res.errors_max[e]._fields == SWEEP_COLUMNS[1:5]
+        assert res.errors_max[e].err_d_w1inf == rows[0].err_d_w1inf
+
+
+def test_sweep_refuses_a_nan_error_instead_of_dropping_it(monkeypatch):
+    # only an exact zero is dropped from a fit; a nan is no zero, and the
+    # fit refuses it
+    real = sweep.error_norms
+    monkeypatch.setattr(sweep, "error_norms",
+                        lambda *args: (math.nan,) + tuple(real(*args))[1:])
+    with pytest.raises(ValueError, match="finite positive data"):
+        run_sweep(_sweep_cfg(eps_ladder=(0.25, 0.125)))
 
 
 def test_sweep_zero_family_is_dropped_and_flagged_once(monkeypatch, tmp_path):
@@ -608,7 +644,7 @@ def test_compare_member_deletes_what_it_reads(tmp_path):
     assert len(list(tmp_path.iterdir())) == 2 * len(ref_files)
     per_time = _compare_member(0.25, records, ref_records, str(tmp_path),
                                make_grid(cfg))
-    assert [t for t, _ in per_time] == [r.t for r in records]
+    assert [row.t for row in per_time] == [r.t for r in records]
     assert sorted(p.name for p in tmp_path.iterdir()) == ref_files
     assert len(ref_files) == len(ref_records)
 
@@ -653,3 +689,25 @@ def test_error_injection_recovers_rate():
     slope, _, r2 = fit_rate(pts)
     assert abs(slope - 1.5) <= 1e-6
     assert r2 > 1.0 - 1e-12
+
+
+@pytest.mark.parametrize("b, implicit, dt", [
+    (0.0, True, 2e-3), (1.0, True, 2e-3), (1000.0, True, 2e-3),
+    (1.0, False, 1e-4)])
+def test_shear_twist_sweep_rows_follow_the_exact_recurrence(b, implicit, dt):
+    # every row of every member against shear_twist_errors at 1e-11
+    # relative (the largest gap reads 4e-14 to 8e-14); the director
+    # evolves alike for every eps, so its errors are round-off, most of
+    # them exactly zero
+    cfg = _sweep_cfg(nz=32, ic_name="shear+twist", b11=b, b22=b, dt=dt,
+                     visc_implicit=implicit, diag_every=round(0.004 / dt),
+                     eps_ladder=(2.0**-4, 2.0**-5, 2.0**-6))
+    res = run_sweep(cfg)
+    assert res.failed == () and list(res.errors_by_time) == [*cfg.eps_ladder]
+    for e, rows in res.errors_by_time.items():
+        want = shear_twist_errors(cfg, e, [round(r.t / dt) for r in rows])
+        assert len(rows) == 6
+        for row, (l2sq, linf) in zip(rows, want):
+            assert abs(row.err_u_l2sq - l2sq) <= 1e-11 * l2sq
+            assert abs(row.err_u_linf - linf) <= 1e-11 * linf
+            assert row.err_d_h1sq <= 1e-28 and row.err_d_w1inf <= 1e-13
