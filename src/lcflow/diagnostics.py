@@ -6,17 +6,16 @@ three operators commute discretely to round-off, so unordered counting is
 well defined).  Face fields are averaged to cell centers before any norm is
 taken; all L2 quadrature is the midpoint rule, cell volume per center.
 
-All of them come from one walk (_walk) that builds the derivative tree
-depth first, each multi-index once from its parent, keeping one array per
-order: the members on the current path.  A member is the raw stencil
-numerator, the x/y central difference or the weighted z stencil with no
-1/(2h), and its squared scale is carried as a scalar.  _conormal_sums
-reduces one walk to the squared L2 norm of one order and the sup-type sum
-of another, walking a stacked field one component at a time so the
+All of them come from one walk, _conormal_sums, a depth-first recursion
+(_descend) that builds each multi-index once from its parent into one
+buffer per order, so it holds only the members on the current path.  A
+member is the raw stencil numerator, the x/y central difference or the
+weighted z stencil with no 1/(2h), and its squared scale is carried as a
+scalar.  A stacked field is walked one component at a time, so the
 working set is a few single-component arrays: each L2 term is its scale
-times one sum of squares (_sumsq, one read, no BLAS), added in level
-order whatever order the walk visits them in, and only members of order
-<= sup are squared into arrays.
+times one sum of squares (_sumsq, one read, no BLAS), appended to a list
+for its order, and the lists are added in level order; only members of
+order <= sup are squared into arrays.
 A record is the one assembly of the per-state diagnostics: make_record
 derives each field of the state once (centered u, grad d, |grad d|^2,
 lap d, vorticity, momentum forcing F), walks each once, and computes the
@@ -49,7 +48,6 @@ from __future__ import annotations
 
 from collections.abc import Iterator
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -80,51 +78,27 @@ def _sumsq(a: np.ndarray) -> float:
     return float(np.sum(np.einsum("ij,ij->i", rows, rows)))
 
 
-@lru_cache(maxsize=None)
-def _level_ranks(m: int) -> dict:
-    """{alpha: rank} over the unique multi-indices with |alpha| <= m, each
-    alpha a tuple of axes that never increases (the parent of alpha drops
-    its last axis): rank is alpha's place in level order, order by order,
-    each order in its parents' order and a parent's children by axis."""
-    ranks, level = {(): 0}, [()]
-    for _ in range(m):
-        level = [a + (ax,) for a in level
-                 for ax in range((a[-1] if a else 2) + 1)]
-        ranks.update({a: len(ranks) + j for j, a in enumerate(level)})
-    return ranks
-
-
-def _walk(f: np.ndarray, m: int, grid: ChannelGrid):
-    """Yield (rank, |alpha|, raw, scale2) for all unique multi-indices with
-    |alpha| <= m, depth first: raw is _raw_derivative applied once per
-    direction of alpha and scale2 the product of (1 / (2 h_a))^2 over it,
-    so Z^alpha f = sqrt(scale2) * raw up to round-off; rank is alpha's
-    place in level order (_level_ranks).
-
-    Each derivative is built from the parent that drops its last direction,
-    so every alpha is computed exactly once: a child only adds axes up to
-    its parent's last.  One buffer per order holds the member of that order
-    on the current path, so the walk keeps m arrays whatever m is; a member
-    is valid only until the next member of its order is yielded.
-    """
-    g = np.asarray(f, dtype=float)
-    ranks = _level_ranks(m)
-    unit = [(0.5 / h) ** 2 for h in (grid.hx, grid.hy, grid.hz)]
-    bufs = [np.empty(g.shape) for _ in range(m)]
-    yield 0, 0, g, 1.0
-    # the current path: (member, alpha, scale2, axes its children still add)
-    path = [(g, (), 1.0, iter(range(3)))] if m > 0 else []
-    while path:
-        parent, alpha, s2, axes = path[-1]
-        ax = next(axes, None)
-        if ax is None:
-            path.pop()
-            continue
-        child, s2 = alpha + (ax,), s2 * unit[ax]
-        h = _raw_derivative(parent, ax, grid, bufs[len(alpha)])
-        yield ranks[child], len(child), h, s2
-        if len(child) < m:
-            path.append((h, child, s2, iter(range(ax + 1))))
+def _descend(g, k, last, s2, walk):
+    """Take member g of order k into one component's walk, then its
+    children depth first, by axis from 0 to last (g's own last axis), each
+    built from g into the buffer of its order.  walk is (grid, unit, bufs,
+    sq, terms, sups, its): g's L2 term goes onto terms[k], and its squares
+    into the next entry of sups[k] (its[k] iterates it), or onto sups[k] on
+    the first component.  Module level: a closure that calls itself is a
+    reference cycle that keeps bufs alive until gc runs."""
+    grid, unit, bufs, sq, terms, sups, its = walk
+    if k < len(terms):
+        terms[k].append(s2 * grid.cell_volume * _sumsq(g))
+    if k < len(sups):
+        acc = next(its[k], None)
+        if acc is None:
+            sups[k].append([s2, g * g])
+        else:
+            acc[1] += np.multiply(g, g, out=sq)
+    if k < len(bufs):
+        for ax in range(last + 1):
+            _descend(_raw_derivative(g, ax, grid, bufs[k]), k + 1, ax,
+                     s2 * unit[ax], walk)
 
 
 def _conormal_sums(f, m: int, grid: ChannelGrid, sup: int = -1):
@@ -141,17 +115,18 @@ def _conormal_sums(f, m: int, grid: ChannelGrid, sup: int = -1):
     order-sup sup norm; stacked input takes the pointwise Euclidean
     magnitude first.
 
-    The walk hands out raw numerators with their scales as scalars
-    (_walk): l2 adds scale2 * vol * _sumsq(raw), one read of each member
-    and no squared array, and only members of order <= sup are squared into
-    arrays, whose max is scaled once at the end.  Stacked leading axes are
-    walked one component at a time, in C order.  l2 adds its terms in rank
-    order, then component order: the order of a walk to m alone, so l2 does
-    not depend on sup, on the stack's layout or on the walk's own order,
-    bit for bit.  linf adds each member's squares across components in
-    component order, the arithmetic of np.sum over the leading axes, so it
-    equals that sum on the whole-stack raw members bit for bit and does not
-    depend on m.
+    Each component, in C order, is one depth-first recursion (_descend)
+    that hands out raw numerators with their scales as scalars: l2 adds
+    scale2 * vol * _sumsq(raw), one read and no squared array, and only
+    members of order <= sup are squared into arrays, whose max is scaled
+    once at the end.  Depth first meets each order's members in level
+    order (parents in order, a parent's children by axis), so one list per
+    order, added order by order, sums l2 in level order, then component
+    order: that of a walk to m alone, so l2 does not depend on sup or on
+    the stack's layout, bit for bit.  linf adds each member's squares
+    across components in component order, the arithmetic of np.sum over
+    the leading axes, so it equals that sum on the whole-stack raw members
+    bit for bit and does not depend on m.
     """
     if not isinstance(f, Iterator):
         f = np.asarray(f, dtype=float)
@@ -159,27 +134,22 @@ def _conormal_sums(f, m: int, grid: ChannelGrid, sup: int = -1):
             raise ConfigError(f"field shape {f.shape} does not end in "
                               f"{grid.shape}")
         f = f.reshape((-1,) + grid.shape)
-    vol = grid.cell_volume
+    unit = [(0.5 / h) ** 2 for h in (grid.hx, grid.hy, grid.hz)]
+    bufs = [np.empty(grid.shape) for _ in range(max(m, sup))]
+    sq = np.empty(grid.shape) if sup >= 0 else None
+    sups = [[] for _ in range(sup + 1)]   # per order: [scale2, squares]
     l2 = 0.0
-    buf = np.empty(grid.shape) if sup >= 0 else None
-    sups = {}          # rank of a member of order <= sup: [scale2, squares]
     for comp in f:
-        terms = {}
-        for i, k, g, s2 in _walk(comp, max(m, sup), grid):
-            if k <= m:
-                terms[i] = s2 * vol * _sumsq(g)
-            if k > sup:
-                continue
-            if i in sups:
-                np.multiply(g, g, out=buf)
-                sups[i][1] += buf
-            else:
-                sups[i] = [s2, g * g]
-        for _, term in sorted(terms.items()):
-            l2 += term
+        terms = [[] for _ in range(m + 1)]
+        _descend(comp, 0, 2, 1.0, (grid, unit, bufs, sq, terms, sups,
+                                   [iter(s) for s in sups]))
+        for level in terms:
+            for term in level:
+                l2 += term
     linf = 0.0
-    for _, (s2, sq) in sorted(sups.items()):
-        linf += s2 * float(np.max(sq))
+    for level in sups:
+        for s2, squares in level:
+            linf += s2 * float(np.max(squares))
     return l2, linf
 
 

@@ -12,9 +12,11 @@ record's budget rates, each built from the state with its own operator.
 conormal_norm_sq is the order-m squared L2 conormal norm, the l2 sum of
 one diagnostics._conormal_sums walk; scaled_conormal_sums is the loop
 reference of that walk, every member built scaled by conormal_derivative
-and squared into an array before it is summed.  conormal_derivative is
-that scaled member Z_axis f, built from _ddx, _ddy, _dz_centered and the
-z weight, not from the walk's grid._raw_derivative.  padded, padded_dz
+and squared into an array before it is summed, and raw_sup_sum is the
+walk's sup sum from raw members built level by level on the whole stack.
+conormal_derivative is that scaled member Z_axis f, built from _ddx,
+_ddy, _dz_centered and the z weight, not from the walk's
+grid._raw_derivative.  padded, padded_dz
 and padded_lap7 are the oracle of the end-layer stencils: the same
 formulas on an (nz+2) copy that holds the end layers as its first and
 last layers; padded_dzz is the z part of the same Laplacian in
@@ -57,7 +59,7 @@ from lcflow.diagnostics import (DiagnosticsRecord, _conormal_sums,
 from lcflow.errors import ConfigError
 from lcflow.fields import (FaceField, discrete_divergence, face_to_center,
                            unit_deviation)
-from lcflow.grid import ChannelGrid, _dz_centered, _z_weight
+from lcflow.grid import ChannelGrid, _dz_centered, _raw_derivative, _z_weight
 from lcflow.grid import _ddx as ddx, _ddy as ddy
 from lcflow.operators import (_director_parts, _dz_ends, _dz_reflect,
                               _slip_ghost_rows, curl_center, grad_sq_director,
@@ -231,6 +233,26 @@ def scaled_conormal_sums(f, m, grid, sup=-1):
     for sq in sups:
         linf += float(np.sqrt(np.max(sq))) ** 2
     return l2, linf
+
+
+def raw_sup_sum(f, sup, grid):
+    """The sup sum of diagnostics._conormal_sums from whole-stack raw
+    members: each Z^alpha f with |alpha| <= sup is grid._raw_derivative
+    applied to its parent on the whole stack, level by level (parents in
+    order, a parent's children by axis, 0 to its last axis), and its term,
+    scale2 times the max of its squares summed over the leading axes, is
+    added in that level order."""
+    unit = [(0.5 / h) ** 2 for h in (grid.hx, grid.hy, grid.hz)]
+    lead = tuple(range(f.ndim - 3))
+    level = [(2, 1.0, f)]
+    linf = 0.0
+    for k in range(sup + 1):
+        if k:
+            level = [(ax, s2 * unit[ax], _raw_derivative(g, ax, grid))
+                     for last, s2, g in level for ax in range(last + 1)]
+        for _, s2, g in level:
+            linf += s2 * float(np.max(np.sum(g * g, axis=lead)))
+    return linf
 
 
 def peak_fields(call, unit):

@@ -1,9 +1,11 @@
 """Conormal norms, energy budget, boundary-layer indicators, records."""
 
+import gc
 import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from dataclasses import astuple, replace
 from pathlib import Path
 
@@ -14,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as hst
 
 from lcflow import SimConfig, diagnostics, operators, pressure, run, step
-from lcflow.diagnostics import (_conormal_sums, _walk, boundary_work,
+from lcflow.diagnostics import (_conormal_sums, boundary_work,
                                 elastic_energy, kinetic_energy, make_record)
 from lcflow.errors import ConfigError
 from lcflow.fields import (FaceField, InitialConditionSpec, State,
@@ -25,7 +27,7 @@ from lcflow.operators import (SlipMatrixB, _gradient_parts, laplacian_center,
 
 from support import (center_gradient, conormal_derivative, conormal_norm_sq,
                      director_dissipation, director_gradient, eager_record,
-                     grids, peak_fields, quartic_production,
+                     grids, peak_fields, quartic_production, raw_sup_sum,
                      scaled_conormal_sums, viscous_dissipation)
 
 
@@ -205,11 +207,7 @@ def test_component_walk_is_layout_free(grid, m, sup, seed):
     assert want[0] == _conormal_sums(c_copy, m, grid)[0]
     # the sup sum is that of the whole-stack raw members, bit for bit, for
     # every L2 order
-    members = sorted((rank, scale2 * float(np.max(np.sum(g * g, axis=(0, 1)))))
-                     for rank, _, g, scale2 in _walk(c_copy, sup, grid))
-    linf = 0.0
-    for _, term in members:
-        linf += term
+    linf = raw_sup_sum(c_copy, sup, grid)
     for k in range(m + 1):
         assert _conormal_sums(strided, k, grid, sup=sup)[1] == linf
 
@@ -257,6 +255,31 @@ def test_streamed_gradient_walk_working_set():
     assert peak_fields(
         lambda: _conormal_sums(_gradient_parts(uc, _dz_centered, grid), 1,
                                grid, sup=1), uc[0].nbytes) < 9
+
+
+@pytest.mark.parametrize("stream", [False, True])
+def test_walk_leaves_nothing_behind(stream):
+    # With gc off only reference counts free memory, so a walk that formed
+    # a reference cycle (a nested function that calls itself) would leave
+    # its order buffers and sup squares behind when it returns: seven
+    # 16x16x32 components (64 KiB each) here.  The bound is one.
+    grid = ChannelGrid(16, 16, 32, 1.0, 1.0, 1.0)
+    uc = np.random.default_rng(0).standard_normal((3,) + grid.shape)
+
+    def call():
+        f = _gradient_parts(uc, _dz_centered, grid) if stream else uc
+        return _conormal_sums(f, 2, grid, sup=1)
+
+    call()
+    gc.disable()
+    tracemalloc.start()
+    try:
+        call()
+        left = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+        gc.enable()
+    assert left < uc[0].nbytes
 
 
 # -- energy pieces ---------------------------------------------------------

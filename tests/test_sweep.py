@@ -207,6 +207,22 @@ def test_remainders_match_loop_reference(grid, seed):
     assert got[1] == pytest.approx(want[1], abs=1e-12)
 
 
+@settings(max_examples=6, deadline=None)
+@given(grid=grids, seed=seeds)
+def test_remainders_match_loop_reference_on_rough_data(grid, seed):
+    # non-solenoidal face velocities and standard-normal directors put the
+    # norms near 1e4, where an absolute 1e-12 is below round-off; the
+    # relative bound of 1e-14 was fixed before measuring
+    rng = np.random.default_rng(seed)
+    a, b = (State(u=face_field(rng, grid), p=np.zeros(grid.shape),
+                  d=rng.standard_normal((3,) + grid.shape), t=0.0)
+            for _ in range(2))
+    got = remainder_norms(a, b, 0.25, grid)
+    want = loop_remainder_norms(a, b, 0.25, grid)
+    for g, w in zip(got, want):
+        assert abs(g - w) <= 1e-14 * abs(w)
+
+
 def test_remainder_norms_refuse_mismatched_shapes():
     # states on another grid than the one given, or on two grids
     small, large = _grid(nx=6, ny=6, nz=8), _grid()
